@@ -3,8 +3,9 @@
 Measures the full raw-bytes→detections pipeline for the same log
 stored two ways:
 
-* **text** — the pipe-delimited raw log, parsed on every scan by the
-  vectorized text parser (``repro.etw.fastparse``);
+* **text** — the pipe-delimited raw log, read as bytes and parsed on
+  every scan by the block-level text parser (``repro.etw.fastparse``),
+  exactly as ``scan_logs`` does for a text path;
 * **capture** — the one-time ``.leapscap`` columnar conversion
   (``repro.etw.convert_log``), loaded by the capture reader on every
   scan.
@@ -171,13 +172,13 @@ def bench_corpus(
         )
 
         # -- ingest only: raw bytes → EventRecords ---------------------
-        text_events = parse_fast(read_log_lines(text_path), policy="drop")
+        text_events = parse_fast(text_path.read_bytes(), policy="drop")
         capture_events = list(load_capture(capture_path).events)
         if capture_events != text_events:
             raise AssertionError(f"{name}: capture events diverged from text")
         ingest_text_s = best_of(
             repeats,
-            lambda: parse_fast(read_log_lines(text_path), policy="drop"),
+            lambda: parse_fast(text_path.read_bytes(), policy="drop"),
         )
         ingest_capture_s = best_of(
             repeats, lambda: load_capture(capture_path).events
@@ -186,7 +187,7 @@ def bench_corpus(
         # -- writer: naive loop vs vectorized assembly -----------------
         # (same parsed events, columns sidecar warm — the convert path)
         col_events = parse_fast(
-            read_log_lines(text_path), policy="drop", columns=True
+            text_path.read_bytes(), policy="drop", columns=True
         )
         naive_dir = Path(scratch) / "naive.leapscap"
         vec_dir = Path(scratch) / "vec.leapscap"

@@ -45,7 +45,6 @@ from repro.core.pipeline import LeapsPipeline, TrainingReport
 from repro.etw.capture import is_capture_path, load_capture
 from repro.etw.events import EventLog
 from repro.etw.fastparse import parse_fast
-from repro.etw.parser import read_log_lines
 from repro.etw.recovery import ParseReport
 
 
@@ -143,13 +142,16 @@ class LeapsDetector:
         )
 
     @staticmethod
-    def _log_lines(item: Union[str, os.PathLike, Iterable[str]]) -> Iterable[str]:
+    def _log_lines(
+        item: Union[str, os.PathLike, Iterable[str]],
+    ) -> Union[bytes, Iterable[str]]:
         """Resolve one fleet item to parse-ready input.
 
-        Paths are read with :func:`read_log_lines` — splitting on
-        ``\\n``/``\\r\\n`` only (``str.splitlines`` also breaks on
+        Text paths resolve to the file's raw bytes, which
+        :func:`~repro.etw.fastparse.parse_fast` parses whole: it splits
+        on ``\\n``/``\\r\\n`` only (``str.splitlines`` also breaks on
         Unicode line boundaries such as ``\\x85``, silently diverging
-        from streaming the same file) and passing undecodable lines
+        from streaming the same file) and passes undecodable lines
         through as ``bytes`` for policy-controlled ``BAD_ENCODING``
         classification instead of a bare ``UnicodeDecodeError``.
         ``.leapscap`` capture paths load as already-parsed events.
@@ -157,7 +159,7 @@ class LeapsDetector:
         if isinstance(item, (str, os.PathLike)):
             if is_capture_path(item):
                 return load_capture(item).events
-            return read_log_lines(item)
+            return Path(os.fspath(item)).read_bytes()
         return item
 
     @property

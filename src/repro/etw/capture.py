@@ -66,7 +66,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.etw.events import EventLog, EventRecord, StackFrame
-from repro.etw.parser import intern_frame, read_log_lines
+from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
 #: Capture schema identifier; bump the suffix on incompatible changes.
@@ -560,7 +560,7 @@ def convert_log(
         dst = src.with_suffix(CAPTURE_SUFFIX)
     report = ParseReport()
     events = parse_fast(
-        read_log_lines(src),
+        src.read_bytes(),
         policy=policy,
         report=report,
         require_complete_tail=require_complete_tail,
@@ -689,7 +689,7 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
                 )
 
     # The hot path: pure C-driven loops over Python ints and interned
-    # objects.  Pause generational GC as in the vectorized text parser —
+    # objects.  Pause generational GC as in the block-level text parser —
     # the transient containers otherwise trigger rescans costing more
     # than the reconstruction itself.
     gc_was_enabled = gc.isenabled()
@@ -720,7 +720,7 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
         new = EventRecord.__new__
         # Vocab strings are validated delimiter-free above and integer
         # fields are exact int64 round-trips, so __init__ can be
-        # bypassed exactly as in the vectorized text parser.
+        # bypassed exactly as in the block-level text parser.
         for (
             event_eid,
             event_timestamp,

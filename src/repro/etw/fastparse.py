@@ -1,65 +1,76 @@
-"""Vectorized cold-path text parser: bulk splits instead of per-line work.
+"""Block-level text parser: each distinct stack walk is validated once.
 
 :func:`parse_fast` produces exactly what draining
 :func:`repro.etw.parser.iter_parse` over the same lines produces —
-same :class:`EventRecord` list, same :class:`ParseReport` accounting,
-same exceptions — but parses *clean* logs through bulk columnar
-operations instead of the scalar parser's per-line state machine:
+same :class:`EventRecord` list, same interned frames, same
+:class:`ParseReport` accounting, same exceptions — but parses *clean*
+logs a stack block at a time instead of a line at a time.  Every event
+carries its full stack walk, and walks repeat heavily: an 8000-event
+application log has ~78k lines but only a few dozen distinct walks.
 
-1. one ``str.split`` over the whole text for line boundaries
-   (``\\n``/``\\r\\n`` only, matching
-   :func:`~repro.etw.parser.split_log_text`);
-2. a single lean tag-classification pass, then C-driven comprehensions
-   that split each record tag's lines into columns and convert the
-   numeric columns with the *same* ``int()`` the scalar parser uses;
-3. numpy over the resulting integer columns for the stack–event
-   correlation checks: every STACK line's eid must match its owning
-   EVENT's and its frame index must equal its offset in the block
-   (one ``searchsorted`` + two array comparisons instead of a quarter
-   million Python branches).
+Every text input takes the same path.  ``str`` is used as is,
+``bytes`` are decoded once, and a line sequence is joined once; then
 
-``np.char``-style fixed-width string arrays are deliberately **not**
-used: building a unicode array from a million Python lines costs more
-than the whole scalar parse, and numpy strips trailing NULs from such
-arrays, which would silently corrupt pathological field values.
+1. one ``split("\\nEVENT|")`` cuts the text into per-event blocks, each
+   an event head line followed by its stack lines;
+2. each block is proven to hold nothing but STACK lines of its own
+   event: its newline count must equal its count of
+   ``"\\nSTACK|<eid>|"``, where ``<eid>`` is the head's eid text (every
+   occurrence starts at a line start, and the trailing ``|`` keeps eid
+   ``1`` from matching ``12``).  Stripping that prefix leaves an
+   eid-free walk text;
+3. the walk texts are memoized per parse, so each *distinct* walk is
+   field-checked (four fields, integer index equal to its position,
+   hex address) and interned through
+   :func:`~repro.etw.parser.intern_frame` once, and its events share
+   one frame tuple;
+4. the head lines are columnized with C-level passes (a per-head pipe
+   count proves a flat ``"|".join(...).split("|")`` aligned), and their
+   numeric fields are converted with the scalar parser's own ``int()``.
 
-**Any** anomaly — an unknown tag, a wrong field count, a non-numeric
-field, a correlation mismatch, undecodable bytes, a suspect truncated
-tail, a ``\\r`` anywhere in the input — abandons the fast path *before
-touching the caller's report* and re-parses everything through the
-scalar ``iter_parse``, so the strict/warn/drop recovery semantics are
-the scalar parser's own, not a reimplementation.  The fast path
-therefore only ever handles logs it can prove are perfectly clean and
-complete.
+Blank and whitespace-only lines fail the block proof; the parser then
+counts and drops them (the scalar parser's ``not line.strip()`` test)
+and proves the remaining text once more, so they stay on the fast path.
 
-Frame objects come from the parser's process-wide intern table
-(:func:`repro.etw.parser.intern_frame`), so downstream featurization
-memos hit on object identity exactly as they do after a scalar parse.
+**Anything else** the block path cannot prove clean — an unknown tag, a
+wrong field count, a non-numeric field, a STACK eid spelled differently
+from its EVENT eid (``07`` vs ``7``), a frame-index gap, undecodable
+bytes, a ``\\r`` anywhere, a line-sequence item holding a newline, a
+suspect truncated tail — abandons the block path *before touching the
+caller's report* and re-parses everything through the scalar
+``iter_parse``, so the strict/warn/drop recovery semantics are the
+scalar parser's own, not a reimplementation.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Iterable, List, Optional, Sequence, Union
-
-import numpy as np
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
     ParseMachine,
+    _event_from_fields,
     intern_frame,
     iter_parse,
+    split_log_bytes,
+    split_log_text,
 )
 from repro.etw.recovery import ParseReport
 
-_EVENT_FIELDS = 9
-_STACK_FIELDS = 6
+#: EVENT fields after the ``EVENT|`` tag: eid, timestamp, pid, process,
+#: tid, category, opcode, name
+_HEAD_FIELDS = 8
+_EVENT_TAG = "EVENT|"
+_BLOCK_SEP = "\nEVENT|"
+
+Walk = Tuple[StackFrame, ...]
 
 
 class _Fallback(Exception):
-    """Internal: the fast path met something only the scalar parser can
+    """Internal: the block path met something only the scalar parser can
     classify; no observable state has been touched yet."""
 
 
@@ -79,19 +90,6 @@ def _scalar(
     )
 
 
-def _decode_lines(data: bytes) -> List[LogLine]:
-    raw_lines = data.split(b"\n")
-    if raw_lines and raw_lines[-1] == b"":
-        raw_lines.pop()
-    lines: List[LogLine] = []
-    for raw in raw_lines:
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            lines.append(raw)
-    return lines
-
-
 def _columns(lines: List[str], n_fields: int) -> List[List[str]]:
     """Columnize record lines without a per-line split: verify every
     line has exactly ``n_fields - 1`` pipes (which makes the flat
@@ -108,200 +106,122 @@ def _ints(column: Sequence[str]) -> List[int]:
     # The same int() the scalar parser applies per field, so accepted
     # spellings ("007", "+3", unicode digits) stay bit-for-bit identical.
     try:
-        return [int(value) for value in column]
+        return list(map(int, column))
     except ValueError:
         raise _Fallback from None
 
 
-def parse_fast(
-    source: Union[str, bytes, Sequence[LogLine]],
-    *,
-    policy: str = "strict",
-    report: Optional[ParseReport] = None,
-    require_complete_tail: bool = False,
-    columns: bool = False,
-) -> List[EventRecord]:
-    """Parse raw log text (or a line sequence) into events, fast.
-
-    Equivalent to ``list(iter_parse(lines, ...))`` for every input and
-    policy — identical events, reports, and exceptions — via the bulk
-    fast path when the log is clean and the scalar parser otherwise.
-    ``bytes`` input additionally mirrors
-    :func:`~repro.etw.parser.read_log_lines`: undecodable lines reach
-    the parser as raw ``bytes`` for ``BAD_ENCODING`` classification.
-
-    With ``columns=True`` the fast path additionally builds the
-    :class:`~repro.etw.events.EventColumns` sidecar (vocabulary ids and
-    interned walks, assembled for a few dict lookups per event while
-    the build loop is hot) and returns an
-    :class:`~repro.etw.events.EventLog` carrying it — the capture
-    writer's fast input.  Inputs that fall back to the scalar parser
-    return without a sidecar; consumers must treat the sidecar as
-    optional.
-    """
-    if policy not in PARSE_POLICIES:
-        raise ValueError(
-            f"unknown parse policy {policy!r}; expected one of {PARSE_POLICIES}"
-        )
-
-    if isinstance(source, bytes):
-        data = source.replace(b"\r\n", b"\n")
-        try:
-            source = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return _scalar(
-                _decode_lines(data), policy, report, require_complete_tail
+def _walk(text: str) -> Walk:
+    """Validate and intern one stripped walk text (``"\\n0|mod|fn|0x1"``
+    per frame) — the scalar parser's STACK field checks, once per
+    distinct walk."""
+    frames = []
+    try:
+        for position, line in enumerate(text[1:].split("\n")):
+            fields = line.split("|")
+            if len(fields) != 4:
+                raise _Fallback
+            index_text, module, function, address_text = fields
+            if int(index_text) != position:
+                raise _Fallback
+            frames.append(
+                intern_frame(position, module, function, int(address_text, 16))
             )
-        # already normalized; the str branch's replace is a no-op
-    if isinstance(source, str):
-        text = source.replace("\r\n", "\n")
-        lines: Sequence[LogLine] = text.split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        # A lone \r is field content to the scalar parser (classified
-        # BAD_FIELD via the EventRecord delimiter check) — scalar owns it.
-        clean = "\r" not in text
-    else:
-        # The scalar parser rstrips "\n" per line (idempotent), so
-        # pre-stripping here changes nothing for the fallback either.
-        try:
-            lines = [
-                line.rstrip("\n") if isinstance(line, str) else line
-                for line in source
-            ]
-        except (TypeError, AttributeError):
-            return _scalar(source, policy, report, require_complete_tail)
-        clean = not any(
-            isinstance(line, str) and "\r" in line for line in lines
-        )
-
-    events = None
-    if clean:
-        # The bulk passes allocate millions of short-lived containers;
-        # generational GC rescanning them mid-parse costs more than the
-        # parse itself, so pause collection for the duration.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            events, n_blank = _parse_clean(lines, columns=columns)
-        except _Fallback:
-            events = None
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    if events is None:
-        return _scalar(lines, policy, report, require_complete_tail)
-
-    if report is not None:
-        report.total_lines += len(lines)
-        report.blank_lines += n_blank
-        report.consumed_lines += len(lines) - n_blank
-        report.events_yielded += len(events)
-    return events
+    except ValueError:
+        raise _Fallback from None
+    return tuple(frames)
 
 
-def _parse_clean(
-    lines: Sequence[LogLine],
-    check_tail: bool = True,
-    columns: bool = False,
-) -> "tuple[List[EventRecord], int]":
-    """The fast path proper: raises :class:`_Fallback` on any line the
-    scalar parser would classify.  Input lines must already be free of
-    ``\\n``/``\\r`` (the caller guarantees it).
+def _blocks(text: str) -> Tuple[List[str], List[Walk], int]:
+    """Cut clean text into event head lines and their walks; returns
+    ``(heads, walks, n_frames)``.  Raises :class:`_Fallback` unless
+    every line is an EVENT line or a STACK line carrying the eid text of
+    the EVENT line above it."""
+    blocks = text.split(_BLOCK_SEP)
+    first = blocks[0]
+    if not first.startswith(_EVENT_TAG):
+        raise _Fallback  # blank, orphan STACK or foreign first line
+    blocks[0] = first[len(_EVENT_TAG):]
+    heads: List[str] = []
+    walks: List[Walk] = []
+    add_head, add_walk = heads.append, walks.append
+    memo: dict = {}
+    for block in blocks:
+        cut = block.find("\n")
+        if cut < 0:
+            add_head(block)
+            add_walk(())
+            continue
+        head = block[:cut]
+        add_head(head)
+        rest = block[cut:]
+        prefix = "\nSTACK|" + head[: head.find("|")] + "|"
+        key = rest.replace(prefix, "\n")
+        walk = memo.get(key)
+        if walk is None:
+            # every line of the block must be a STACK line of this eid
+            if rest.count(prefix) != rest.count("\n"):
+                raise _Fallback
+            walk = memo[key] = _walk(key)
+        elif len(rest) - len(key) != len(walk) * (len(prefix) - 1):
+            # A validated key has one line per frame, and each prefix
+            # replaced shrinks the text by len(prefix) - 1: the same
+            # proof without rescanning the block.
+            raise _Fallback
+        add_walk(walk)
+    return heads, walks, sum(map(len, walks))
+
+
+def _parse_body(
+    body: str, check_tail: bool = True, columns: bool = False
+) -> Tuple[List[EventRecord], int, int]:
+    """The block path proper over ``body`` — the lines joined by
+    ``"\\n"``, ``\\r``-free, no trailing-newline convention.  Returns
+    ``(events, n_lines, n_blank)``; raises :class:`_Fallback` on
+    anything the scalar parser would classify.
 
     ``check_tail=False`` skips the truncated-tail heuristic — only valid
     when the caller *knows* the final block is complete, i.e. for a
-    streaming region cut immediately before the next ``EVENT`` line
+    streaming region cut immediately before a valid ``EVENT`` line
     (:class:`StreamingParser`); end-of-input always checks.
 
     ``columns=True`` builds the :class:`EventColumns` sidecar in the
     same build loop and returns an :class:`EventLog` carrying it."""
-    # -- classification pass: tag per line, nonblank positions ---------
-    event_lines: List[str] = []
-    stack_lines: List[str] = []
-    event_pos: List[int] = []
-    stack_pos: List[int] = []
     n_blank = 0
-    position = 0
-    add_event, add_stack = event_lines.append, stack_lines.append
-    add_epos, add_spos = event_pos.append, stack_pos.append
-    for line in lines:
-        tag = line[:6]
-        if tag == "EVENT|":
-            add_event(line)
-            add_epos(position)
-            position += 1
-        elif tag == "STACK|":
-            add_stack(line)
-            add_spos(position)
-            position += 1
-        elif isinstance(line, str) and not line.strip():
-            n_blank += 1
-        else:
-            # unknown tag, short EVENT/STACK prefix, or a bytes line
-            raise _Fallback
-    if not event_lines:
-        if stack_lines:
-            raise _Fallback  # orphan stacks; scalar classifies them
-        if columns:
-            empty = EventLog()
-            empty.columns = EventColumns()
-            return empty, n_blank
-        return [], n_blank
-    if stack_pos and stack_pos[0] < event_pos[0]:
-        raise _Fallback  # stack walk before the first event
+    try:
+        heads, walks, n_frames = _blocks(body)
+    except _Fallback:
+        lines = body.split("\n")
+        kept = [line for line in lines if line.strip()]
+        n_blank = len(lines) - len(kept)
+        if not n_blank:
+            raise
+        if not kept:
+            return _empty(columns), n_blank, n_blank
+        heads, walks, n_frames = _blocks("\n".join(kept))
+    n_lines = len(heads) + n_frames + n_blank
 
-    # -- columnize + integer conversion --------------------------------
-    ecols = _columns(event_lines, _EVENT_FIELDS)
-    eids = _ints(ecols[1])
-    timestamps = _ints(ecols[2])
-    pids = _ints(ecols[3])
-    tids = _ints(ecols[5])
-    opcodes = _ints(ecols[7])
-
-    # -- stack–event correlation, vectorized ---------------------------
-    epos_arr = np.array(event_pos, dtype=np.int64)
-    if stack_lines:
-        scols = _columns(stack_lines, _STACK_FIELDS)
-        stack_eids = np.array(_ints(scols[1]), dtype=np.int64)
-        stack_idx = np.array(_ints(scols[2]), dtype=np.int64)
-        spos_arr = np.array(stack_pos, dtype=np.int64)
-        owner = np.searchsorted(epos_arr, spos_arr, side="right") - 1
-        eid_arr = np.array(eids, dtype=np.int64)
-        if (stack_eids != eid_arr[owner]).any():
-            raise _Fallback
-        if (stack_idx != spos_arr - epos_arr[owner] - 1).any():
-            raise _Fallback
-        frames = _frame_objects(scols)
-    else:
-        frames = []
-
-    # per-event stack depth: every nonblank line between two EVENT lines
-    # belongs to the first (proven by the index-contiguity check above)
-    depths = np.diff(np.append(epos_arr, position)) - 1
+    ecols = _columns(heads, _HEAD_FIELDS)
+    eids = _ints(ecols[0])
+    timestamps = _ints(ecols[1])
+    pids = _ints(ecols[2])
+    tids = _ints(ecols[4])
+    opcodes = _ints(ecols[6])
     if check_tail:
-        _check_tail(ecols, opcodes, depths)
+        _check_tail(ecols[5], opcodes, ecols[7], walks)
 
-    # -- build the records --------------------------------------------
-    offsets = np.concatenate([[0], np.cumsum(depths)]).tolist()
+    fields = (eids, timestamps, pids, ecols[3], tids, ecols[5], opcodes,
+              ecols[7], walks)
     if columns:
-        return _build_with_columns(
-            eids, timestamps, pids, tids, opcodes, ecols, frames, offsets
-        ), n_blank
+        return _build_with_columns(*fields), n_lines, n_blank
     events: List[EventRecord] = []
     append = events.append
     new = EventRecord.__new__
     # Field values came out of a pipe split of newline-split CR-free
     # text, so the _check_field invariants hold by construction and
     # __init__ can be bypassed.
-    for index, (eid, timestamp, pid, process, tid, category, opcode, name) in (
-        enumerate(
-            zip(
-                eids, timestamps, pids, ecols[4], tids,
-                ecols[6], opcodes, ecols[8],
-            )
-        )
+    for eid, timestamp, pid, process, tid, category, opcode, name, walk in (
+        zip(*fields)
     ):
         record = new(EventRecord)
         record.eid = eid
@@ -312,25 +232,34 @@ def _parse_clean(
         record.category = category
         record.opcode = opcode
         record.name = name
-        record.frames = tuple(frames[offsets[index] : offsets[index + 1]])
+        record.frames = walk
         append(record)
-    return events, n_blank
+    return events, n_lines, n_blank
+
+
+def _empty(columns: bool) -> List[EventRecord]:
+    if not columns:
+        return []
+    empty = EventLog()
+    empty.columns = EventColumns()
+    return empty
 
 
 def _build_with_columns(
     eids: List[int],
     timestamps: List[int],
     pids: List[int],
+    processes: List[str],
     tids: List[int],
+    categories: List[str],
     opcodes: List[int],
-    ecols: List[List[str]],
-    frames: List[StackFrame],
-    offsets: List[int],
+    names: List[str],
+    walks: List[Walk],
 ) -> EventLog:
     """The record build loop with the :class:`EventColumns` sidecar:
     identical records (same bypassed-``__init__`` construction), plus
     per-event vocabulary ids and interned walk tuples assembled while
-    the loop already holds every field.  Repeated walks share one tuple
+    the loop already holds every field.  Equal walks share one tuple
     object — the interning that makes the capture writer's id-based
     dedup an O(1)-per-event dict hit instead of a per-frame hash."""
     cols = EventColumns()
@@ -343,7 +272,7 @@ def _build_with_columns(
     category_ids = cols.category_id
     name_ids = cols.name_id
     walk_ids = cols.walk_id
-    walks = cols.walks
+    walk_table = cols.walks
     ptable: dict = {}
     ctable: dict = {}
     ntable: dict = {}
@@ -355,13 +284,9 @@ def _build_with_columns(
     events = EventLog()
     append = events.append
     new = EventRecord.__new__
-    for index, (eid, timestamp, pid, process, tid, category, opcode, name) in (
-        enumerate(
-            zip(
-                eids, timestamps, pids, ecols[4], tids,
-                ecols[6], opcodes, ecols[8],
-            )
-        )
+    for eid, timestamp, pid, process, tid, category, opcode, name, walk in zip(
+        eids, timestamps, pids, processes, tids, categories, opcodes, names,
+        walks,
     ):
         record = new(EventRecord)
         record.eid = eid
@@ -372,14 +297,13 @@ def _build_with_columns(
         record.category = category
         record.opcode = opcode
         record.name = name
-        walk = tuple(frames[offsets[index] : offsets[index + 1]])
         walk_index = wtable.get(walk)
         if walk_index is None:
-            walk_index = len(walks)
+            walk_index = len(walk_table)
             wtable[walk] = walk_index
-            walks.append(walk)
+            walk_table.append(walk)
         else:
-            walk = walks[walk_index]
+            walk = walk_table[walk_index]
         record.frames = walk
         append(record)
         value = ptable.get(process)
@@ -406,55 +330,164 @@ def _build_with_columns(
     return events
 
 
-def _frame_objects(scols: List[List[str]]) -> List[StackFrame]:
-    """Interned StackFrames for every stack line, memoized per distinct
-    field tuple (stack walks are massively repetitive)."""
-    memo: dict = {}
-    frames: List[StackFrame] = []
-    append = frames.append
-    try:
-        for fields in zip(scols[2], scols[3], scols[4], scols[5]):
-            frame = memo.get(fields)
-            if frame is None:
-                index_str, module, function, address_str = fields
-                frame = intern_frame(
-                    int(index_str), module, function, int(address_str, 16)
-                )
-                memo[fields] = frame
-            append(frame)
-    except ValueError:
-        raise _Fallback from None
-    return frames
-
-
 def _check_tail(
-    ecols: List[List[str]],
+    categories: List[str],
     opcodes: List[int],
-    depths: np.ndarray,
+    names: List[str],
+    walks: List[Walk],
 ) -> None:
     """Raise :class:`_Fallback` when the scalar truncated-tail heuristic
     would fire: the final walk is shallower than *every* earlier walk of
     the same etype.  Suspect tails take the scalar path — it owns the
     report/raise semantics for them."""
-    n_events = len(opcodes)
-    if n_events < 2:
+    last = len(walks) - 1
+    if last < 1:
         return
-    categories, names = ecols[6], ecols[8]
-    last_etype = (categories[-1], opcodes[-1], names[-1])
-    last_depth = int(depths[-1])
-    depth_list = depths.tolist()
-    for position in range(n_events - 1):
+    category, opcode, name = categories[last], opcodes[last], names[last]
+    depth = len(walks[last])
+    suspect = False
+    for position in range(last):
         if (
-            depth_list[position] <= last_depth
-            and (categories[position], opcodes[position], names[position])
-            == last_etype
+            names[position] == name
+            and opcodes[position] == opcode
+            and categories[position] == category
         ):
-            return  # an earlier walk at or below the tail's depth
-    for position in range(n_events - 1):
-        if (categories[position], opcodes[position], names[position]) == (
-            last_etype
-        ):
-            raise _Fallback  # every same-etype walk is deeper: suspect
+            if len(walks[position]) <= depth:
+                return  # an earlier walk at or below the tail's depth
+            suspect = True
+    if suspect:
+        raise _Fallback  # every same-etype walk is deeper
+
+
+def _parse_guarded(body: str, check_tail: bool = True, columns: bool = False):
+    """:func:`_parse_body` with generational GC paused (the record build
+    allocates one object per event; collections rescanning them
+    mid-parse cost more than the parse) and the caller's GC state
+    restored; returns ``None`` where the block path gave up."""
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        return _parse_body(body, check_tail=check_tail, columns=columns)
+    except _Fallback:
+        return None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def _join_lines(lines: List[LogLine]) -> Optional[str]:
+    """One text for a line list, or ``None`` when an item is not
+    ``str`` (undecodable ``bytes`` lines are the scalar parser's).
+    Trailing newlines — file iteration keeps them — are stripped per
+    line first, as the scalar parser does."""
+    first = lines[0]
+    if isinstance(first, str) and first.endswith("\n"):
+        lines = [
+            line.rstrip("\n") if isinstance(line, str) else line
+            for line in lines
+        ]
+    try:
+        return "\n".join(lines)
+    except TypeError:
+        return None
+
+
+def parse_fast(
+    source: Union[str, bytes, Iterable[LogLine]],
+    *,
+    policy: str = "strict",
+    report: Optional[ParseReport] = None,
+    require_complete_tail: bool = False,
+    columns: bool = False,
+) -> List[EventRecord]:
+    """Parse raw log text, bytes or lines into events, fast.
+
+    Equivalent to ``list(iter_parse(lines, ...))`` for every input and
+    policy — identical events, reports, and exceptions — via the block
+    path when the log is clean and the scalar parser otherwise.
+    ``bytes`` input (a whole file's contents) mirrors
+    :func:`~repro.etw.parser.read_log_lines`: ``\\n``/``\\r\\n``
+    boundaries only, and undecodable lines reach the parser as raw
+    ``bytes`` for ``BAD_ENCODING`` classification.
+
+    With ``columns=True`` the block path additionally builds the
+    :class:`~repro.etw.events.EventColumns` sidecar (vocabulary ids and
+    interned walks, assembled for a few dict lookups per event while
+    the build loop is hot) and returns an
+    :class:`~repro.etw.events.EventLog` carrying it — the capture
+    writer's fast input.  Inputs that fall back to the scalar parser
+    return without a sidecar; consumers must treat the sidecar as
+    optional.
+    """
+    if policy not in PARSE_POLICIES:
+        raise ValueError(
+            f"unknown parse policy {policy!r}; expected one of {PARSE_POLICIES}"
+        )
+
+    expected = None  # line count a joined line list must reproduce
+    if isinstance(source, (str, bytes)):
+        # The membership scan is far cheaper than a replace that finds
+        # nothing, and most logs hold no \r at all.
+        if isinstance(source, bytes):
+            if b"\r" in source:
+                source = source.replace(b"\r\n", b"\n")
+            try:
+                text = source.decode("utf-8")
+            except UnicodeDecodeError:
+                return _scalar(
+                    split_log_bytes(source), policy, report, require_complete_tail
+                )
+        else:
+            text = source.replace("\r\n", "\n") if "\r" in source else source
+        if not text:
+            return _empty(columns)
+        # A single trailing newline ends the last line; it is not a line.
+        body = text[:-1] if text.endswith("\n") else text
+    else:
+        lines = source if isinstance(source, list) else list(source)
+        if not lines:
+            return _empty(columns)
+        body = _join_lines(lines)
+        if body is None:
+            return _scalar(lines, policy, report, require_complete_tail)
+        expected = len(lines)
+
+    parsed = None
+    # A lone \r is field content to the scalar parser (classified
+    # BAD_FIELD via the EventRecord delimiter check) — scalar owns it.
+    if "\r" not in body:
+        parsed = _parse_guarded(body, columns=columns)
+    if parsed is None or (expected is not None and parsed[1] != expected):
+        # A line-list item holding a newline joins into extra lines;
+        # the scalar parser sees it as one line.
+        if expected is None:
+            lines = split_log_text(text)
+        return _scalar(lines, policy, report, require_complete_tail)
+
+    events, n_lines, n_blank = parsed
+    if report is not None:
+        report.total_lines += n_lines
+        report.blank_lines += n_blank
+        report.consumed_lines += n_lines - n_blank
+        report.events_yielded += len(events)
+    return events
+
+
+def _opens_event(line: LogLine) -> bool:
+    """Whether the scalar parser would open a new event on ``line`` —
+    the only kind of line that provably completes the block before it
+    (a malformed ``EVENT`` line may instead drop that block)."""
+    if not isinstance(line, str) or not line.startswith(_EVENT_TAG):
+        return False
+    fields = line.split("|")
+    if len(fields) != _HEAD_FIELDS + 1:
+        return False
+    try:
+        _event_from_fields(fields)
+    except ValueError:
+        return False
+    return True
 
 
 class StreamingParser:
@@ -463,17 +496,18 @@ class StreamingParser:
     scalar parse of the whole stream.
 
     The serving workers keep one of these per connected stream.  Clean
-    input goes through the same bulk columnar machinery as
-    :func:`parse_fast`, one *region* at a time: fed lines accumulate in
-    a holdback list, and whenever a new ``EVENT`` line arrives the lines
-    *before* the last one — whole, provably complete stack blocks — are
-    bulk-parsed, while the potentially still-growing final block stays
+    input goes through the same block path as :func:`parse_fast`, one
+    *region* at a time: fed lines accumulate in a holdback list, and
+    whenever a line arrives on which the scalar parser would open a new
+    event (a well-formed ``EVENT`` line), the lines *before* the last
+    such line — whole, provably complete stack blocks — are joined and
+    block-parsed, while the potentially still-growing final block stays
     held.  Regions skip the truncated-tail heuristic (their last block
     is complete by construction); :meth:`finish` scalar-feeds the
     holdback and runs the real end-of-input tail logic via the shared
     :class:`~repro.etw.parser.ParseMachine`.
 
-    The first line a bulk region cannot prove clean flips the stream
+    The first region the block path cannot prove clean flips the stream
     permanently to scalar mode — every subsequent line goes through
     ``ParseMachine.feed`` — so strict/warn/drop recovery semantics,
     report accounting, and error line numbers are the scalar parser's
@@ -507,7 +541,7 @@ class StreamingParser:
 
     @property
     def scalar_mode(self) -> bool:
-        """True once the stream has permanently left the bulk fast path."""
+        """True once the stream has permanently left the block path."""
         return self._scalar_mode
 
     def feed_lines(
@@ -520,16 +554,15 @@ class StreamingParser:
 
         ``cr_free=True`` asserts every line is a ``str`` with no ``\\r``
         anywhere (the byte-fed serving path proves this with one C-speed
-        scan of the decoded region), letting the bulk gate skip its
-        per-line re-scan."""
+        scan of the decoded region), letting the block path skip its
+        own scan."""
         if self._finished:
             raise RuntimeError("feed_lines() after finish()")
         if self._scalar_mode:
             return self._feed_scalar(lines)
         cut = None
         for position in range(len(lines) - 1, -1, -1):
-            line = lines[position]
-            if isinstance(line, str) and line.startswith("EVENT|"):
+            if _opens_event(lines[position]):
                 cut = position
                 break
         if cut is None:
@@ -576,33 +609,28 @@ class StreamingParser:
     def _bulk_region(
         self, region: List[LogLine], cr_free: bool = False
     ) -> List[EventRecord]:
-        # The machine is virgin here (bulk mode never leaves an open
-        # block in it), so the region starts at a block boundary.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        # The machine is virgin here (block mode never leaves an open
+        # event in it), so the region starts at a block boundary.
+        parsed = None
         try:
-            # A lone \r is field content only the scalar parser can
-            # classify — same gate as parse_fast.  A cr_free region was
-            # already proven clean by the caller's whole-buffer scan.
-            if not cr_free and any(
-                isinstance(line, str) and "\r" in line for line in region
-            ):
-                raise _Fallback
-            events, n_blank = _parse_clean(region, check_tail=False)
-        except _Fallback:
+            body = "\n".join(region)
+        except TypeError:
+            body = None  # undecodable bytes lines are the scalar parser's
+        # Same \r gate as parse_fast; a cr_free region was already
+        # proven clean by the caller's whole-buffer scan.
+        if body is not None and (cr_free or "\r" not in body):
+            parsed = _parse_guarded(body, check_tail=False)
+        if parsed is None or parsed[1] != len(region):
             self._scalar_mode = True
             out = self._feed_scalar(region)
             held, self._holdback = self._holdback, []
             out.extend(self._feed_scalar(held))
             return out
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        events, n_lines, n_blank = parsed
         report = self.machine.report
-        report.total_lines += len(region)
+        report.total_lines += n_lines
         report.blank_lines += n_blank
-        report.consumed_lines += len(region) - n_blank
+        report.consumed_lines += n_lines - n_blank
         self.machine.observe_bulk_events(events)
-        self.machine.lineno += len(region)
+        self.machine.lineno += n_lines
         return events

@@ -187,23 +187,36 @@ def split_log_text(text: str) -> List[str]:
     with streaming the same file.  A single trailing newline (the POSIX
     text-file convention) does not produce a trailing empty line.
     """
-    lines = text.replace("\r\n", "\n").split("\n")
+    if "\r" in text:  # far cheaper than a replace that finds nothing
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     return lines
 
 
 def read_log_lines(path: Union[str, os.PathLike]) -> List[LogLine]:
-    """Read a raw log file into parse-ready lines.
+    """Read a raw log file into parse-ready lines (see
+    :func:`split_log_bytes`).
 
-    Reads bytes, splits on ``\\n`` / ``\\r\\n`` boundaries only (never
-    on Unicode line boundaries — see :func:`split_log_text`), and
-    decodes UTF-8.  A line that is not valid UTF-8 is returned as the
-    raw ``bytes`` instead of raising, so :func:`iter_parse` can classify
-    it (``ParseErrorKind.BAD_ENCODING``) under the caller's policy
-    rather than crash the whole scan with a ``UnicodeDecodeError``.
+    Parsers need no line list: ``parse_fast`` takes the file's bytes
+    whole and is equivalent to parsing these lines.
     """
-    data = Path(os.fspath(path)).read_bytes().replace(b"\r\n", b"\n")
+    return split_log_bytes(Path(os.fspath(path)).read_bytes())
+
+
+def split_log_bytes(data: bytes) -> List[LogLine]:
+    """Split raw log bytes into parse-ready lines.
+
+    Splits on ``\\n`` / ``\\r\\n`` boundaries only (never on Unicode
+    line boundaries — see :func:`split_log_text`) and decodes UTF-8.  A
+    line that is not valid UTF-8 is returned as the raw ``bytes``
+    instead of raising, so :func:`iter_parse` can classify it
+    (``ParseErrorKind.BAD_ENCODING``) under the caller's policy rather
+    than crash the whole scan with a ``UnicodeDecodeError``.
+    """
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     try:
         return split_log_text(data.decode("utf-8"))
     except UnicodeDecodeError:
@@ -623,7 +636,7 @@ class RawLogParser:
 
     def parse_lines(
         self,
-        lines: Iterable[str],
+        lines: Union[str, bytes, Iterable[LogLine]],
         *,
         policy: Optional[str] = None,
         report: Optional[ParseReport] = None,
@@ -646,10 +659,10 @@ class RawLogParser:
         )
 
     def parse_text(self, text: str, **kwargs) -> List[EventRecord]:
-        return self.parse_lines(split_log_text(text), **kwargs)
+        return self.parse_lines(text, **kwargs)
 
     def parse_file(self, path, **kwargs) -> List[EventRecord]:
-        return self.parse_lines(read_log_lines(path), **kwargs)
+        return self.parse_lines(Path(os.fspath(path)).read_bytes(), **kwargs)
 
     def slice_process(
         self,

@@ -12,8 +12,9 @@ import warnings
 
 import pytest
 
-from repro.etw.fastparse import parse_fast
-from repro.etw.parser import ParseError, iter_parse, split_log_text
+from repro.etw import fastparse
+from repro.etw.fastparse import StreamingParser, parse_fast
+from repro.etw.parser import ParseError, ParseMachine, iter_parse, split_log_text
 from repro.etw.recovery import ParseReport
 
 from tests.conftest import TINY_LOG
@@ -174,10 +175,11 @@ def _chunked(lines, seed):
     return chunks
 
 
-def run_streaming(lines, policy, seed, rct=False):
-    """Feed one input through StreamingParser in seeded chunks and the
-    scalar parser whole; assert total equivalence (events, frame
-    identity, reports, errors). Returns the events (None when raised)."""
+def run_streaming(lines, policy, seed, rct=False, chunks=None):
+    """Feed one input through StreamingParser in seeded chunks (or the
+    given ``chunks``) and the scalar parser whole; assert total
+    equivalence (events, frame identity, reports, errors). Returns the
+    events (None when raised)."""
     from repro.etw.fastparse import StreamingParser
 
     stream_report, scalar_report = ParseReport(), ParseReport()
@@ -186,11 +188,13 @@ def run_streaming(lines, policy, seed, rct=False):
     parser = StreamingParser(
         policy=policy, report=stream_report, require_complete_tail=rct
     )
+    if chunks is None:
+        chunks = _chunked(lines, seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
             collected = []
-            for chunk in _chunked(lines, seed):
+            for chunk in chunks:
                 collected.extend(parser.feed_lines(chunk))
             collected.extend(parser.finish())
             stream_events = collected
@@ -271,3 +275,251 @@ class TestStreamingParser:
     def test_require_complete_tail(self, policy):
         lines = split_log_text(TINY_LOG)[:-2]  # cut mid stack walk
         run_streaming(lines, policy, seed=0, rct=True)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_malformed_event_line_does_not_close_the_open_block(self, policy):
+        # The scalar parser keeps an event open until a *valid* EVENT
+        # line closes it; under strict policy a malformed one drops the
+        # open event.  A stream cut before the malformed line must not
+        # have bulk-yielded that event already.
+        lines = list(TINY_LINES)
+        second_event = [
+            position
+            for position, line in enumerate(lines)
+            if line.startswith("EVENT|")
+        ][1]
+        lines[second_event] += "|extra"
+        events = run_streaming(
+            lines, policy, seed=0, chunks=[lines[:6], lines[6:]]
+        )
+        if policy == "strict":
+            assert events is None
+            parser = StreamingParser(policy="strict")
+            assert parser.feed_lines(lines[:6]) == []  # event 0 stays open
+        else:
+            assert [event.eid for event in events] == [0, 2]
+
+
+# -- block-path edge cases ----------------------------------------------
+
+
+def _event(eid, depth, stack_eid=None, name="read_config"):
+    """One event block in raw-log lines: ``depth`` frames, STACK lines
+    spelling the eid as ``stack_eid`` (default: as the EVENT line)."""
+    stack_eid = eid if stack_eid is None else stack_eid
+    lines = [f"EVENT|{eid}|{eid}000|1000|app.exe|4|FILE_IO_READ|3|{name}"]
+    for index in range(depth):
+        lines.append(
+            f"STACK|{stack_eid}|{index}|app.exe|f{index}|0x{0x400000 + index:x}"
+        )
+    return lines
+
+
+def _text(*blocks, ending="\n"):
+    return "\n".join(line for block in blocks for line in block) + ending
+
+
+def _edit(lines, position, old, new):
+    lines = list(lines)
+    lines[position] = lines[position].replace(old, new)
+    return lines
+
+
+EDGE_CASES = {
+    "stack_eid_zero_padded": _text(
+        _event(6, 3), _event(7, 3, stack_eid="07"), _event(8, 3)
+    ),
+    "one_stack_eid_zero_padded": _text(
+        _event(6, 3), _edit(_event(7, 3), 2, "STACK|7|", "STACK|07|")
+    ),
+    "eid_1_then_12": _text(_event(1, 3), _event(12, 3), _event(2, 3)),
+    "eid_12_stack_after_eid_1": _text(
+        _event(1, 3) + ["STACK|12|3|app.exe|f3|0x400003"], _event(12, 3)
+    ),
+    "zero_frames_first": _text(_event(1, 0), _event(2, 3), _event(3, 3)),
+    "zero_frames_middle": _text(_event(1, 3), _event(2, 0), _event(3, 3)),
+    "zero_frames_last": _text(
+        _event(1, 3), _event(2, 3), _event(3, 0, name="close_handle")
+    ),
+    "zero_frames_last_suspect_tail": _text(
+        _event(1, 3), _event(2, 3), _event(3, 0)
+    ),
+    "zero_frames_only": _text(_event(1, 0), _event(2, 0)),
+    "frame_index_gap": _text(
+        _event(1, 3), _edit(_event(2, 3), 2, "|1|app", "|2|app")
+    ),
+    "frame_index_duplicate": _text(
+        _event(1, 3), _edit(_event(2, 3), 3, "|2|app", "|1|app")
+    ),
+    "non_hex_address": _text(
+        _event(1, 3), _edit(_event(2, 3), 2, "|0x4", "|0xZ4"), _event(3, 3)
+    ),
+    "extra_pipe_in_stack_line": _text(
+        _event(1, 3), _edit(_event(2, 3), 2, "|f1|", "|f1|x|"), _event(3, 3)
+    ),
+    "module_named_stack": _text(
+        _event(1, 3), _edit(_event(2, 3), 2, "|app.exe|", "|STACK|")
+    ),
+    "function_named_event": _text(
+        _event(1, 3), _edit(_event(2, 3), 1, "|f0|", "|EVENT|")
+    ),
+    "stack_and_eid_as_frame_fields": _text(
+        _event(1, 3), _edit(_event(2, 3), 1, "|app.exe|f0|", "|STACK|2|")
+    ),
+    "no_trailing_newline": _text(_event(1, 3), _event(2, 3), ending=""),
+    "two_trailing_newlines": _text(_event(1, 3), _event(2, 3), ending="\n\n"),
+    "blank_lines_in_stack_block": _text(
+        _event(1, 3)[:2] + ["", "   ", "\t"] + _event(1, 3)[2:],
+        _event(2, 3),
+    ),
+    "whitespace_lines_around_blocks": _text(
+        [" \x0c", "\x85"], _event(1, 3), ["  "], _event(2, 3), [" "]
+    ),
+}
+
+#: the edge cases that are clean logs: the block path must keep them
+CLEAN_EDGE_CASES = (
+    "blank_lines_in_stack_block",
+    "eid_1_then_12",
+    "function_named_event",
+    "module_named_stack",
+    "no_trailing_newline",
+    "stack_and_eid_as_frame_fields",
+    "two_trailing_newlines",
+    "whitespace_lines_around_blocks",
+    "zero_frames_first",
+    "zero_frames_last",
+    "zero_frames_middle",
+    "zero_frames_only",
+)
+
+
+class TestBlockPathEdges:
+    """Inputs probing each proof step of the block path, through every
+    input kind and the streaming parser; each must match the scalar
+    parser exactly, whichever path it takes."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("rct", (False, True))
+    def test_parse_fast(self, name, policy, rct):
+        text = EDGE_CASES[name]
+        lines = split_log_text(text)
+        run_both(text, lines, policy, rct)
+        run_both(text.encode(), lines, policy, rct)
+        run_both(list(lines), lines, policy, rct)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASES))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_streaming(self, name, policy):
+        lines = split_log_text(EDGE_CASES[name])
+        for seed in range(3):
+            run_streaming(lines, policy, seed)
+        run_streaming(lines, policy, seed=0, chunks=[lines])
+
+
+# -- fast-path coverage -------------------------------------------------
+
+
+def _with_blank_lines(text):
+    """``text`` with blank and whitespace-only lines before the first
+    line and after every fifth, inside stack blocks too."""
+    fillers = ("", "   ", "\t", " \x0c ")
+    out = [fillers[1]]
+    for position, line in enumerate(text.split("\n")):
+        out.append(line)
+        if position % 5 == 2:
+            out.append(fillers[position % len(fillers)])
+    return "\n".join(out)
+
+
+@pytest.fixture(scope="module")
+def catalog_logs(tmp_path_factory):
+    """``(text, reference events)`` for clean generated catalog logs and
+    their blank-line variants; references come from the scalar parser
+    before any test patches it."""
+    from repro.datasets.generation import generate_dataset
+
+    root = tmp_path_factory.mktemp("catalog")
+    logs = []
+    for row in ("winscp_reverse_tcp", "chrome_reverse_https", "vim_codeinject"):
+        dataset = generate_dataset(
+            row, root / row, seed=2, train_events=150, scan_events=150
+        )
+        for log in dataset.logs.values():
+            text = log.path.read_bytes().decode("utf-8")
+            for variant in (text, _with_blank_lines(text)):
+                reference = list(iter_parse(split_log_text(variant)))
+                assert len(reference) == log.n_events
+                logs.append((variant, reference))
+    return logs
+
+
+class TestFastPathCoverage:
+    """The equivalence suite cannot see a silent fallback to the scalar
+    parser — it would erase the block path's gain without changing one
+    result.  With the scalar entry points made to fail, clean inputs
+    must still parse."""
+
+    @pytest.fixture
+    def scalar_forbidden(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("clean input reached the scalar parser")
+
+        monkeypatch.setattr(fastparse, "iter_parse", forbidden)
+        monkeypatch.setattr(ParseMachine, "feed", forbidden)
+
+    def test_parse_fast_never_goes_scalar(self, catalog_logs, scalar_forbidden):
+        for text, reference in catalog_logs:
+            lines = split_log_text(text)
+            crlf = text.replace("\n", "\r\n")
+            inputs = (
+                text,
+                text.encode(),
+                lines,
+                [line + "\n" for line in lines],
+                crlf,
+                crlf.encode(),
+            )
+            for source in inputs:
+                report = ParseReport()
+                assert parse_fast(source, report=report) == reference
+                assert report.clean
+                assert report.total_lines == len(lines)
+                assert report.lines_accounted == report.total_lines
+
+    @pytest.mark.parametrize("name", CLEAN_EDGE_CASES)
+    def test_clean_edge_cases_never_go_scalar(self, name, scalar_forbidden):
+        text = EDGE_CASES[name]
+        for source in (text, text.encode(), split_log_text(text)):
+            assert parse_fast(source, policy="strict")
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_streaming_scalar_sees_only_the_final_block(
+        self, catalog_logs, monkeypatch, seed
+    ):
+        fed = []
+        feed = ParseMachine.feed
+
+        def recording_feed(machine, raw):
+            fed.append(raw)
+            return feed(machine, raw)
+
+        monkeypatch.setattr(ParseMachine, "feed", recording_feed)
+        for text, reference in catalog_logs:
+            lines = split_log_text(text)
+            final_block = max(
+                position
+                for position, line in enumerate(lines)
+                if line.startswith("EVENT|")
+            )
+            del fed[:]
+            parser = StreamingParser(policy="strict")
+            events = []
+            for chunk in _chunked(lines, seed):
+                events.extend(parser.feed_lines(chunk))
+            assert fed == []
+            events.extend(parser.finish())
+            assert fed == lines[final_block:]
+            assert events == reference
+            assert not parser.scalar_mode
