@@ -58,12 +58,13 @@ from repro.etw.capture import (
     convert_log,
     load_capture,
     write_capture,
-    write_capture_naive,
 )
 from repro.etw.fastparse import parse_fast
 from repro.etw.parser import read_log_lines
 
 from repro.datasets.generation import DEFAULT_TRAIN_EVENTS, generate_dataset
+
+from tests.oracles.capture import write_capture_naive
 
 DATA_DIR = REPO_ROOT / "benchmarks" / ".data"
 

@@ -46,7 +46,6 @@ import os
 import platform
 import selectors
 import socket
-import sys
 import tempfile
 import time
 from datetime import datetime, timezone
@@ -55,11 +54,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT))
-
 from repro.core.config import LeapsConfig
 from repro.core.detector import LeapsDetector
+from repro.datasets import CATALOG, ScenarioGenerator
+from repro.datasets.fastgen import render_text
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
 from repro.serve import ModelRegistry, start_in_thread
@@ -78,7 +76,7 @@ from repro.serve.protocol import (
     parse_header,
 )
 
-from benchmarks.synth import synthetic_log
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 SCHEMA = "leaps-bench-serve/v2"
 
@@ -113,6 +111,30 @@ def raise_fd_limit(want: int) -> int:
 
 
 # -- corpus ------------------------------------------------------------
+#: catalog scenario behind every stream: UI and network traffic plus a
+#: beacon payload
+SCENARIO = "putty_reverse_tcp"
+
+
+def synthetic_log(
+    seed: str, n_events: int, attack_rate: float = 0.0
+) -> List[str]:
+    """One generated raw log of ``n_events`` events; ``attack_rate`` of
+    them are payload beacons (0.0 → purely benign).  Same seed → same
+    lines, in any process."""
+    generator = ScenarioGenerator(CATALOG[SCENARIO], seed)
+    if attack_rate:
+        synth = generator.session_synth("synthetic", n_events, attack_rate, "A")
+    else:
+        synth = generator.benign_synth(n_events)
+    segment = synth.synthesize()
+    text = render_text(
+        synth.table.templates, synth.table.arities,
+        segment.type_ids, segment.timestamps, 0,
+    )
+    return text.decode("utf-8").splitlines()
+
+
 def detection_rows(detections) -> List[tuple]:
     return [
         (d.index, d.start_eid, d.end_eid, d.score, d.malicious)

@@ -2,9 +2,10 @@
 
 For every row of the 21-dataset catalog this bench
 
-1. times the vectorized fast generator against the naive per-event
-   tracer (``format="both"``: text logs + ``.leapscap`` captures) and
-   asserts the two engines emit byte-identical datasets,
+1. times the column-synthesis generator against the per-event tracer
+   oracle in ``tests/oracles/generation.py`` (``format="both"``: text
+   logs + ``.leapscap`` captures) and asserts the two emit
+   byte-identical datasets,
 2. trains a WSVM and a plain SVM with the exact protocol of
    ``tests/test_e2e_generated.py`` and reports ACC/PPV/TPR/TNR/NPV
    next to the paper's Table-I numbers, and
@@ -45,6 +46,7 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # for tests.oracles
 
 from repro import LeapsConfig, LeapsDetector  # noqa: E402
 from repro.datasets.catalog import CATALOG  # noqa: E402
@@ -56,6 +58,8 @@ from repro.datasets.generation import (  # noqa: E402
 from repro.etw.capture import CAPTURE_SUFFIX, captures_byte_identical  # noqa: E402
 from repro.etw.parser import RawLogParser, serialize_events  # noqa: E402
 from repro.learning.metrics import ConfusionMatrix  # noqa: E402
+
+from tests.oracles.generation import generate_dataset_naive  # noqa: E402
 
 LOG_NAMES = ("benign.log", "mixed.log", "malicious.log")
 
@@ -127,23 +131,21 @@ def datasets_byte_identical(fast: Path, naive: Path) -> bool:
     ).read_bytes()
 
 
-def timed_generate(name, dst, seed, train_events, scan_events, *, engine,
-                   repeats=1, **kwargs):
+def timed_generate(generate, name, dst, seed, train_events, scan_events,
+                   repeats=1):
     """Best-of-``repeats`` wall time for one full dataset generation."""
     best = None
     for _ in range(repeats):
         if dst.exists():
             shutil.rmtree(dst)
         start = time.perf_counter()
-        generate_dataset(
+        generate(
             name,
             dst,
             seed=seed,
             train_events=train_events,
             scan_events=scan_events,
             format="both",
-            engine=engine,
-            **kwargs,
         )
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
@@ -155,11 +157,12 @@ def bench_generation(name, scratch, seed, train_events, scan_events, repeats):
     fast_dir = scratch / f"{name}-fast"
     naive_dir = scratch / f"{name}-naive"
     fast_s = timed_generate(
-        name, fast_dir, seed, train_events, scan_events,
-        engine="fast", repeats=repeats,
+        generate_dataset, name, fast_dir, seed, train_events, scan_events,
+        repeats=repeats,
     )
     naive_s = timed_generate(
-        name, naive_dir, seed, train_events, scan_events, engine="naive"
+        generate_dataset_naive, name, naive_dir, seed, train_events,
+        scan_events,
     )
     identical = datasets_byte_identical(fast_dir, naive_dir)
     shutil.rmtree(naive_dir)
@@ -301,7 +304,6 @@ def bench_jobs_scaling(scratch, seed, train_events, scan_events):
             train_events=train_events,
             scan_events=scan_events,
             format="text",
-            engine="fast",
             n_jobs=n_jobs,
             executor="process",
         )
@@ -346,7 +348,7 @@ def main(argv=None) -> int:
     parser.add_argument("--train-events", type=int, default=None)
     parser.add_argument("--scan-events", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats for the fast engine timing")
+                        help="best-of repeats for the fast generator timing")
     parser.add_argument("--only", action="append", default=None,
                         metavar="NAME", help="restrict to these datasets")
     parser.add_argument("--output", type=Path,

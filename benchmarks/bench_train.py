@@ -2,13 +2,13 @@
 
 Times every training stage (parse → CFG inference → weights →
 featurize → grid search → final fit) on cached golden datasets and
-compares the fast training path introduced with the kernel cache
-(shared squared-distance matrix, σ²-derived Grams, fold slicing,
-vectorized SMO partner rule, optional parallel CV) against the naive
-reference path (per-cell kernel recomputation, scalar partner loop,
-serial CV).  Both paths must select the same (λ, σ²) and the final
-models must produce bit-identical decision values — the benchmark
-fails loudly otherwise.
+compares the production training path (shared squared-distance
+matrix, σ²-derived Grams, fold slicing, vectorized SMO partner
+selection, optional parallel CV) against the naive reference path
+from ``tests/oracles`` (per-cell kernel recomputation, scalar partner
+walk, serial CV).  Both paths must select the same (λ, σ²) and the
+final models must produce bit-identical decision values — the
+benchmark fails loudly otherwise.
 
 Usage (from the repo root):
 
@@ -27,6 +27,7 @@ import copy
 import json
 import os
 import platform
+import sys
 import time
 import warnings
 from datetime import datetime, timezone
@@ -34,15 +35,20 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import LeapsConfig
-from repro.core.pipeline import LeapsPipeline
-from repro.etw.parser import RawLogParser, serialize_events
-from repro.learning.cross_validation import grid_search_wsvm
-from repro.learning.kernels import PrecomputedKernel, gaussian_kernel
-from repro.learning.metrics import accuracy
-from repro.learning.wsvm import WeightedSVM
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT))  # for tests.oracles
+
+from repro.core.config import LeapsConfig  # noqa: E402
+from repro.core.pipeline import LeapsPipeline  # noqa: E402
+from repro.etw.parser import RawLogParser, serialize_events  # noqa: E402
+from repro.learning.cross_validation import grid_search_wsvm  # noqa: E402
+from repro.learning.kernels import PrecomputedKernel, gaussian_kernel  # noqa: E402
+from repro.learning.metrics import accuracy  # noqa: E402
+from repro.learning.wsvm import WeightedSVM  # noqa: E402
+
+from tests.oracles.grid import grid_search_naive  # noqa: E402
+from tests.oracles.smo import ReferenceWeightedSVM  # noqa: E402
+
 DATA_DIR = REPO_ROOT / "benchmarks" / ".data"
 
 SCHEMA = "leaps-bench-train/v1"
@@ -124,10 +130,8 @@ def bench_dataset(name: str, config: LeapsConfig, n_jobs: int) -> dict:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         started = clock()
-        grid_naive = grid_search_wsvm(
-            *grid_args, rng_naive,
-            svm_params={**svm_params, "partner_rule": "reference"},
-            n_jobs=1, use_cache=False,
+        grid_naive = grid_search_naive(
+            *grid_args, rng_naive, svm_params=svm_params
         )
         naive_grid_s = clock() - started
 
@@ -135,16 +139,15 @@ def bench_dataset(name: str, config: LeapsConfig, n_jobs: int) -> dict:
         cache = PrecomputedKernel(prepared.X)
         grid_fast = grid_search_wsvm(
             *grid_args, rng_fast,
-            svm_params=svm_params,
-            n_jobs=n_jobs, use_cache=True, cache=cache,
+            svm_params=svm_params, n_jobs=n_jobs, cache=cache,
         )
         fast_grid_s = clock() - started
 
         # final models, one per path
         started = clock()
-        model_naive = WeightedSVM(
+        model_naive = ReferenceWeightedSVM(
             kernel=gaussian_kernel(grid_naive.sigma2), lam=grid_naive.lam,
-            **{**svm_params, "partner_rule": "reference"},
+            **svm_params,
         )
         model_naive.fit(prepared.X, prepared.y, prepared.importances)
         naive_fit_s = clock() - started

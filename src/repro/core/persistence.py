@@ -26,13 +26,19 @@ yields a pipeline that scans; retraining it builds fresh state.
 
 The ``schema`` field is checked on load.  Unknown versions raise
 :class:`BundleVersionError` — a scanner must never silently
-misinterpret a bundle written by a newer trainer.
+misinterpret a bundle written by a newer trainer.  ``leaps-model/v2``
+dropped a v1 solver field that could never change the fitted model (the
+SMO partner-selection rule); v1 bundles still load, the field ignored,
+and scan bit-identically.  Any other defect — missing keys, wrong
+types, arrays that disagree with each other — raises
+:class:`BundleError`, never a bare ``KeyError`` or ``IndexError``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import zipfile
 from pathlib import Path
 from typing import Optional, Union
 
@@ -45,7 +51,9 @@ from repro.learning.wsvm import WeightedSVM
 from repro.preprocessing.features import EventFeaturizer, Vocabulary
 
 #: Bundle schema identifier; bump the suffix on incompatible changes.
-SCHEMA = "leaps-model/v1"
+SCHEMA = "leaps-model/v2"
+#: Schemas :func:`load_bundle` reads: the current one and v1.
+_READABLE_SCHEMAS = ("leaps-model/v1", SCHEMA)
 
 JSON_NAME = "bundle.json"
 NPZ_NAME = "arrays.npz"
@@ -104,7 +112,6 @@ def _bundle_doc(pipeline) -> dict:
             "max_passes": int(model.max_passes),
             "max_sweeps": int(model.max_sweeps),
             "seed": int(model.seed),
-            "partner_rule": model.partner_rule,
             "n_train": int(len(model.alpha)),
             "n_sv": int(len(model.support_)),
             "n_sweeps": int(model.n_sweeps_),
@@ -184,9 +191,9 @@ def load_bundle(path: Union[str, Path]):
 
     The returned pipeline scans bit-identically to the pipeline that was
     saved; its training-time artifacts (CFGs, report) are ``None``.
+    Raises :class:`BundleVersionError` for an unknown schema and
+    :class:`BundleError` for any other missing or malformed content.
     """
-    from repro.core.pipeline import LeapsPipeline  # circular at import time
-
     path = Path(path)
     json_path = path / JSON_NAME
     npz_path = path / NPZ_NAME
@@ -196,13 +203,26 @@ def load_bundle(path: Union[str, Path]):
         )
     try:
         doc = json.loads(json_path.read_text())
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
         raise BundleError(f"unparseable {json_path}: {error}") from error
+    if not isinstance(doc, dict):
+        raise BundleError(f"{json_path} is not a JSON object")
     schema = doc.get("schema")
-    if schema != SCHEMA:
+    if schema not in _READABLE_SCHEMAS:
         raise BundleVersionError(
             f"bundle schema {schema!r} is not supported (expected {SCHEMA!r})"
         )
+    try:
+        return _restore_pipeline(doc, npz_path)
+    except (
+        KeyError, TypeError, ValueError, IndexError, EOFError,
+        zipfile.BadZipFile,
+    ) as error:
+        raise BundleError(f"malformed bundle {path}: {error!r}") from error
+
+
+def _restore_pipeline(doc: dict, npz_path: Path):
+    from repro.core.pipeline import LeapsPipeline  # circular at import time
 
     config = LeapsConfig.from_dict(doc["config"])
     pipeline = LeapsPipeline(config)
@@ -236,10 +256,33 @@ def load_bundle(path: Union[str, Path]):
 
     svm = doc["svm"]
     selection = doc["selection"]
-    if not (len(sv_X) == len(sv_coef) == len(sv_alpha) == len(support) == svm["n_sv"]):
+    n_sv, n_train = svm["n_sv"], svm["n_train"]
+    if not (len(sv_X) == len(sv_coef) == len(sv_alpha) == len(support) == n_sv):
         raise BundleError(
-            f"inconsistent bundle: n_sv={svm['n_sv']} but arrays have "
+            f"inconsistent bundle: n_sv={n_sv} but arrays have "
             f"{len(sv_X)}/{len(sv_coef)}/{len(sv_alpha)}/{len(support)} rows"
+        )
+    if not isinstance(n_train, int) or n_train < n_sv:
+        raise BundleError(
+            f"inconsistent bundle: n_train={n_train!r} with n_sv={n_sv}"
+        )
+    if support.ndim != 1 or support.dtype.kind != "i" or (
+        n_sv and (support[0] < 0 or support[-1] >= n_train
+                  or np.any(np.diff(support) <= 0))
+    ):
+        raise BundleError(
+            "inconsistent bundle: support must be increasing indices "
+            f"in [0, n_train={n_train})"
+        )
+    if not (
+        sv_X.ndim == 2
+        and sv_coef.ndim == sv_alpha.ndim == 1
+        and scaler_mean.shape == scaler_scale.shape == (sv_X.shape[1],)
+    ):
+        raise BundleError(
+            f"inconsistent bundle: support vectors {sv_X.shape} do not "
+            f"match their coefficients or the standardizer "
+            f"{scaler_mean.shape}"
         )
     model = WeightedSVM(
         kernel=gaussian_kernel(selection["sigma2"]),
@@ -248,13 +291,11 @@ def load_bundle(path: Union[str, Path]):
         max_passes=svm["max_passes"],
         max_sweeps=svm["max_sweeps"],
         seed=svm["seed"],
-        partner_rule=svm["partner_rule"],
     )
-    alpha = np.zeros(svm["n_train"])
+    alpha = np.zeros(n_train)
     alpha[support] = sv_alpha
     model.alpha = alpha
-    model.b = svm["b"]
-    model._b = svm["b"]
+    model.b = model._b = float(svm["b"])
     model.support_ = support
     model._sv_X = sv_X
     model._sv_coef = sv_coef

@@ -22,9 +22,9 @@ massively repetitive — and computes each distinct tuple's benignity
 once through a vectorized membership check (node: ``id >= 0``; edge:
 ``np.searchsorted`` against the CFG's sorted packed-edge array),
 scattering the memoized weights back per event.  The emitted ``c_i``
-vector is bit-identical to the retained naive per-path loop
-(:meth:`assess_naive`): the fallback builds the same interleaved
-float64 density array and takes the same ``mean``.  Collapsing every
+vector is bit-identical to :meth:`~WeightAssessor.event_weight` applied
+path by path: the fallback builds the same interleaved float64 density
+array and takes the same ``mean``.  Collapsing every
 unknown node to one id is benignity-preserving — an unknown node scores
 0 whatever its identity, as does any edge touching it.
 """
@@ -92,15 +92,10 @@ class WeightAssessor:
         """``c_i = 1 − benignity`` for a mixed (negative) sample."""
         return 1.0 - self.benignity(path)
 
-    def assess_naive(self, paths: Iterable[Sequence[FrameNode]]) -> np.ndarray:
-        """Per-path reference loop — the pre-fast-path :meth:`assess`,
-        retained for verification (tests and ``bench_prepare``)."""
-        return np.asarray([self.event_weight(path) for path in paths])
-
     def assess(self, paths: Iterable[Sequence[FrameNode]]) -> np.ndarray:
         """Vector of ``c_i`` over a sequence of mixed-log app paths.
 
-        Memoized fast path; bit-identical to :meth:`assess_naive`.
+        Memoized; bit-identical to :meth:`event_weight` per path.
         """
         self._sync()
         path_ids = self.benign_cfg.path_ids

@@ -19,7 +19,6 @@ from repro.datasets.fastgen import (
 from repro.datasets.generation import (
     DEFAULT_SCAN_EVENTS,
     DEFAULT_TRAIN_EVENTS,
-    ENGINES,
     LABELS_SCHEMA,
     MALICIOUS_ATTACK_RATE,
     MIXED_ATTACK_RATE,
@@ -36,7 +35,6 @@ __all__ = [
     "DEFAULT_SCAN_EVENTS",
     "DEFAULT_TRAIN_EVENTS",
     "DatasetSpec",
-    "ENGINES",
     "GeneratedDataset",
     "GeneratedLog",
     "LABELS_SCHEMA",

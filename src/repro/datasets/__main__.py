@@ -23,7 +23,6 @@ from repro.datasets.catalog import CATALOG
 from repro.datasets.generation import (
     DEFAULT_SCAN_EVENTS,
     DEFAULT_TRAIN_EVENTS,
-    ENGINES,
     OUTPUT_FORMATS,
     generate_catalog,
 )
@@ -58,9 +57,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1,
                         help="generate datasets across N processes "
                              "(default: 1)")
-    parser.add_argument("--engine", choices=ENGINES, default="fast",
-                        help="generation engine (naive = the per-event "
-                             "oracle; byte-identical output)")
     parser.add_argument("--only", nargs="*", default=[], metavar="NAME",
                         help=f"dataset names (choices: {', '.join(CATALOG)})")
     parser.add_argument("--selfcheck", action="store_true",
@@ -89,7 +85,6 @@ def main(argv=None) -> int:
         train_events=int(round(args.train_events * args.scale)),
         scan_events=int(round(args.scan_events * args.scale)),
         format=args.format,
-        engine=args.engine,
         n_jobs=args.jobs,
     )
 

@@ -1,23 +1,23 @@
 """Vectorized columnar scenario synthesis — the generation fast path.
 
-The per-event tracer (``repro.winsys.process.EventTracer`` driven by
-``repro.datasets.generation``) costs ~30µs/event: one ``EventRecord``,
-one stack walk, one RNG draw per event, then a text serialization pass.
-This module replaces the hot path with column synthesis: every distinct
-*emission* a session can produce — a (benign operation, call path) pair
-or a payload operation — is materialized **once** per session as a row
-of an :class:`EmissionTable` (walk tuple, pre-escaped bytes template,
-opcode, tid), and a session then becomes a handful of numpy gathers
-over an ``int64`` emission-type column.
+A per-event tracer (``repro.winsys.process.EventTracer``) costs
+~30µs/event: one ``EventRecord``, one stack walk, one RNG draw per
+event, then a text serialization pass.  This module synthesizes
+columns instead: every distinct *emission* a session can produce — a
+(benign operation, call path) pair or a payload operation — is
+materialized **once** per session as a row of an
+:class:`EmissionTable` (walk tuple, pre-escaped bytes template, opcode,
+tid), and a session then becomes a handful of numpy gathers over an
+``int64`` emission-type column.
 
 Determinism: counter-based word streams
 ---------------------------------------
-The original generator drew from ``random.Random(<tag string>)``
-sequences, which are inherently sequential — event *i*'s draw depends
-on having consumed draws ``0..i-1``, so a segment of events cannot be
-synthesized without replaying everything before it.  The fast path
-(and the retained naive tracer, which is the byte-identity oracle)
-instead draws from **counter-based Philox streams**:
+Sequential ``random.Random(<tag string>)`` draws would make event *i*'s
+draw depend on having consumed draws ``0..i-1``, so a segment of events
+could not be synthesized without replaying everything before it.
+Per-event draws instead come from **counter-based Philox streams**
+(shared with the per-event tracer oracle in
+``tests/oracles/generation.py``, which reads them one word at a time):
 
 * a stream is named by a role-qualified tag string; its 128-bit Philox
   key is the first 16 bytes of ``SHA-512(tag)`` — the same
@@ -37,7 +37,7 @@ name, wherever the segment boundaries fall (DESIGN.md §13).
 
 One-shot draws (burst sizes/positions, payload encoding, image layout)
 stay on ``random.Random(<tag>)`` — they are computed identically by
-every engine and every worker before segmentation begins.
+every worker before segmentation begins.
 """
 
 from __future__ import annotations
@@ -91,42 +91,6 @@ def stream_words(tag: str, start: int, stop: int) -> np.ndarray:
     return raw[offset:offset + (stop - start)]
 
 
-class WordStream:
-    """Sequential scalar cursor over one tag's word stream — the naive
-    tracer's side of the shared-draw contract (block-buffered so the
-    per-draw cost is one list pop)."""
-
-    __slots__ = ("tag", "_fetched", "_buf", "_chunk")
-
-    def __init__(self, tag: str, chunk: int = 1024):
-        self.tag = tag
-        self._fetched = 0
-        self._chunk = chunk
-        self._buf: List[int] = []
-
-    def next_word(self) -> int:
-        if not self._buf:
-            self._buf = stream_words(
-                self.tag, self._fetched, self._fetched + self._chunk
-            )[::-1].tolist()
-            self._fetched += self._chunk
-        return self._buf.pop()
-
-
-class WordClock:
-    """``randrange``-shaped adapter over a word stream, accepted by
-    :class:`~repro.winsys.process.EventTracer` as its jitter source: the
-    naive tracer and the vectorized fast path read the same words."""
-
-    __slots__ = ("_stream",)
-
-    def __init__(self, tag: str):
-        self._stream = WordStream(tag)
-
-    def randrange(self, lo: int, hi: int) -> int:
-        return lo + self._stream.next_word() % (hi - lo)
-
-
 def unit_floats(words: np.ndarray) -> np.ndarray:
     """Words → floats in [0, 1) with 53-bit precision (the standard
     ``>> 11`` construction, elementwise so scalar == vector)."""
@@ -156,12 +120,6 @@ def pick_indices(
     return np.minimum(idx, len(cum) - 1)
 
 
-def pick_index(cum: np.ndarray, total: float, word: int) -> int:
-    """Scalar twin of :func:`pick_indices` (same code path, so equality
-    is structural, not coincidental)."""
-    return int(pick_indices(cum, total, np.array([word], dtype=np.uint64))[0])
-
-
 # -- burst layout ------------------------------------------------------
 
 
@@ -170,7 +128,7 @@ class BurstLayout:
     """Attack-burst placement of one session in global event indices.
 
     Computed once per session from one-shot ``random.Random`` draws (so
-    it is identical in every engine and worker); everything downstream
+    it is identical in every worker); everything downstream
     — masks, ordinals, labels, segment snapping — derives from it by
     arithmetic.
     """

@@ -15,21 +15,19 @@ produces the paper's experimental unit (DESIGN.md §13):
 * ``labels.json`` — exact per-event ground truth: every attack eid of
   every log, plus the build identifiers and generation parameters.
 
-Two engines, one output
------------------------
-``engine="fast"`` (default) synthesizes sessions as numpy columns via
-:mod:`repro.datasets.fastgen` and writes text/captures from column
-blocks; ``engine="naive"`` replays the original per-event tracer.  The
-naive engine is retained as the byte-identity oracle (the
-``write_capture_naive`` pattern): for any ``(spec, seed, sizes)`` both
-engines write byte-identical logs, captures, and labels, for any
-``n_jobs`` — ``tests/test_fastgen.py`` and ``benchmarks/bench_table1.py``
-enforce it.
+Column synthesis
+----------------
+Sessions are synthesized as numpy columns via
+:mod:`repro.datasets.fastgen`; text logs are rendered and captures
+written straight from column blocks.  A per-event tracer is kept as
+a test oracle (``tests/oracles/generation.py``): for any
+``(spec, seed, sizes)`` it writes byte-identical logs, captures and
+labels (``tests/test_fastgen.py``, ``benchmarks/bench_table1.py``).
 
 Determinism contract
 --------------------
 Byte-identical output for a fixed ``(name, seed)`` across interpreter
-processes, platforms, engines, and worker counts:
+processes, platforms, and worker counts:
 
 * per-event draws (clock jitter, steady-op picks, call-path picks,
   beacon picks) come from counter-based Philox word streams keyed by
@@ -41,9 +39,8 @@ processes, platforms, engines, and worker counts:
   layout) still flow from ``random.Random(<string>)`` instances seeded
   with role-qualified strings (string seeding hashes via SHA-512
   inside CPython, independent of ``PYTHONHASHSEED``) and are computed
-  identically by every engine and worker;
-* builtin ``hash()`` is never used (the bug that sank
-  ``benchmarks/synth.py``);
+  identically by every worker;
+* builtin ``hash()`` is never used (it varies with ``PYTHONHASHSEED``);
 * files are written via binary handles with ``\\n`` separators, so no
   platform newline translation applies.
 
@@ -68,20 +65,14 @@ from repro.datasets.catalog import CATALOG, DatasetSpec
 from repro.datasets.fastgen import (
     BurstLayout,
     SessionSynth,
-    WordClock,
-    WordStream,
     build_burst_layout,
     build_emission_table,
-    pick_index,
-    pick_table,
     render_segment_job,
     segment_bounds,
     to_event_columns,
 )
-from repro.etw.capture import CAPTURE_SUFFIX, write_capture_columns, write_capture_naive
-from repro.etw.events import EventRecord
-from repro.etw.parser import serialize_events
-from repro.winsys.process import EventTracer, WindowsMachine
+from repro.etw.capture import CAPTURE_SUFFIX, write_capture_columns
+from repro.winsys.process import WindowsMachine
 
 #: labels.json schema identifier.
 LABELS_SCHEMA = "leaps-dataset/v1"
@@ -106,10 +97,9 @@ DEFAULT_SCAN_EVENTS = 2000
 LOG_NAMES = ("benign.log", "mixed.log", "malicious.log")
 
 OUTPUT_FORMATS = ("text", "capture", "both")
-ENGINES = ("fast", "naive")
 EXECUTORS = ("process", "thread")
 
-#: Events per render segment on the fast path — small enough that text
+#: Events per render segment — small enough that text
 #: output streams in bounded chunks, large enough that per-segment
 #: overhead (stream seeks, pool dispatch) stays negligible.
 SEGMENT_EVENTS = 8192
@@ -237,7 +227,7 @@ class ScenarioGenerator:
         instance = deliver(process, self.app, build, self.spec.method)
         return _DeliveredInstance(process=process, instance=instance)
 
-    # -- fast engine ---------------------------------------------------
+    # -- column synthesizers -------------------------------------------
     def benign_synth(self, n_events: int) -> SessionSynth:
         """Column synthesizer for the clean trace."""
         return self._synth("benign", self.benign_layout(n_events), self._spawn())
@@ -249,50 +239,6 @@ class ScenarioGenerator:
         layout = self.session_layout(log, n_events, attack_rate)
         return self._synth(log, layout, self._deliver(build_id))
 
-    # -- naive engine (the byte-identity oracle) -----------------------
-    def trace_benign(self, n_events: int) -> List[EventRecord]:
-        process = self._spawn()
-        layout = self.benign_layout(n_events)
-        tracer = EventTracer(process, WordClock(self._tag("benign", "clock")))
-        plan = _NaiveBenignPlan(self, "benign", layout)
-        return [
-            plan.emit(tracer, ordinal)
-            for ordinal in range(layout.n_events)
-        ]
-
-    def trace_session(
-        self, log: str, n_events: int, attack_rate: float, build_id: str
-    ) -> Tuple[List[EventRecord], List[int]]:
-        """A trojaned/injected session: benign workload with attack
-        bursts at ``attack_rate``, payload ``build_id``.
-
-        Returns the events and the eids of the attack events — every
-        attack walk carries at least one payload frame by construction
-        (payload ops always descend through payload symbols).
-        """
-        delivered = self._deliver(build_id)
-        layout = self.session_layout(log, n_events, attack_rate)
-        tracer = EventTracer(
-            delivered.process, WordClock(self._tag(log, "clock"))
-        )
-        benign_plan = _NaiveBenignPlan(self, log, layout)
-        attack_plan = _NaiveAttackPlan(self, log, delivered.instance)
-        attack_mask = layout.attack_mask(0, layout.n_events).tolist()
-        events: List[EventRecord] = []
-        attack_eids: List[int] = []
-        benign_ordinal = 0
-        attack_ordinal = 0
-        for is_attack in attack_mask:
-            if is_attack:
-                event = attack_plan.emit(tracer, attack_ordinal)
-                attack_ordinal += 1
-                attack_eids.append(event.eid)
-            else:
-                event = benign_plan.emit(tracer, benign_ordinal)
-                benign_ordinal += 1
-            events.append(event)
-        return events, attack_eids
-
 
 @dataclass
 class _DeliveredInstance:
@@ -300,71 +246,6 @@ class _DeliveredInstance:
 
     process: object
     instance: object
-
-
-class _NaiveBenignPlan:
-    """Scalar benign-op emitter reading the same indexed word streams
-    the fast path reads in bulk (op picks by steady ordinal, call-path
-    picks by benign ordinal — one path word per event, multi-path op or
-    not, so the stream stays indexable)."""
-
-    def __init__(self, generator: ScenarioGenerator, log: str, layout):
-        app = generator.app
-        self.app = app
-        self.startup = app.ops_in_phase("startup")
-        self.steady = app.ops_in_phase("steady")
-        self.shutdown = app.ops_in_phase("shutdown")
-        if self.steady:
-            self.cum, self.total = pick_table(
-                [op.weight for op in self.steady]
-            )
-        self.n_steady = layout.n_steady
-        self.op_stream = WordStream(generator._tag(log, "workload", "op"))
-        self.path_stream = WordStream(generator._tag(log, "workload", "path"))
-
-    def emit(self, tracer: EventTracer, ordinal: int) -> EventRecord:
-        if ordinal < len(self.startup):
-            op = self.startup[ordinal]
-        elif ordinal < len(self.startup) + self.n_steady:
-            op = self.steady[
-                pick_index(self.cum, self.total, self.op_stream.next_word())
-            ]
-        else:
-            op = self.shutdown[ordinal - len(self.startup) - self.n_steady]
-        path = op.paths[self.path_stream.next_word() % len(op.paths)]
-        app_path = [(self.app.exe, function) for function in path]
-        return tracer.emit(op.name, op.syscall, app_path)
-
-
-class _NaiveAttackPlan:
-    """Scalar attack-op emitter: setup ops once (by attack ordinal),
-    then weighted beacon traffic indexed by beacon ordinal."""
-
-    def __init__(self, generator: ScenarioGenerator, log: str, instance):
-        self.instance = instance
-        self.setup = instance.build.spec.setup_ops()
-        self.beacon = instance.build.spec.beacon_ops()
-        if self.beacon:
-            self.cum, self.total = pick_table(
-                [op.weight for op in self.beacon]
-            )
-        self.beacon_stream = WordStream(
-            generator._tag(log, "attack", "beacon")
-        )
-
-    def emit(self, tracer: EventTracer, ordinal: int) -> EventRecord:
-        if ordinal < len(self.setup):
-            op = self.setup[ordinal]
-        else:
-            op = self.beacon[
-                pick_index(
-                    self.cum, self.total, self.beacon_stream.next_word()
-                )
-            ]
-        return tracer.emit(
-            op.name, op.syscall, self.instance.app_path(op),
-            tid=self.instance.tid,
-        )
 
 
 def _burst_sizes(n_attack: int, rng: random.Random) -> List[int]:
@@ -377,17 +258,6 @@ def _burst_sizes(n_attack: int, rng: random.Random) -> List[int]:
     return sizes
 
 
-def _write_log(
-    path: Path, events: Sequence[EventRecord], chunk_events: int = 2048
-) -> None:
-    """Serialize to raw-log bytes in bounded chunks — paper-scale logs
-    never exist twice in memory (once as events, once as one string)."""
-    with open(path, "wb") as handle:
-        for start in range(0, len(events), chunk_events):
-            chunk = serialize_events(events[start:start + chunk_events])
-            handle.write(("\n".join(chunk) + "\n").encode("utf-8"))
-
-
 def _write_rendered(path: Path, chunks) -> None:
     with open(path, "wb") as handle:
         for chunk in chunks:
@@ -395,8 +265,8 @@ def _write_rendered(path: Path, chunks) -> None:
 
 
 def _capture_source(spec: DatasetSpec, seed, log_name: str) -> dict:
-    # Identical across engines and worker counts: captures must be
-    # byte-comparable whole, metadata included.
+    # Identical across worker counts: captures must be byte-comparable
+    # whole, metadata included.
     return {
         "generator": "repro.datasets",
         "dataset": spec.name,
@@ -449,100 +319,16 @@ def _resolve_spec(name: Union[str, DatasetSpec]) -> DatasetSpec:
     return CATALOG[name]
 
 
-def generate_dataset(
-    name: Union[str, DatasetSpec],
+def _write_labels(
     dst: Path,
-    seed: int = 0,
-    *,
-    train_events: int = DEFAULT_TRAIN_EVENTS,
-    scan_events: int = DEFAULT_SCAN_EVENTS,
-    format: str = "text",
-    engine: str = "fast",
-    n_jobs: int = 1,
-    executor: str = "process",
-) -> GeneratedDataset:
-    """Generate one dataset into ``dst`` (created if needed).
-
-    ``name`` is a catalog name or a :class:`DatasetSpec` (custom
-    scenarios need not be registered).  ``format`` selects the outputs:
-    ``"text"`` writes the three ``.log`` files, ``"capture"`` writes
-    ``.leapscap`` columnar captures directly from synthesized columns
-    (no text round-trip), ``"both"`` writes both.  ``labels.json`` is
-    always written.  ``engine="naive"`` replays the per-event tracer
-    (the byte-identity oracle); ``n_jobs``/``executor`` shard fast-path
-    text rendering.  Output bytes are identical for every
-    (engine, n_jobs, executor) combination.
-    """
-    spec = _resolve_spec(name)
-    if format not in OUTPUT_FORMATS:
-        raise ValueError(
-            f"unknown format {format!r}; expected {OUTPUT_FORMATS}"
-        )
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected {ENGINES}")
-    dst = Path(dst)
-    dst.mkdir(parents=True, exist_ok=True)
-    generator = ScenarioGenerator(spec, seed)
-    write_text = format in ("text", "both")
-    write_capture = format in ("capture", "both")
-
-    plans = [
-        ("benign.log", train_events, 0.0, ""),
-        ("mixed.log", train_events, MIXED_ATTACK_RATE, "A"),
-        ("malicious.log", scan_events, MALICIOUS_ATTACK_RATE, "B"),
-    ]
-    logs: Dict[str, GeneratedLog] = {}
-    pool = _make_pool(n_jobs, executor) if engine == "fast" else None
-    try:
-        for log_name, n_events, attack_rate, build_id in plans:
-            stem = log_name[: -len(".log")]
-            log_path = dst / log_name
-            capture_path = dst / f"{stem}{CAPTURE_SUFFIX}"
-            source = _capture_source(spec, seed, log_name)
-            if engine == "naive":
-                if build_id:
-                    events, attack_eids = generator.trace_session(
-                        stem, n_events, attack_rate, build_id
-                    )
-                else:
-                    events = generator.trace_benign(n_events)
-                    attack_eids = []
-                if write_text:
-                    _write_log(log_path, events)
-                if write_capture:
-                    write_capture_naive(capture_path, events, source=source)
-                n_total = len(events)
-            else:
-                if build_id:
-                    synth = generator.session_synth(
-                        stem, n_events, attack_rate, build_id
-                    )
-                else:
-                    synth = generator.benign_synth(n_events)
-                segment = synth.synthesize()
-                attack_eids = synth.layout.attack_eids().tolist()
-                if write_text:
-                    _write_rendered(
-                        log_path,
-                        _render_session_text(synth, segment, pool),
-                    )
-                if write_capture:
-                    cols = to_event_columns(
-                        synth.table, segment.type_ids, segment.timestamps
-                    )
-                    write_capture_columns(capture_path, cols, source=source)
-                n_total = synth.n_events
-            logs[log_name] = GeneratedLog(
-                path=log_path,
-                n_events=n_total,
-                attack_eids=tuple(int(eid) for eid in attack_eids),
-                build_id=build_id,
-                capture_path=capture_path if write_capture else None,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    spec: DatasetSpec,
+    seed,
+    train_events: int,
+    scan_events: int,
+    logs: Mapping[str, GeneratedLog],
+) -> None:
+    """Write ``dst/labels.json``: the scenario, its generation
+    parameters, and every log's exact attack eids."""
     labels = {
         "schema": LABELS_SCHEMA,
         "dataset": spec.name,
@@ -568,6 +354,84 @@ def generate_dataset(
     (dst / "labels.json").write_bytes(
         (json.dumps(labels, indent=2, sort_keys=True) + "\n").encode("utf-8")
     )
+
+
+def generate_dataset(
+    name: Union[str, DatasetSpec],
+    dst: Path,
+    seed: int = 0,
+    *,
+    train_events: int = DEFAULT_TRAIN_EVENTS,
+    scan_events: int = DEFAULT_SCAN_EVENTS,
+    format: str = "text",
+    n_jobs: int = 1,
+    executor: str = "process",
+) -> GeneratedDataset:
+    """Generate one dataset into ``dst`` (created if needed).
+
+    ``name`` is a catalog name or a :class:`DatasetSpec` (custom
+    scenarios need not be registered).  ``format`` selects the outputs:
+    ``"text"`` writes the three ``.log`` files, ``"capture"`` writes
+    ``.leapscap`` columnar captures directly from synthesized columns
+    (no text round-trip), ``"both"`` writes both.  ``labels.json`` is
+    always written.  ``n_jobs``/``executor`` shard text rendering;
+    output bytes are identical for every (n_jobs, executor) combination.
+    """
+    spec = _resolve_spec(name)
+    if format not in OUTPUT_FORMATS:
+        raise ValueError(
+            f"unknown format {format!r}; expected {OUTPUT_FORMATS}"
+        )
+    dst = Path(dst)
+    dst.mkdir(parents=True, exist_ok=True)
+    generator = ScenarioGenerator(spec, seed)
+    write_text = format in ("text", "both")
+    write_capture = format in ("capture", "both")
+
+    plans = [
+        ("benign.log", train_events, 0.0, ""),
+        ("mixed.log", train_events, MIXED_ATTACK_RATE, "A"),
+        ("malicious.log", scan_events, MALICIOUS_ATTACK_RATE, "B"),
+    ]
+    logs: Dict[str, GeneratedLog] = {}
+    pool = _make_pool(n_jobs, executor)
+    try:
+        for log_name, n_events, attack_rate, build_id in plans:
+            stem = log_name[: -len(".log")]
+            log_path = dst / log_name
+            capture_path = dst / f"{stem}{CAPTURE_SUFFIX}"
+            if build_id:
+                synth = generator.session_synth(
+                    stem, n_events, attack_rate, build_id
+                )
+            else:
+                synth = generator.benign_synth(n_events)
+            segment = synth.synthesize()
+            if write_text:
+                _write_rendered(
+                    log_path, _render_session_text(synth, segment, pool)
+                )
+            if write_capture:
+                cols = to_event_columns(
+                    synth.table, segment.type_ids, segment.timestamps
+                )
+                write_capture_columns(
+                    capture_path,
+                    cols,
+                    source=_capture_source(spec, seed, log_name),
+                )
+            logs[log_name] = GeneratedLog(
+                path=log_path,
+                n_events=synth.n_events,
+                attack_eids=tuple(synth.layout.attack_eids().tolist()),
+                build_id=build_id,
+                capture_path=capture_path if write_capture else None,
+            )
+    finally:
+        if pool is not None:
+            pool.shutdown()
+
+    _write_labels(dst, spec, seed, train_events, scan_events, logs)
     return GeneratedDataset(spec=spec, seed=seed, root=dst, logs=logs)
 
 
@@ -584,7 +448,6 @@ def generate_catalog(
     train_events: int = DEFAULT_TRAIN_EVENTS,
     scan_events: int = DEFAULT_SCAN_EVENTS,
     format: str = "text",
-    engine: str = "fast",
     n_jobs: int = 1,
 ) -> Dict[str, GeneratedDataset]:
     """Generate named datasets (default: all 21) under
@@ -600,7 +463,6 @@ def generate_catalog(
         train_events=train_events,
         scan_events=scan_events,
         format=format,
-        engine=engine,
     )
     jobs = [
         (name, root / f"{name}-s{seed}", seed, kwargs) for name in selected

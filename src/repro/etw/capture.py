@@ -111,12 +111,6 @@ class Capture:
 # -- writing ----------------------------------------------------------
 
 
-def _int_column(name: str, values: Sequence[int]) -> np.ndarray:
-    if any(v < _INT64_MIN or v > _INT64_MAX for v in values):
-        raise CaptureError(f"{name} value out of int64 range")
-    return np.array(values, dtype=np.int64)
-
-
 def _address_column(values: Sequence[int]) -> np.ndarray:
     if not values:
         return np.zeros(0, dtype=np.int64)
@@ -160,9 +154,9 @@ def _finalize_capture(
     source: Optional[dict],
 ) -> Path:
     """Shared write tail: vocab joins, metadata document, and the two
-    on-disk members.  Every writer funnels through here, so metadata
-    bytes cannot drift between the naive, vectorized, and columnar
-    entry points."""
+    on-disk members.  Every writer funnels through here (the per-event
+    reference writer in ``tests/oracles/capture.py`` too), so metadata
+    bytes cannot drift between entry points."""
     for name, strings in vocabs.items():
         arrays[f"vocab_{name}"] = _join_vocab(name, strings)
     meta = {
@@ -208,122 +202,8 @@ def captures_byte_identical(
         )
 
 
-def write_capture_naive(
-    path: Union[str, os.PathLike],
-    events: Sequence[EventRecord],
-    *,
-    report: Optional[ParseReport] = None,
-    source: Optional[dict] = None,
-) -> Path:
-    """The original per-event-loop capture writer, retained as the
-    byte-identity reference for :func:`write_capture` (every array and
-    metadata byte must match; see tests/test_capture.py)."""
-    path = Path(os.fspath(path))
-
-    vocabs: dict = {name: {} for name in _VOCAB_NAMES}
-
-    def vocab_id(name: str, value: str) -> int:
-        table = vocabs[name]
-        index = table.get(value)
-        if index is None:
-            index = len(table)
-            table[value] = index
-        return index
-
-    eid: List[int] = []
-    timestamp: List[int] = []
-    pid: List[int] = []
-    tid: List[int] = []
-    opcode: List[int] = []
-    process_id: List[int] = []
-    category_id: List[int] = []
-    name_id: List[int] = []
-    walk_id: List[int] = []
-
-    frame_ids: dict = {}
-    frame_rows: List[Tuple[int, int, int, int]] = []
-    walk_ids: dict = {}
-    walk_frame_ids: List[int] = []
-    walk_offsets: List[int] = [0]
-
-    for event in events:
-        eid.append(event.eid)
-        timestamp.append(event.timestamp)
-        pid.append(event.pid)
-        tid.append(event.tid)
-        opcode.append(event.opcode)
-        process_id.append(vocab_id("process", event.process))
-        category_id.append(vocab_id("category", event.category))
-        name_id.append(vocab_id("name", event.name))
-
-        walk = event.frames
-        index = walk_ids.get(walk)
-        if index is None:
-            ids = []
-            for frame in walk:
-                frame_id = frame_ids.get(frame)
-                if frame_id is None:
-                    frame_id = len(frame_rows)
-                    frame_ids[frame] = frame_id
-                    frame_rows.append(
-                        (
-                            frame.index,
-                            vocab_id("module", frame.module),
-                            vocab_id("function", frame.function),
-                            frame.address,
-                        )
-                    )
-                ids.append(frame_id)
-            index = len(walk_offsets) - 1
-            walk_ids[walk] = index
-            walk_frame_ids.extend(ids)
-            walk_offsets.append(len(walk_frame_ids))
-        walk_id.append(index)
-
-    arrays = {
-        "eid": _int_column("eid", eid),
-        "timestamp": _int_column("timestamp", timestamp),
-        "pid": _int_column("pid", pid),
-        "tid": _int_column("tid", tid),
-        "opcode": _int_column("opcode", opcode),
-        "process_id": np.array(process_id, dtype=np.int64),
-        "category_id": np.array(category_id, dtype=np.int64),
-        "name_id": np.array(name_id, dtype=np.int64),
-        "walk_id": np.array(walk_id, dtype=np.int64),
-        "frame_index": _int_column(
-            "frame_index", [row[0] for row in frame_rows]
-        ),
-        "frame_module_id": np.array(
-            [row[1] for row in frame_rows], dtype=np.int64
-        ),
-        "frame_function_id": np.array(
-            [row[2] for row in frame_rows], dtype=np.int64
-        ),
-        "frame_address": _address_column([row[3] for row in frame_rows]),
-        "walk_frame_ids": np.array(walk_frame_ids, dtype=np.int64),
-        "walk_offsets": np.array(walk_offsets, dtype=np.int64),
-    }
-    counts = {
-        "events": len(eid),
-        "frames": len(frame_rows),
-        "walks": len(walk_offsets) - 1,
-    }
-    return _finalize_capture(
-        path,
-        arrays,
-        {name: list(table) for name, table in vocabs.items()},
-        counts,
-        report,
-        source,
-    )
-
-
-# -- vectorized writer -------------------------------------------------
-
-
-def _int_column_vec(name: str, values: Sequence[int]) -> np.ndarray:
-    # np.array performs the int64 range check itself (OverflowError),
-    # replacing the naive writer's per-value any() scan.
+def _int64_column(name: str, values: Sequence[int]) -> np.ndarray:
+    # np.array performs the int64 range check itself (OverflowError)
     try:
         return np.array(values, dtype=np.int64)
     except OverflowError:
@@ -334,9 +214,9 @@ def _walk_tables(distinct_walks: Sequence[Tuple[StackFrame, ...]]) -> dict:
     """Frame table, walk CSR arrays, and module/function vocabularies
     from the distinct walks in first-appearance order.
 
-    Byte-identical to the naive writer's interleaved traversal: the
-    naive loop only does frame/vocab work when it meets a *new* walk,
-    so its traversal order is exactly "frames of each distinct walk, in
+    Byte-identical to a per-event writer's interleaved traversal
+    (``tests/oracles/capture.py``): that loop only does frame/vocab
+    work when it meets a *new* walk, so its traversal order is exactly "frames of each distinct walk, in
     walk first-appearance order" — a frame's first appearance in that
     sequence equals its first appearance in event order (a repeated
     walk cannot introduce a frame its first occurrence didn't)."""
@@ -370,7 +250,7 @@ def _walk_tables(distinct_walks: Sequence[Tuple[StackFrame, ...]]) -> dict:
             walk_frame_ids.append(frame_id)
         walk_offsets.append(len(walk_frame_ids))
     return {
-        "frame_index": _int_column_vec("frame_index", frame_index),
+        "frame_index": _int64_column("frame_index", frame_index),
         "frame_module_id": np.array(frame_module_id, dtype=np.int64),
         "frame_function_id": np.array(frame_function_id, dtype=np.int64),
         "frame_address": _address_column(frame_address),
@@ -387,11 +267,11 @@ def _arrays_from_columns(cols) -> "tuple[dict, dict]":
     writer's per-event cost is five ``np.array`` conversions."""
     walk_arrays = _walk_tables(cols.walks)
     arrays = {
-        "eid": _int_column_vec("eid", cols.eid),
-        "timestamp": _int_column_vec("timestamp", cols.timestamp),
-        "pid": _int_column_vec("pid", cols.pid),
-        "tid": _int_column_vec("tid", cols.tid),
-        "opcode": _int_column_vec("opcode", cols.opcode),
+        "eid": _int64_column("eid", cols.eid),
+        "timestamp": _int64_column("timestamp", cols.timestamp),
+        "pid": _int64_column("pid", cols.pid),
+        "tid": _int64_column("tid", cols.tid),
+        "opcode": _int64_column("opcode", cols.opcode),
         "process_id": np.array(cols.process_id, dtype=np.int64),
         "category_id": np.array(cols.category_id, dtype=np.int64),
         "name_id": np.array(cols.name_id, dtype=np.int64),
@@ -420,7 +300,7 @@ def _arrays_from_columns(cols) -> "tuple[dict, dict]":
 
 def _factorize(values: Sequence) -> "tuple[np.ndarray, list]":
     """(id array, distinct values in first-appearance order) — the bulk
-    equivalent of the naive writer's per-event ``vocab_id``.
+    equivalent of interning each event's value in turn.
     ``dict.fromkeys`` preserves first-appearance order in one C pass."""
     table = {value: index for index, value in enumerate(dict.fromkeys(values))}
     ids = np.fromiter(
@@ -440,7 +320,7 @@ def _arrays_from_events(events: Sequence[EventRecord]) -> "tuple[dict, dict]":
     uniq = dict(zip(map(id, walks), walks))
     # equality dedup over the (few) identity-distinct walks; two equal
     # but distinct tuples must still collapse to one walk id, exactly
-    # as in the naive writer's equality-keyed table
+    # as in an equality-keyed per-event table
     walk_table: dict = {}
     distinct_walks: List[Tuple[StackFrame, ...]] = []
     idmap: dict = {}
@@ -457,11 +337,11 @@ def _arrays_from_events(events: Sequence[EventRecord]) -> "tuple[dict, dict]":
     category_id, category_vocab = _factorize([e.category for e in events])
     name_id, name_vocab = _factorize([e.name for e in events])
     arrays = {
-        "eid": _int_column_vec("eid", [e.eid for e in events]),
-        "timestamp": _int_column_vec("timestamp", [e.timestamp for e in events]),
-        "pid": _int_column_vec("pid", [e.pid for e in events]),
-        "tid": _int_column_vec("tid", [e.tid for e in events]),
-        "opcode": _int_column_vec("opcode", [e.opcode for e in events]),
+        "eid": _int64_column("eid", [e.eid for e in events]),
+        "timestamp": _int64_column("timestamp", [e.timestamp for e in events]),
+        "pid": _int64_column("pid", [e.pid for e in events]),
+        "tid": _int64_column("tid", [e.tid for e in events]),
+        "opcode": _int64_column("opcode", [e.opcode for e in events]),
         "process_id": process_id,
         "category_id": category_id,
         "name_id": name_id,
@@ -500,8 +380,8 @@ def write_capture(
     Creates the directory (and parents) if needed; overwrites an
     existing capture in place.  Returns the capture path.
 
-    Output is byte-identical to :func:`write_capture_naive` for every
-    input; the difference is speed.  When ``events`` is an
+    Output is byte-identical to the per-event reference writer
+    (``tests/oracles/capture.py``) for every input.  When ``events`` is an
     :class:`~repro.etw.events.EventLog` carrying the parser's
     :class:`~repro.etw.events.EventColumns` sidecar
     (``parse_fast(..., columns=True)``, as :func:`convert_log` uses),
@@ -528,9 +408,9 @@ def write_capture_columns(
 
     The generation fast path's sink: column blocks go straight to the
     capture arrays without ever materializing an ``EventRecord`` (or a
-    line of text).  Byte-identical to :func:`write_capture_naive` over
-    the equivalent event list — ``tests/test_fastgen.py`` holds both
-    writers to it.
+    line of text).  Byte-identical to :func:`write_capture` over the
+    equivalent event list — ``tests/test_fastgen.py`` holds the
+    generator's captures to the per-event reference writer.
     """
     path = Path(os.fspath(path))
     arrays, vocabs, counts = _arrays_from_columns(cols)

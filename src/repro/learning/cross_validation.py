@@ -4,19 +4,18 @@ The paper tunes the Gaussian-kernel width and the WSVM budget by CV on
 the training set.  Folds come from a seeded permutation so the search
 is reproducible; sample importances follow their rows into each fold.
 
-Two execution knobs speed the search up without changing its result:
+The search computes the pairwise squared-distance matrix once
+(:class:`repro.learning.kernels.PrecomputedKernel`), derives each σ²
+Gram as ``exp(−D / (2σ²))``, and trains/evaluates fold cells by
+index-slicing the full Gram instead of re-kernelizing the fold's
+feature rows; ``tests/oracles/grid.py`` keeps the re-kernelizing search
+that proves the result unchanged.
 
-* ``use_cache`` (default) computes the pairwise squared-distance matrix
-  once per search (:class:`repro.learning.kernels.PrecomputedKernel`),
-  derives each σ² Gram as ``exp(−D / (2σ²))``, and trains/evaluates fold
-  cells by index-slicing the full Gram instead of re-kernelizing the
-  fold's feature rows.  ``use_cache=False`` is the naive reference path
-  that re-kernelizes per (λ, σ², fold) cell — kept for benchmarking.
-* ``n_jobs`` fans the (λ, σ², fold) cells over a process or thread pool.
-  Every cell is independently seeded (each fit builds its own generator
-  from ``svm_params["seed"]``) and results are reduced into the table in
-  grid × fold order, so the returned :class:`GridResult` is bit-identical
-  for any worker count or completion order.
+``n_jobs`` fans the (λ, σ², fold) cells over a process or thread pool.
+Every cell is independently seeded (each fit builds its own generator
+from ``svm_params["seed"]``) and results are reduced into the table in
+grid × fold order, so the returned :class:`GridResult` is bit-identical
+for any worker count or completion order.
 """
 
 from __future__ import annotations
@@ -73,30 +72,22 @@ def _init_worker(X, y, c, pairs, svm_params, cache) -> None:
     _WORKER.update(X=X, y=y, c=c, pairs=pairs, svm_params=svm_params, cache=cache)
 
 
-def _init_worker_naive(X, y, c, pairs, svm_params) -> None:
-    _WORKER.update(X=X, y=y, c=c, pairs=pairs, svm_params=svm_params, cache=None)
-
-
 def _eval_cell(cell: Tuple[int, int, float, float]) -> Tuple[int, int, float]:
     """Fit and score one (λ, σ²) × fold cell; returns (combo, fold, acc)."""
     combo_index, fold_index, lam, sigma2 = cell
     X, y, c = _WORKER["X"], _WORKER["y"], _WORKER["c"]
-    cache: Optional[PrecomputedKernel] = _WORKER["cache"]
+    cache: PrecomputedKernel = _WORKER["cache"]
     train, test = _WORKER["pairs"][fold_index]
     # A fold can end up single-class; accuracy is still defined.
     model = WeightedSVM(
         kernel=gaussian_kernel(sigma2), lam=lam, **_WORKER["svm_params"]
     )
     c_train = None if c is None else c[train]
-    if cache is None:
-        model.fit(X[train], y[train], c_train)
-        predicted = model.predict(X[test])
-    else:
-        model.fit(
-            X[train], y[train], c_train,
-            gram=cache.gram_slice(sigma2, train, train),
-        )
-        predicted = model.predict(gram=cache.gram_slice(sigma2, test, train))
+    model.fit(
+        X[train], y[train], c_train,
+        gram=cache.gram_slice(sigma2, train, train),
+    )
+    predicted = model.predict(gram=cache.gram_slice(sigma2, test, train))
     return combo_index, fold_index, accuracy(y[test], predicted)
 
 
@@ -111,7 +102,6 @@ def grid_search_wsvm(
     svm_params: Optional[dict] = None,
     n_jobs: int = 1,
     executor: str = "process",
-    use_cache: bool = True,
     cache: Optional[PrecomputedKernel] = None,
 ) -> GridResult:
     """Pick (λ, σ²) by mean CV accuracy; ties go to the earlier grid point.
@@ -149,18 +139,9 @@ def grid_search_wsvm(
         for combo_index, (lam, sigma2) in enumerate(combos)
         for fold_index in range(folds)
     ]
-    if use_cache and cache is None:
-        cache = PrecomputedKernel(X)
-    elif not use_cache:
-        cache = None
-
-    init_args = (X, y, c, pairs, svm_params, cache)
     if n_jobs == 1 or executor == "thread":
         # Threads share the module-global state (and the Gram memo).
-        if use_cache:
-            _init_worker(*init_args)
-        else:
-            _init_worker_naive(*init_args[:-1])
+        _init_worker(X, y, c, pairs, svm_params, cache)
         try:
             if n_jobs == 1:
                 results = [_eval_cell(cell) for cell in cells]
@@ -172,12 +153,10 @@ def grid_search_wsvm(
     else:
         # Each process rebuilds the distance cache once in its
         # initializer; only the light (λ, σ², fold) tuples travel per cell.
-        if use_cache:
-            initializer, initargs = _init_worker, (*init_args[:-1], None)
-        else:
-            initializer, initargs = _init_worker_naive, init_args[:-1]
         with ProcessPoolExecutor(
-            max_workers=n_jobs, initializer=initializer, initargs=initargs
+            max_workers=n_jobs,
+            initializer=_init_worker,
+            initargs=(X, y, c, pairs, svm_params, None),
         ) as pool:
             results = list(pool.map(_eval_cell, cells))
 

@@ -14,20 +14,16 @@ The solver is Platt's SMO with the max-|ΔE| second-choice heuristic, a
 full decision-value cache updated incrementally after every pair step,
 and a seeded tie-break RNG so training is deterministic.
 
-Partner selection has two implementations selected by ``partner_rule``:
-
-``"reference"``
-    The original scalar loop: sort partners by |ΔE| and attempt
-    ``_take_step`` on each until one succeeds.  Failed attempts never
-    mutate state, so success of a candidate is order-independent.
-``"vectorized"`` (default)
-    Evaluates every candidate's step guards (clip window, curvature,
-    minimum α move) in one pass of array ops and jumps straight to the
-    partner the reference loop would have committed.  Because the guard
-    arithmetic is elementwise-identical and the tie-break RNG is
-    consumed in exactly the same situations, the two rules produce
-    bit-identical models; the vectorized rule just skips the thousands
-    of doomed scalar step attempts that dominate reference wall time.
+Partner selection (:meth:`KernelSVM._partner_step`) evaluates every
+candidate's step guards (clip window, curvature, minimum α move) in one
+pass of array ops and jumps straight to the partner Platt's scalar walk
+would have committed: sort partners by |ΔE| and attempt ``_take_step``
+on each until one succeeds.  A failed attempt never mutates state, so a
+candidate's success is order-independent; the guard arithmetic is
+elementwise-identical and the tie-break RNG is consumed in exactly the
+same situations, so the fitted model is bit-identical to the scalar
+walk's.  That walk is kept as a test oracle (``tests/oracles/smo.py``)
+which overrides the same method.
 
 ``fit``/``decision_function`` also accept a precomputed Gram matrix so
 grid searches can slice one cached kernel instead of re-kernelizing
@@ -50,8 +46,6 @@ from repro.learning.kernels import (
 
 _EPS = 1e-8
 
-_PARTNER_RULES = ("vectorized", "reference")
-
 
 class ConvergenceWarning(UserWarning):
     """SMO stopped at the sweep cap before reaching KKT stationarity."""
@@ -73,17 +67,13 @@ class KernelSVM:
         max_passes: int = 5,
         max_sweeps: int = 200,
         seed: int = 0,
-        partner_rule: str = "vectorized",
     ):
-        if partner_rule not in _PARTNER_RULES:
-            raise ValueError(f"partner_rule must be one of {_PARTNER_RULES}")
         self.kernel = kernel or linear_kernel
         self.C = C
         self.tol = tol
         self.max_passes = max_passes
         self.max_sweeps = max_sweeps
         self.seed = seed
-        self.partner_rule = partner_rule
         self.alpha: Optional[np.ndarray] = None
         self.b: float = 0.0
         self._b: float = 0.0
@@ -144,7 +134,6 @@ class KernelSVM:
         # decision values without the intercept: f[i] = Σ αⱼyⱼK[j, i]
         f = np.zeros(n)
         active = np.flatnonzero(C_vec > _EPS)
-        vectorized = self.partner_rule == "vectorized"
 
         passes = 0
         sweeps = 0
@@ -166,28 +155,10 @@ class KernelSVM:
                 gaps = np.abs(E - E_i)
                 gaps[i] = -1.0
                 gaps[C_vec <= _EPS] = -1.0
-                if vectorized:
-                    j = self._select_partner(
-                        i, K, K_diag, y, alpha, C_vec, E, E_i, gaps, rng
-                    )
-                    if j >= 0 and self._take_step(
-                        i, j, K, y, alpha, C_vec, f, E_i, E[j]
-                    ):
-                        changed += 1
-                    continue
-                order = np.argsort(-gaps, kind="stable")
-                # break exact ties randomly so degenerate problems
-                # cannot cycle; the rng is seeded, so still deterministic
-                if len(order) > 1 and gaps[order[0]] == gaps[order[1]]:
-                    order = order.copy()
-                    rng.shuffle(order)
-                    order = order[np.argsort(-gaps[order], kind="stable")]
-                for j in order:
-                    if gaps[j] < 0:
-                        break
-                    if self._take_step(i, int(j), K, y, alpha, C_vec, f, E_i, E[j]):
-                        changed += 1
-                        break
+                if self._partner_step(
+                    i, K, K_diag, y, alpha, C_vec, f, E, E_i, gaps, rng
+                ):
+                    changed += 1
             sweeps += 1
             passes = passes + 1 if changed == 0 else 0
 
@@ -215,17 +186,18 @@ class KernelSVM:
             )
         return self
 
-    def _select_partner(
-        self, i, K, K_diag, y, alpha, C_vec, E, E_i, gaps, rng
-    ) -> int:
-        """The partner the reference scalar loop would commit, or −1.
+    def _partner_step(
+        self, i, K, K_diag, y, alpha, C_vec, f, E, E_i, gaps, rng
+    ) -> bool:
+        """Commit the pair step (i, j) for the partner the scalar walk
+        would pick; returns whether α changed.
 
         A failed ``_take_step`` never mutates state, so whether a given j
         succeeds is independent of attempt order; evaluating the three
         step guards for every candidate at once and picking the best
-        survivor reproduces the reference walk exactly.  The tie-break
-        shuffle consumes the RNG in the same situations as the reference
-        (top-two gaps equal), keeping the random stream aligned.
+        survivor reproduces the walk exactly.  The tie-break shuffle
+        consumes the RNG in the same situations as the walk (top-two
+        gaps equal), keeping the random stream aligned.
         """
         n = len(gaps)
         order = None
@@ -238,7 +210,7 @@ class KernelSVM:
                 order = order[np.argsort(-gaps[order], kind="stable")]
         ok = gaps >= 0.0
         if not ok.any():
-            return -1
+            return False
         # Clip window [L, H] per candidate (elementwise the same
         # arithmetic as the scalar _take_step guards).
         same_label = y == y[i]
@@ -254,18 +226,19 @@ class KernelSVM:
         eta = 2.0 * K[i] - K[i, i] - K_diag
         ok &= eta < -_EPS
         if not ok.any():
-            return -1
+            return False
         safe_eta = np.where(ok, eta, -1.0)
         a_new = np.clip(alpha - y * (E_i - E) / safe_eta, L, H)
         ok &= np.abs(a_new - alpha) >= _EPS
         candidates = np.flatnonzero(ok)
         if not len(candidates):
-            return -1
+            return False
         if order is None:
             # stable descending gap order ⇒ largest gap, lowest index
-            return int(candidates[np.argmax(gaps[candidates])])
-        hits = np.flatnonzero(ok[order])
-        return int(order[hits[0]])
+            j = int(candidates[np.argmax(gaps[candidates])])
+        else:
+            j = int(order[np.flatnonzero(ok[order])[0]])
+        return self._take_step(i, j, K, y, alpha, C_vec, f, E_i, E[j])
 
     def _take_step(self, i, j, K, y, alpha, C_vec, f, E_i, E_j) -> bool:
         if i == j:

@@ -28,7 +28,6 @@ class WeightedSVM(KernelSVM):
         max_passes: int = 5,
         max_sweeps: int = 200,
         seed: int = 0,
-        partner_rule: str = "vectorized",
     ):
         super().__init__(
             kernel=kernel,
@@ -37,7 +36,6 @@ class WeightedSVM(KernelSVM):
             max_passes=max_passes,
             max_sweeps=max_sweeps,
             seed=seed,
-            partner_rule=partner_rule,
         )
         self.lam = lam
 

@@ -23,7 +23,6 @@ from repro.etw.capture import (
     load_capture,
     read_capture,
     write_capture,
-    write_capture_naive,
 )
 from repro.etw.events import EventLog
 from repro.etw.parser import (
@@ -36,6 +35,7 @@ from repro.etw.recovery import ParseReport
 
 from tests.conftest import HAS_GOLDEN_DATA, TINY_LOG
 from tests.faults import fault_corpus
+from tests.oracles.capture import write_capture_naive
 
 
 def roundtrip(tmp_path, lines, policy="drop", name="log"):
@@ -224,9 +224,9 @@ class TestValidation:
 
 
 class TestWriterEquivalence:
-    """``write_capture`` is the vectorized twin of
-    ``write_capture_naive`` — byte-identical output on every input
-    shape, differing only in speed."""
+    """``write_capture`` against the per-event reference writer
+    (``tests/oracles/capture.py``) — byte-identical output on every
+    input shape, differing only in speed."""
 
     @staticmethod
     def assert_captures_identical(a, b):

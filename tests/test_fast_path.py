@@ -1,9 +1,9 @@
 """The training fast path must be invisible in the results.
 
 Precomputed-Gram training, Gram slicing, the vectorized SMO partner
-rule, and the parallel CV executor are all pure optimizations: every
-test here pins them to the naive reference computation *bitwise*, not
-approximately.
+selection, and the parallel CV executor are all pure optimizations:
+every test here pins them to the reference computation in
+``tests/oracles`` *bitwise*, not approximately.
 """
 
 import numpy as np
@@ -13,6 +13,9 @@ from repro.learning.cross_validation import grid_search_wsvm
 from repro.learning.kernels import PrecomputedKernel, gaussian_kernel
 from repro.learning.svm import ConvergenceWarning, KernelSVM
 from repro.learning.wsvm import WeightedSVM
+
+from tests.oracles.grid import grid_search_naive
+from tests.oracles.smo import ReferenceWeightedSVM
 
 
 def toy_problem(seed=2, n=48, d=3):
@@ -131,8 +134,8 @@ class TestPartnerRuleEquivalence:
     def test_bit_identical_models(self, seed):
         X, y, c = toy_problem(seed=seed, n=64, d=4)
         kwargs = dict(kernel=gaussian_kernel(1.5), lam=8.0, seed=seed)
-        reference = WeightedSVM(partner_rule="reference", **kwargs).fit(X, y, c)
-        vectorized = WeightedSVM(partner_rule="vectorized", **kwargs).fit(X, y, c)
+        reference = ReferenceWeightedSVM(**kwargs).fit(X, y, c)
+        vectorized = WeightedSVM(**kwargs).fit(X, y, c)
         assert np.array_equal(reference.alpha, vectorized.alpha)
         assert reference.b == vectorized.b
         assert reference.n_sweeps_ == vectorized.n_sweeps_
@@ -141,8 +144,9 @@ class TestPartnerRuleEquivalence:
         )
 
     def test_unknown_rule_rejected(self):
-        with pytest.raises(ValueError, match="partner_rule"):
-            KernelSVM(partner_rule="psychic")
+        # partner selection is not a setting: the one rule is built in
+        with pytest.raises(TypeError, match="partner_rule"):
+            KernelSVM(partner_rule="reference")
 
 
 class TestSolverHealth:
@@ -180,21 +184,19 @@ class TestGridSearchFastPath:
             X, y, c,
             params["lam_grid"], params["sigma2_grid"], params["folds"],
             np.random.default_rng(0),
-            svm_params=params.get("svm_params"),
             n_jobs=params.get("n_jobs", 1),
             executor=params.get("executor", "process"),
-            use_cache=params.get("use_cache", True),
         )
 
     def test_cached_equals_naive_reference(self, problem):
-        """Distance-cache fold slicing + vectorized partner rule vs
-        per-cell re-kernelization + scalar loop: identical GridResult."""
-        naive = self.search(
-            problem, use_cache=False,
-            svm_params={"partner_rule": "reference"},
+        """Distance-cache fold slicing + vectorized partner selection vs
+        per-cell re-kernelization + scalar walk: identical GridResult."""
+        X, y, c = problem
+        naive = grid_search_naive(
+            X, y, c, self.GRID["lam_grid"], self.GRID["sigma2_grid"],
+            self.GRID["folds"], np.random.default_rng(0),
         )
-        fast = self.search(problem, use_cache=True)
-        assert naive == fast
+        assert naive == self.search(problem)
 
     def test_parallel_threads_equal_serial(self, problem):
         serial = self.search(problem, n_jobs=1)

@@ -1,11 +1,13 @@
 """Generation fast path: the vectorized columnar synthesizer must be
-byte-identical to the naive per-event tracer (text, captures, labels),
-for any worker count and any segmentation.
+byte-identical to the per-event tracer (text, captures, labels), for
+any worker count and any segmentation.
 
-The naive engine is the oracle: it walks one event at a time through
-EventTracer with scalar cursors over the same indexed word streams.
+The tracer is the oracle (``tests/oracles/generation.py``): it walks
+one event at a time through EventTracer with scalar cursors over the
+same indexed word streams.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -15,9 +17,6 @@ from hypothesis import strategies as st
 
 from repro.datasets.catalog import CATALOG, DatasetSpec
 from repro.datasets.fastgen import (
-    WordClock,
-    WordStream,
-    pick_index,
     pick_indices,
     segment_bounds,
     stream_words,
@@ -31,11 +30,22 @@ from repro.datasets.generation import (
 from repro.etw.capture import CAPTURE_SUFFIX, captures_byte_identical
 
 from tests.conftest import REPO_ROOT
+from tests.oracles.generation import (
+    WordClock,
+    WordStream,
+    generate_dataset_naive,
+    pick_index,
+)
 
 SUBSET = ("vim_reverse_tcp", "putty_codeinject", "winscp_reverse_https_online")
 TRAIN_EVENTS = 400
 SCAN_EVENTS = 200
 LOG_NAMES = ("benign.log", "mixed.log", "malicious.log")
+DIGESTS_PATH = REPO_ROOT / "tests" / "generation_digests.json"
+DIGEST_PARAMS = {
+    "datasets": list(SUBSET), "train_events": TRAIN_EVENTS,
+    "scan_events": SCAN_EVENTS, "format": "both", "seed": 0,
+}
 
 
 def dataset_bytes(root):
@@ -47,6 +57,43 @@ def dataset_bytes(root):
             out[name] = path.read_bytes()
     out["labels.json"] = (root / "labels.json").read_bytes()
     return out
+
+
+def dataset_digests(root):
+    """sha256 of every generated output: each text log, labels.json,
+    and per capture its capture.json plus one digest over every array's
+    name, dtype, shape and raw bytes (the ``.npz`` container bytes hold
+    zip timestamps and numpy's header layout, so they are not pinned)."""
+    out = {}
+    for name in LOG_NAMES + ("labels.json",):
+        out[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
+    for name in LOG_NAMES:
+        capture = (root / name).with_suffix(CAPTURE_SUFFIX)
+        out[f"{capture.name}/capture.json"] = hashlib.sha256(
+            (capture / "capture.json").read_bytes()
+        ).hexdigest()
+        digest = hashlib.sha256()
+        with np.load(capture / "arrays.npz") as arrays:
+            for member in sorted(arrays.files):
+                array = np.ascontiguousarray(arrays[member])
+                digest.update(
+                    f"{member}:{array.dtype.str}:{array.shape}".encode("utf-8")
+                )
+                digest.update(array.tobytes())
+        out[f"{capture.name}/arrays"] = digest.hexdigest()
+    return out
+
+
+def generate_subset_digests(root):
+    return {
+        name: dataset_digests(
+            generate_dataset(
+                name, root / name, train_events=TRAIN_EVENTS,
+                scan_events=SCAN_EVENTS, format="both",
+            ).root
+        )
+        for name in SUBSET
+    }
 
 
 class TestStreamPrimitives:
@@ -89,11 +136,11 @@ class TestEngineByteIdentity:
     def test_fast_equals_naive(self, name, tmp_path):
         fast = generate_dataset(
             name, tmp_path / "fast", train_events=TRAIN_EVENTS,
-            scan_events=SCAN_EVENTS, format="both", engine="fast",
+            scan_events=SCAN_EVENTS, format="both",
         )
-        naive = generate_dataset(
+        naive = generate_dataset_naive(
             name, tmp_path / "naive", train_events=TRAIN_EVENTS,
-            scan_events=SCAN_EVENTS, format="both", engine="naive",
+            scan_events=SCAN_EVENTS, format="both",
         )
         assert dataset_bytes(fast.root) == dataset_bytes(naive.root)
         for log_name in LOG_NAMES:
@@ -101,6 +148,19 @@ class TestEngineByteIdentity:
                 (fast.root / log_name).with_suffix(CAPTURE_SUFFIX),
                 (naive.root / log_name).with_suffix(CAPTURE_SUFFIX),
             ), log_name
+
+
+class TestPinnedDigests:
+    """Generator output pinned to committed digests, so a change to
+    generation is caught even if production and oracle drift together.
+    Regenerate after an intended change with
+    ``PYTHONPATH=src python -m tests.test_fastgen > tests/generation_digests.json``.
+    """
+
+    def test_subset_matches_committed_digests(self, tmp_path):
+        committed = json.loads(DIGESTS_PATH.read_text())
+        assert committed["params"] == DIGEST_PARAMS
+        assert generate_subset_digests(tmp_path) == committed["digests"]
 
 
 class TestWorkerInvariance:
@@ -209,13 +269,15 @@ class TestGenerateDatasetSurface:
     def test_rejects_unknown_format_and_engine(self, tmp_path):
         with pytest.raises(ValueError):
             generate_dataset("vim_reverse_tcp", tmp_path, format="xml")
-        with pytest.raises(ValueError):
-            generate_dataset("vim_reverse_tcp", tmp_path, engine="magic")
+        # one synthesis path: the per-event engine is a test oracle only
+        with pytest.raises(TypeError, match="engine"):
+            generate_dataset("vim_reverse_tcp", tmp_path, engine="naive")
 
 
 class TestCommittedBenchTable1:
     """The committed Table-I bench must record the acceptance bar: the
-    fast engine ≥10x the naive tracer and byte-identical on every row."""
+    fast generator ≥10x the per-event tracer and byte-identical on
+    every row."""
 
     @pytest.fixture(scope="class")
     def doc(self):
@@ -251,3 +313,12 @@ class TestCommittedBenchTable1:
             assert set(row["paper"]) == set(row["wsvm"]) == {
                 "acc", "ppv", "tpr", "tnr", "npv"
             }
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as scratch:
+        digests = generate_subset_digests(Path(scratch))
+    print(json.dumps({"params": DIGEST_PARAMS, "digests": digests}, indent=2))

@@ -1,4 +1,6 @@
-"""Model bundle persistence: save → load → scan round trips bit-identically."""
+"""Model bundle persistence: save → load → scan round trips bit-identically,
+older bundle schemas still load, and every malformed bundle fails with
+:class:`BundleError`."""
 
 import json
 
@@ -117,8 +119,111 @@ class TestLoadErrors:
         doc["config"]["window_evnets"] = 10
         doc["config"].pop("window_events")
         (bundle / JSON_NAME).write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="unknown LeapsConfig keys"):
+        with pytest.raises(BundleError, match="unknown LeapsConfig keys"):
             LeapsDetector.load(bundle)
+
+
+def rewrite_doc(bundle, edit):
+    doc = json.loads((bundle / JSON_NAME).read_text())
+    (bundle / JSON_NAME).write_text(json.dumps(edit(doc)))
+
+
+def rewrite_arrays(bundle, edit):
+    with np.load(bundle / NPZ_NAME) as npz:
+        arrays = dict(npz)
+    edit(arrays)
+    np.savez(bundle / NPZ_NAME, **arrays)
+
+
+def set_in(doc, section, key, value):
+    doc[section][key] = value
+    return doc
+
+
+def without(doc, key):
+    del doc[key]
+    return doc
+
+
+MALFORMED_DOCS = {
+    "no-svm": lambda doc: without(doc, "svm"),
+    "no-vocab": lambda doc: without(doc, "vocab"),
+    "list-document": lambda doc: [doc],
+    "string-document": lambda doc: "leaps-model/v2",
+    "negative-n-train": lambda doc: set_in(doc, "svm", "n_train", -1),
+    "float-n-train": lambda doc: set_in(doc, "svm", "n_train", 1e3),
+    "n-train-below-n-sv": lambda doc: set_in(doc, "svm", "n_train", 1),
+    "non-numeric-intercept": lambda doc: set_in(doc, "svm", "b", "zero"),
+    "bad-sigma2": lambda doc: set_in(doc, "selection", "sigma2", -1.0),
+    "invalid-config-value": lambda doc: set_in(doc, "config", "stride", 0),
+    "mistyped-config": lambda doc: set_in(doc, "config", "window_events", "2"),
+    "short-vocab-entry": lambda doc: set_in(doc, "vocab", "etype", [["x", 1]]),
+}
+
+
+def shift_support(arrays, offset):
+    arrays["support"] = arrays["support"] + offset
+
+
+MALFORMED_ARRAYS = {
+    "support-past-n-train": lambda a: shift_support(a, 10**6),
+    "negative-support": lambda a: shift_support(a, -(10**6)),
+    "float-support": lambda a: a.update(support=a["support"].astype(float)),
+    "unsorted-support": lambda a: a.update(support=a["support"][::-1].copy()),
+    "missing-member": lambda a: a.pop("scaler_scale"),
+    "3d-support-vectors": lambda a: a.update(sv_X=a["sv_X"][..., None]),
+    "scaler-width": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
+}
+
+
+class TestMalformedBundles:
+    """``load_bundle`` raises ``BundleError`` for any malformed bundle,
+    never a bare ``KeyError``/``IndexError``/``ValueError`` — the serve
+    tier's stream-open handler relies on it."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_DOCS))
+    def test_malformed_document(self, bundle, case):
+        rewrite_doc(bundle, MALFORMED_DOCS[case])
+        with pytest.raises(BundleError):
+            LeapsDetector.load(bundle)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_ARRAYS))
+    def test_malformed_arrays(self, trained, bundle, case):
+        assert trained.pipeline.model.support_.size > 1  # non-vacuous
+        rewrite_arrays(bundle, MALFORMED_ARRAYS[case])
+        with pytest.raises(BundleError):
+            LeapsDetector.load(bundle)
+
+    @pytest.mark.parametrize("payload", [b"", b"PK\x03\x04 truncated"])
+    def test_corrupt_npz(self, bundle, payload):
+        (bundle / NPZ_NAME).write_bytes(payload)
+        with pytest.raises(BundleError):
+            LeapsDetector.load(bundle)
+
+    def test_non_utf8_json(self, bundle):
+        (bundle / JSON_NAME).write_bytes(b"\xff\xfe{}")
+        with pytest.raises(BundleError, match="unparseable"):
+            LeapsDetector.load(bundle)
+
+
+class TestSchemaVersions:
+    def test_save_writes_v2_without_partner_rule(self, bundle):
+        doc = json.loads((bundle / JSON_NAME).read_text())
+        assert doc["schema"] == SCHEMA == "leaps-model/v2"
+        assert "partner_rule" not in doc["svm"]
+
+    def test_v1_bundle_scans_bit_identically(self, trained, bundle):
+        """A bundle in the v1 layout (old schema string plus the
+        ``svm.partner_rule`` field it carried) still loads."""
+
+        def as_v1(doc):
+            doc["schema"] = "leaps-model/v1"
+            doc["svm"]["partner_rule"] = "vectorized"
+            return doc
+
+        rewrite_doc(bundle, as_v1)
+        lines = make_log(SCAN_SPECS)
+        assert LeapsDetector.load(bundle).scan_log(lines) == trained.scan_log(lines)
 
 
 def test_save_bundle_is_detector_save(trained, tmp_path):

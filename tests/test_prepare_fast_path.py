@@ -51,7 +51,6 @@ def test_memoized_assess_equals_naive_on_golden_heads(name, benign, mixed):
     fast = assessor.assess(mixed_paths)
     naive = np.asarray([assessor.event_weight(p) for p in mixed_paths])
     assert np.array_equal(fast, naive), name
-    assert np.array_equal(fast, assessor.assess_naive(mixed_paths)), name
 
 
 class TestInferManyGolden:

@@ -6,6 +6,8 @@ protocol, registry routing, backpressure, and disconnect handling all
 behave as documented in DESIGN.md §12.
 """
 
+import json
+import shutil
 import threading
 import time
 
@@ -54,10 +56,10 @@ def rows(detections):
     ]
 
 
-def serve_one(address, stream_id, lines, chunk=None, **hello):
+def serve_one(address, stream_id, lines, chunk=None, timeout=60.0, **hello):
     """Run one whole stream through a server: hello, bytes (optionally
     re-chunked to exercise mid-line frame splits), END, outcome."""
-    client = ServeClient(address)
+    client = ServeClient(address, timeout=timeout)
     client.hello(stream_id, **hello)
     payload = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
     if chunk:
@@ -262,6 +264,38 @@ class TestRegistryRouting:
             outcome = serve_one(handle.address, "lost", [], app="no-such-app")
             assert outcome.error is not None
             assert outcome.error["kind"] == "UnknownModelError"
+        finally:
+            handle.stop()
+
+    def test_malformed_bundle_yields_error_frame(
+        self, detector, bundle, tmp_path
+    ):
+        """A bundle that fails to load answers its stream with a
+        ``BundleError`` frame, and the shard goes on serving: the next
+        stream, on a good model, still gets its detections."""
+        broken = tmp_path / "broken"
+        shutil.copytree(bundle, broken)
+        doc = json.loads((broken / "bundle.json").read_text())
+        del doc["svm"]
+        (broken / "bundle.json").write_text(json.dumps(doc))
+        registry = ModelRegistry()
+        registry.register("good", "v1", bundle, default=True)
+        registry.register("broken", "v1", broken)
+        lines = make_log(SCAN_SPECS)
+        handle = start_in_thread(registry, n_shards=1, executor="thread")
+        try:
+            outcomes = {
+                app: serve_one(
+                    handle.address, f"host-{app}", lines, timeout=10.0, app=app
+                )
+                for app in ("broken", "good")
+            }
+            assert outcomes["broken"].error is not None
+            assert outcomes["broken"].error["kind"] == "BundleError"
+            assert outcomes["good"].error is None
+            assert outcomes["good"].detections == rows(
+                detector.scan_stream(lines)
+            )
         finally:
             handle.stop()
 
