@@ -15,8 +15,8 @@ malicious logs):
 2. model persistence: ``save``/``load`` wall time, bundle size, and the
    save → load → scan round trip's bit-identity with the in-memory
    detector;
-3. fleet scan: ``scan_logs`` serial vs thread-pool vs process-pool wall
-   time and result equality for the dataset's three logs.
+3. fleet scan: ``scan_logs`` serial vs process-pool wall time and
+   result equality for the dataset's three logs.
 
 Usage (from the repo root):
 
@@ -235,24 +235,16 @@ def bench_dataset(name: str, config: LeapsConfig, n_jobs: int, repeats: int) -> 
     if not roundtrip_identical:
         raise AssertionError(f"{name}: save→load→scan diverged from in-memory")
 
-    # -- fleet scan: serial vs thread vs process pools -----------------
+    # -- fleet scan: serial vs the process pool -------------------------
     paths = [str(dataset / f"{log}.log") for log in LOG_NAMES]
     serial = detector.scan_logs(paths, n_jobs=1)
     serial_s = best_of(repeats, lambda: detector.scan_logs(paths, n_jobs=1))
-    thread = detector.scan_logs(paths, n_jobs=n_jobs, executor="thread")
-    thread_s = best_of(
-        repeats,
-        lambda: detector.scan_logs(paths, n_jobs=n_jobs, executor="thread"),
-    )
-    process = detector.scan_logs(paths, n_jobs=n_jobs, executor="process")
+    process = detector.scan_logs(paths, n_jobs=n_jobs)
     process_s = best_of(
-        repeats,
-        lambda: detector.scan_logs(paths, n_jobs=n_jobs, executor="process"),
+        repeats, lambda: detector.scan_logs(paths, n_jobs=n_jobs)
     )
     fleet_identical = (
-        [r.detections for r in serial]
-        == [r.detections for r in thread]
-        == [r.detections for r in process]
+        [r.detections for r in serial] == [r.detections for r in process]
     )
     if not fleet_identical:
         raise AssertionError(f"{name}: parallel scan_logs diverged from serial")
@@ -281,7 +273,6 @@ def bench_dataset(name: str, config: LeapsConfig, n_jobs: int, repeats: int) -> 
             "n_logs": len(paths),
             "n_jobs": n_jobs,
             "serial_s": serial_s,
-            "thread_s": thread_s,
             "process_s": process_s,
             "identical": fleet_identical,
         },

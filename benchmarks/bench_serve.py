@@ -127,10 +127,10 @@ def synthetic_log(
         synth = generator.session_synth("synthetic", n_events, attack_rate, "A")
     else:
         synth = generator.benign_synth(n_events)
-    segment = synth.synthesize()
+    columns = synth.synthesize()
     text = render_text(
         synth.table.templates, synth.table.arities,
-        segment.type_ids, segment.timestamps, 0,
+        columns.type_ids, columns.timestamps, 0,
     )
     return text.decode("utf-8").splitlines()
 
@@ -536,9 +536,7 @@ def run_offline(
             path.write_text("\n".join(variant["lines"]) + "\n")
             paths.append(str(path))
         t0 = time.perf_counter()
-        results = detector.scan_logs(
-            paths, n_jobs=n_shards, executor="process", policy="drop"
-        )
+        results = detector.scan_logs(paths, n_jobs=n_shards, policy="drop")
         elapsed = time.perf_counter() - t0
     for index, result in enumerate(results):
         want = variants[index % len(variants)]["reference"]

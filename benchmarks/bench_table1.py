@@ -14,8 +14,9 @@ For every row of the 21-dataset catalog this bench
    is the minimum decision value over covering windows — and reports
    the ROC AUC of that per-event score.
 
-A separate block measures sharded generation (``n_jobs`` 1/2/4) and
-checks worker-count invariance.  Generation is timed against tmpfs
+A separate block times ``generate_catalog`` over the same rows at
+``n_jobs`` 1 and 2 (median of ``--repeats`` runs each) and checks that
+both write identical bytes.  Generation is timed against tmpfs
 (``/dev/shm`` when available) so the numbers measure synthesis, not
 the durability of the backing disk.
 
@@ -53,6 +54,7 @@ from repro.datasets.catalog import CATALOG  # noqa: E402
 from repro.datasets.generation import (  # noqa: E402
     DEFAULT_SCAN_EVENTS,
     DEFAULT_TRAIN_EVENTS,
+    generate_catalog,
     generate_dataset,
 )
 from repro.etw.capture import CAPTURE_SUFFIX, captures_byte_identical  # noqa: E402
@@ -92,7 +94,6 @@ PAPER_TABLE1 = {
 METRIC_KEYS = ("acc", "ppv", "tpr", "tnr", "npv")
 
 QUICK_DATASETS = ("vim_reverse_tcp", "putty_codeinject")
-JOBS_DATASET = "vim_reverse_tcp"
 
 
 def scratch_root() -> Path:
@@ -284,47 +285,45 @@ def bench_row(name, scratch, seed, train_events, scan_events, repeats):
     }
 
 
-def bench_jobs_scaling(scratch, seed, train_events, scan_events):
-    """Sharded generation: n_jobs 1/2/4 must be byte-identical; report
-    the wall time of each (this box may have a single core — the
-    invariance is the contract, the scaling is the bonus)."""
-    n_events = 2 * train_events + scan_events
-    reference = scratch / "jobs-ref"
+def bench_jobs_scaling(scratch, names, seed, train_events, scan_events,
+                       repeats):
+    """Catalog generation across a process pool: ``n_jobs`` 1 and 2
+    over the bench's rows must write identical bytes; report the median
+    wall time of ``repeats`` runs of each."""
+    n_events = len(names) * (2 * train_events + scan_events)
+    roots = {}
     runs = []
-    baseline = None
-    for n_jobs in (1, 2, 4):
-        dst = reference if n_jobs == 1 else scratch / f"jobs-{n_jobs}"
-        if dst.exists():
-            shutil.rmtree(dst)
-        start = time.perf_counter()
-        generate_dataset(
-            JOBS_DATASET,
-            dst,
-            seed=seed,
-            train_events=train_events,
-            scan_events=scan_events,
-            format="text",
-            n_jobs=n_jobs,
-            executor="process",
-        )
-        elapsed = time.perf_counter() - start
-        if n_jobs == 1:
-            baseline = dst
-            identical = True
-        else:
-            identical = all(
-                (dst / name).read_bytes() == (baseline / name).read_bytes()
-                for name in LOG_NAMES
+    for n_jobs in (1, 2):
+        root = roots[n_jobs] = scratch / f"jobs-{n_jobs}"
+        times = []
+        for _ in range(repeats):
+            shutil.rmtree(root, ignore_errors=True)
+            start = time.perf_counter()
+            generate_catalog(
+                root,
+                seed,
+                names=names,
+                train_events=train_events,
+                scan_events=scan_events,
+                format="both",
+                n_jobs=n_jobs,
             )
-            shutil.rmtree(dst)
+            times.append(time.perf_counter() - start)
+        seconds = float(np.median(times))
         runs.append({
             "n_jobs": n_jobs,
-            "seconds": elapsed,
-            "events_per_s": n_events / elapsed,
-            "byte_identical_with_1": identical,
+            "seconds": seconds,
+            "events_per_s": n_events / seconds,
+            "byte_identical_with_1": all(
+                datasets_byte_identical(
+                    root / f"{name}-s{seed}", roots[1] / f"{name}-s{seed}"
+                )
+                for name in names
+            ),
         })
-    shutil.rmtree(reference)
-    return {"dataset": JOBS_DATASET, "events": n_events, "runs": runs}
+    for root in roots.values():
+        shutil.rmtree(root)
+    return {"datasets": list(names), "events": n_events, "runs": runs}
 
 
 def format_table(rows) -> str:
@@ -348,7 +347,8 @@ def main(argv=None) -> int:
     parser.add_argument("--train-events", type=int, default=None)
     parser.add_argument("--scan-events", type=int, default=None)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="best-of repeats for the fast generator timing")
+                        help="repeats for the generator timings: best-of "
+                             "per row, median for the catalog pool")
     parser.add_argument("--only", action="append", default=None,
                         metavar="NAME", help="restrict to these datasets")
     parser.add_argument("--output", type=Path,
@@ -395,7 +395,7 @@ def main(argv=None) -> int:
                 flush=True,
             )
         jobs = bench_jobs_scaling(
-            scratch, args.seed, train_events, scan_events
+            scratch, names, args.seed, train_events, scan_events, repeats
         )
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

@@ -27,7 +27,6 @@ integers instead of re-hashing nested string tuples.  The
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
@@ -172,8 +171,8 @@ class CFG:
         """Graph equality: same node set and same edge→kinds mapping.
 
         Intern order (and therefore id assignment) is irrelevant — two
-        CFGs built by merging the same logs in different shard orders
-        compare equal.
+        CFGs built by merging the same logs in different orders compare
+        equal.
         """
         if not isinstance(other, CFG):
             return NotImplemented
@@ -231,12 +230,6 @@ def implicit_chain(
     return chain
 
 
-def _infer_one(paths: List[Tuple[FrameNode, ...]]) -> CFG:
-    """Module-level worker for :meth:`CFGInferencer.infer_many` — must be
-    picklable for the process executor."""
-    return CFGInferencer().infer(paths)
-
-
 class CFGInferencer:
     """Algorithm 1: build a :class:`CFG` from a sequence of app paths."""
 
@@ -270,40 +263,19 @@ class CFGInferencer:
         return cfg
 
     def infer_many(
-        self,
-        paths_iters: Iterable[Iterable[Sequence[FrameNode]]],
-        n_jobs: int = 1,
-        executor: str = "process",
+        self, paths_iters: Iterable[Iterable[Sequence[FrameNode]]]
     ) -> CFG:
         """Infer one CFG per log and merge them — the multi-log trainer.
 
         Each item of ``paths_iters`` is one log's app-path sequence;
         every log is inferred independently (implicit edges are never
         drawn *across* logs — adjacent events must come from the same
-        capture) and the partial CFGs are merged with kind sets
-        preserved.  ``n_jobs`` > 1 shards whole logs across an
-        ``executor`` pool (``"process"`` or ``"thread"``); merge order
-        is input order, and the merged graph is identical to the
-        sequential result for any worker count.
-
-        Logs (and their paths) are materialized up front: inputs may be
-        single-pass generators, and the process executor needs picklable
-        lists.
+        capture) and the partial CFGs are merged in input order with
+        kind sets preserved.
         """
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
-        if executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
-        logs = [[tuple(path) for path in paths] for paths in paths_iters]
         merged = CFG()
-        if n_jobs == 1 or len(logs) <= 1:
-            for log in logs:
-                merged.merge(self.infer(log))
-            return merged
-        pool_cls = ProcessPoolExecutor if executor == "process" else ThreadPoolExecutor
-        with pool_cls(max_workers=min(n_jobs, len(logs))) as pool:
-            for partial in pool.map(_infer_one, logs):
-                merged.merge(partial)
+        for paths in paths_iters:
+            merged.merge(self.infer(paths))
         return merged
 
     @staticmethod

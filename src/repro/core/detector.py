@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
@@ -132,9 +132,8 @@ class LeapsDetector:
         of raw lines — the same addressing as :meth:`scan_logs`.  Logs
         are parsed and coalesced independently (windows and Algorithm-1
         implicit edges never span a capture boundary); the per-log CFGs
-        are inferred in parallel over ``LeapsConfig.n_jobs`` workers and
-        merged.  With one log per class this is exactly
-        :meth:`train_from_logs`.
+        are inferred and merged in input order.  With one log per class
+        this is exactly :meth:`train_from_logs`.
         """
         return self.pipeline.train_many(
             [self._log_lines(item) for item in benign_logs],
@@ -257,7 +256,6 @@ class LeapsDetector:
         self,
         logs: Iterable[Union[str, os.PathLike, Iterable[str]]],
         n_jobs: int = 1,
-        executor: str = "process",
         policy: Optional[str] = None,
         with_reports: bool = False,
         bundle_path: Optional[Union[str, Path]] = None,
@@ -268,17 +266,13 @@ class LeapsDetector:
         of raw lines.  Results come back in input order and are
         identical to serial :meth:`scan_log` for any worker count.
 
-        ``n_jobs`` > 1 shards whole logs across an ``executor`` pool:
-        ``"process"`` saves the model to a bundle (``bundle_path``, or a
-        temporary directory) and each worker loads it once —
-        sidestepping the GIL for the kernel math; ``"thread"`` shares
-        this in-memory detector.  ``policy``/``with_reports`` expose the
-        recovering-ingestion knobs per log.
+        ``n_jobs`` > 1 shards whole logs across a process pool: the
+        model is saved to a bundle (``bundle_path``, or a temporary
+        directory) and each worker loads it once.  ``policy``/
+        ``with_reports`` expose the recovering-ingestion knobs per log.
         """
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if executor not in ("process", "thread"):
-            raise ValueError("executor must be 'process' or 'thread'")
         if self.pipeline.model is None:
             # Fail before touching any log, matching scan_log's contract.
             from repro.core.pipeline import NotTrainedError
@@ -300,18 +294,6 @@ class LeapsDetector:
                 self._scan_job(source, lines, policy, with_reports)
                 for _, source, lines in jobs
             ]
-
-        workers = min(n_jobs, len(jobs))
-        if executor == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(
-                    pool.map(
-                        lambda job: self._scan_job(
-                            job[1], job[2], policy, with_reports
-                        ),
-                        jobs,
-                    )
-                )
 
         # In-memory EventLogs that came off an on-disk capture reroute
         # as path references: the worker re-reads the columnar file
@@ -350,7 +332,7 @@ class LeapsDetector:
                 ):
                     self.save(bundle)
             with ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=min(n_jobs, len(jobs)),
                 initializer=_init_scan_worker,
                 initargs=(str(bundle), policy, with_reports),
             ) as pool:

@@ -10,10 +10,9 @@ Training accepts a *fleet* of logs per class
 (:meth:`LeapsPipeline.train_many` / ``LeapsDetector.fit_logs``): each
 log is parsed, partitioned, and window-coalesced independently (windows
 never span a log boundary, and Algorithm-1 implicit edges are never
-drawn across captures), per-log CFGs are inferred via
-``CFGInferencer.infer_many`` — sharded over ``LeapsConfig.n_jobs``
-workers with a merge that preserves edge kinds — and the per-log
-window blocks are stacked in input order.  The single-log
+drawn across captures), per-log CFGs are inferred and merged in input
+order by ``CFGInferencer.infer_many`` (the merge preserves edge kinds),
+and the per-log window blocks are stacked in input order.  The single-log
 :meth:`LeapsPipeline.train` is the one-log special case of the same
 code path.
 
@@ -166,12 +165,8 @@ class LeapsPipeline:
         # Algorithm 1 per log, merged per class; Algorithm 2 against the
         # merged benign CFG.
         started = clock()
-        self.benign_cfg = self.inferencer.infer_many(
-            benign_path_logs, n_jobs=config.n_jobs, executor=config.cv_executor
-        )
-        self.mixed_cfg = self.inferencer.infer_many(
-            mixed_path_logs, n_jobs=config.n_jobs, executor=config.cv_executor
-        )
+        self.benign_cfg = self.inferencer.infer_many(benign_path_logs)
+        self.mixed_cfg = self.inferencer.infer_many(mixed_path_logs)
         timings.append(("cfg_inference", clock() - started))
 
         started = clock()

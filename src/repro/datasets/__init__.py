@@ -11,11 +11,7 @@ from repro.datasets.catalog import (
     ONLINE_DATASETS,
     DatasetSpec,
 )
-from repro.datasets.fastgen import (
-    SessionSynth,
-    segment_bounds,
-    stream_words,
-)
+from repro.datasets.fastgen import SessionSynth, stream_words
 from repro.datasets.generation import (
     DEFAULT_SCAN_EVENTS,
     DEFAULT_TRAIN_EVENTS,
@@ -47,6 +43,5 @@ __all__ = [
     "SessionSynth",
     "generate_catalog",
     "generate_dataset",
-    "segment_bounds",
     "stream_words",
 ]

@@ -80,6 +80,8 @@ def main(argv=None) -> int:
 
     if args.scale <= 0:
         parser.error("--scale must be positive")
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     params = dict(
         names=args.only,
         train_events=int(round(args.train_events * args.scale)),

@@ -12,12 +12,10 @@ tid), and a session then becomes a handful of numpy gathers over an
 
 Determinism: counter-based word streams
 ---------------------------------------
-Sequential ``random.Random(<tag string>)`` draws would make event *i*'s
-draw depend on having consumed draws ``0..i-1``, so a segment of events
-could not be synthesized without replaying everything before it.
-Per-event draws instead come from **counter-based Philox streams**
-(shared with the per-event tracer oracle in
-``tests/oracles/generation.py``, which reads them one word at a time):
+Per-event draws come from **counter-based Philox streams** (shared
+with the per-event tracer oracle in ``tests/oracles/generation.py``,
+which reads them one word at a time, and pinned by
+``tests/generation_digests.json``):
 
 * a stream is named by a role-qualified tag string; its 128-bit Philox
   key is the first 16 bytes of ``SHA-512(tag)`` — the same
@@ -25,19 +23,16 @@ Per-event draws instead come from **counter-based Philox streams**
   tags used;
 * :func:`stream_words` returns words ``[start, stop)`` of the tag's
   infinite uint64 stream by seeking the Philox counter to the
-  containing 4-word block — any slice costs O(slice), independent of
-  its position;
+  containing 4-word block;
 * each per-event draw is **indexed**, not sequential: clock jitter by
   global event index, steady-state operation picks by steady ordinal,
   call-path picks by benign ordinal, beacon picks by beacon ordinal.
 
-Indexed draws are what make sharded generation byte-identical for any
-worker count: a segment ``[s, e)`` reads exactly the words its ordinals
-name, wherever the segment boundaries fall (DESIGN.md §13).
+Indexed draws let the synthesizer fetch each role's words in one
+vector call while the oracle walks the same words with scalar cursors.
 
 One-shot draws (burst sizes/positions, payload encoding, image layout)
-stay on ``random.Random(<tag>)`` — they are computed identically by
-every worker before segmentation begins.
+stay on ``random.Random(<tag>)``.
 """
 
 from __future__ import annotations
@@ -79,8 +74,7 @@ def stream_words(tag: str, start: int, stop: int) -> np.ndarray:
     """Words ``[start, stop)`` of ``tag``'s infinite uint64 stream.
 
     Seekable: the Philox counter is advanced to the containing 4-word
-    block, so the cost is O(stop - start) regardless of ``start`` —
-    the property that makes segment synthesis position-independent.
+    block, so the cost is O(stop - start) regardless of ``start``.
     """
     if stop <= start:
         return np.zeros(0, dtype=np.uint64)
@@ -127,10 +121,9 @@ def pick_indices(
 class BurstLayout:
     """Attack-burst placement of one session in global event indices.
 
-    Computed once per session from one-shot ``random.Random`` draws (so
-    it is identical in every worker); everything downstream
-    — masks, ordinals, labels, segment snapping — derives from it by
-    arithmetic.
+    Computed once per session from one-shot ``random.Random`` draws;
+    everything downstream — the attack mask, ordinals, labels — derives
+    from it by arithmetic.
     """
 
     n_events: int
@@ -141,14 +134,6 @@ class BurstLayout:
     starts: np.ndarray
     #: events per burst
     sizes: np.ndarray
-
-    @property
-    def n_attack(self) -> int:
-        return int(self.sizes.sum()) if len(self.sizes) else 0
-
-    @property
-    def ends(self) -> np.ndarray:
-        return self.starts + self.sizes
 
     def attack_eids(self) -> np.ndarray:
         """Every attack event's global index, ascending."""
@@ -163,27 +148,10 @@ class BurstLayout:
             ]
         )
 
-    def attack_count_before(self, pos: int) -> int:
-        """Attack events strictly before global index ``pos``."""
-        j = int(np.searchsorted(self.starts, pos, side="left"))
-        before = int(self.sizes[:j].sum())
-        if j > 0:
-            overhang = int(self.ends[j - 1]) - pos
-            if overhang > 0:
-                before -= overhang
-        return before
-
-    def attack_mask(self, start: int, stop: int) -> np.ndarray:
-        """Boolean mask over ``[start, stop)``: True on attack events."""
-        mask = np.zeros(stop - start, dtype=bool)
-        ends = self.ends
-        j0 = int(np.searchsorted(ends, start, side="right"))
-        j1 = int(np.searchsorted(self.starts, stop, side="left"))
-        for j in range(j0, j1):
-            lo = max(int(self.starts[j]), start)
-            hi = min(int(ends[j]), stop)
-            if lo < hi:
-                mask[lo - start:hi - start] = True
+    def attack_mask(self) -> np.ndarray:
+        """Boolean mask over the session: True on attack events."""
+        mask = np.zeros(self.n_events, dtype=bool)
+        mask[self.attack_eids()] = True
         return mask
 
 
@@ -403,12 +371,7 @@ def build_emission_table(
 
 @dataclass
 class SessionSynth:
-    """One session's deterministic column synthesizer.
-
-    ``columns(s, e)`` materializes any half-open segment of the session
-    independently of every other segment — segment workers need only
-    this object's (small, picklable) state.
-    """
+    """One session's deterministic column synthesizer."""
 
     table: EmissionTable
     layout: BurstLayout
@@ -421,138 +384,64 @@ class SessionSynth:
     def n_events(self) -> int:
         return self.layout.n_events
 
-    def type_ids(self, start: int, stop: int) -> np.ndarray:
-        """Emission-type id of every event in ``[start, stop)``."""
+    def type_ids(self) -> np.ndarray:
+        """Emission-type id of every event."""
         table, layout = self.table, self.layout
-        n = stop - start
-        out = np.empty(n, dtype=np.int64)
-        attack = layout.attack_mask(start, stop)
+        out = np.empty(layout.n_events, dtype=np.int64)
+        attack = layout.attack_mask()
         benign_pos = np.flatnonzero(~attack)
         attack_pos = np.flatnonzero(attack)
 
-        # Benign events: ordinals are consecutive across the segment.
-        if len(benign_pos):
-            first_ord = (start - layout.attack_count_before(start)) + 0
-            ords = first_ord + np.arange(len(benign_pos), dtype=np.int64)
-            op_idx = np.empty(len(ords), dtype=np.int64)
-            n_startup = len(table.startup_ops)
-            n_steady = layout.n_steady
-            in_startup = ords < n_startup
-            in_steady = (~in_startup) & (ords < n_startup + n_steady)
-            in_shutdown = ords >= n_startup + n_steady
-            if in_startup.any():
-                op_idx[in_startup] = table.startup_ops[ords[in_startup]]
-            if in_steady.any():
-                steady_ords = ords[in_steady] - n_startup
-                words = stream_words(
-                    self.op_tag,
-                    int(steady_ords[0]),
-                    int(steady_ords[-1]) + 1,
-                )
-                op_idx[in_steady] = table.steady_ops[
-                    pick_indices(table.steady_cum, table.steady_total, words)
-                ]
-            if in_shutdown.any():
-                op_idx[in_shutdown] = table.shutdown_ops[
-                    ords[in_shutdown] - n_startup - n_steady
-                ]
-            # One path word per benign event, multi-path or not, so the
-            # path stream stays indexable by benign ordinal.
-            path_words = stream_words(
-                self.path_tag, int(ords[0]), int(ords[-1]) + 1
-            )
-            path_idx = (
-                path_words % table.op_npaths[op_idx].astype(np.uint64)
-            ).astype(np.int64)
-            out[benign_pos] = table.op_base[op_idx] + path_idx
+        # Benign events in ordinal order: the scripted startup ops, one
+        # weighted pick per steady slot, the scripted shutdown ops.
+        steady_words = stream_words(self.op_tag, 0, layout.n_steady)
+        op_idx = np.concatenate([
+            table.startup_ops,
+            table.steady_ops[
+                pick_indices(table.steady_cum, table.steady_total, steady_words)
+            ],
+            table.shutdown_ops,
+        ])
+        # One path word per benign event, multi-path or not, so the
+        # path stream stays indexable by benign ordinal.
+        path_words = stream_words(self.path_tag, 0, len(benign_pos))
+        path_idx = (
+            path_words % table.op_npaths[op_idx].astype(np.uint64)
+        ).astype(np.int64)
+        out[benign_pos] = table.op_base[op_idx] + path_idx
 
-        # Attack events: ordinals are likewise consecutive.
-        if len(attack_pos):
-            first_ord = layout.attack_count_before(start) + 0
-            ords = first_ord + np.arange(len(attack_pos), dtype=np.int64)
-            n_setup = len(table.setup_types)
-            in_setup = ords < n_setup
-            atk = np.empty(len(ords), dtype=np.int64)
-            if in_setup.any():
-                atk[in_setup] = table.setup_types[ords[in_setup]]
-            in_beacon = ~in_setup
-            if in_beacon.any():
-                beacon_ords = ords[in_beacon] - n_setup
-                words = stream_words(
-                    self.beacon_tag,
-                    int(beacon_ords[0]),
-                    int(beacon_ords[-1]) + 1,
-                )
-                atk[in_beacon] = table.beacon_types[
-                    pick_indices(table.beacon_cum, table.beacon_total, words)
-                ]
-            out[attack_pos] = atk
+        # Attack events in ordinal order: the setup ops, then one
+        # weighted beacon pick per remaining attack event.
+        n_setup = min(len(table.setup_types), len(attack_pos))
+        beacon_words = stream_words(
+            self.beacon_tag, 0, len(attack_pos) - n_setup
+        )
+        out[attack_pos] = np.concatenate([
+            table.setup_types[:n_setup],
+            table.beacon_types[
+                pick_indices(table.beacon_cum, table.beacon_total, beacon_words)
+            ],
+        ])
         return out
 
-    def clock_base(self, pos: int) -> int:
-        """Clock value after the first ``pos`` events (sum of their
-        jitters); O(pos) but fully vectorized."""
-        if pos <= 0:
-            return 0
-        return int(
-            jitter_from_words(stream_words(self.clock_tag, 0, pos)).sum()
+    def timestamps(self) -> np.ndarray:
+        """Event timestamps (µs): the running sum of per-event jitter."""
+        return np.cumsum(
+            jitter_from_words(stream_words(self.clock_tag, 0, self.n_events))
         )
 
-    def timestamps(
-        self, start: int, stop: int, clock_base: Optional[int] = None
-    ) -> np.ndarray:
-        """Event timestamps for ``[start, stop)`` (µs, cumulative)."""
-        if clock_base is None:
-            clock_base = self.clock_base(start)
-        jitter = jitter_from_words(stream_words(self.clock_tag, start, stop))
-        return clock_base + np.cumsum(jitter)
-
-    def columns(
-        self, start: int, stop: int, clock_base: Optional[int] = None
-    ) -> "SegmentColumns":
-        type_ids = self.type_ids(start, stop)
-        return SegmentColumns(
-            start=start,
-            type_ids=type_ids,
-            timestamps=self.timestamps(start, stop, clock_base),
+    def synthesize(self) -> "SessionColumns":
+        return SessionColumns(
+            type_ids=self.type_ids(), timestamps=self.timestamps()
         )
-
-    def synthesize(self) -> "SegmentColumns":
-        return self.columns(0, self.n_events, clock_base=0)
 
 
 @dataclass
-class SegmentColumns:
-    """Synthesized per-event columns of one contiguous segment."""
+class SessionColumns:
+    """Synthesized per-event columns of one session."""
 
-    start: int
     type_ids: np.ndarray
     timestamps: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.type_ids)
-
-
-def segment_bounds(
-    layout: BurstLayout, segment_events: int
-) -> List[Tuple[int, int]]:
-    """Half-open segment bounds covering the session, each boundary
-    snapped forward past any attack burst it would split — bursts never
-    span segments, so a rendered segment is a self-contained block of
-    whole bursts and benign runs."""
-    n = layout.n_events
-    if segment_events <= 0:
-        raise ValueError("segment_events must be positive")
-    cuts = [0]
-    ends = layout.ends
-    for raw in range(segment_events, n, segment_events):
-        j = int(np.searchsorted(layout.starts, raw, side="left"))
-        if j > 0 and raw < int(ends[j - 1]):
-            raw = int(ends[j - 1])
-        if cuts[-1] < raw < n:
-            cuts.append(raw)
-    cuts.append(n)
-    return list(zip(cuts, cuts[1:]))
 
 
 # -- sinks: text rendering and event columns ---------------------------
@@ -565,7 +454,7 @@ def render_text(
     timestamps: np.ndarray,
     start_eid: int,
 ) -> bytes:
-    """Render one segment to raw-log bytes — byte-identical to
+    """Render a run of events to raw-log bytes — byte-identical to
     ``serialize_events`` over the equivalent ``EventRecord`` list.
     Templates are UTF-8 bytes: ``bytes.__mod__`` substitutes the ints
     as ASCII digits, so nothing is re-encoded afterwards."""
@@ -581,12 +470,6 @@ def render_text(
             % ((eid, timestamp) + (eid,) * arity_list[type_id])
         )
     return b"".join(parts)
-
-
-def render_segment_job(job) -> bytes:
-    """Pool-friendly wrapper: one tuple in, one rendered chunk out."""
-    templates, arities, type_ids, timestamps, start_eid = job
-    return render_text(templates, arities, type_ids, timestamps, start_eid)
 
 
 def to_event_columns(

@@ -27,19 +27,17 @@ labels (``tests/test_fastgen.py``, ``benchmarks/bench_table1.py``).
 Determinism contract
 --------------------
 Byte-identical output for a fixed ``(name, seed)`` across interpreter
-processes, platforms, and worker counts:
+processes, platforms, and :func:`generate_catalog` worker counts:
 
 * per-event draws (clock jitter, steady-op picks, call-path picks,
   beacon picks) come from counter-based Philox word streams keyed by
   SHA-512 of role-qualified tag strings and **indexed by ordinal**
-  (event index / steady ordinal / benign ordinal / beacon ordinal), so
-  any segment of a session reads exactly its own words — see
-  :mod:`repro.datasets.fastgen`;
+  (event index / steady ordinal / benign ordinal / beacon ordinal) —
+  see :mod:`repro.datasets.fastgen`;
 * one-shot draws (burst sizes and positions, payload encoding, image
   layout) still flow from ``random.Random(<string>)`` instances seeded
   with role-qualified strings (string seeding hashes via SHA-512
-  inside CPython, independent of ``PYTHONHASHSEED``) and are computed
-  identically by every worker;
+  inside CPython, independent of ``PYTHONHASHSEED``);
 * builtin ``hash()`` is never used (it varies with ``PYTHONHASHSEED``);
 * files are written via binary handles with ``\\n`` separators, so no
   platform newline translation applies.
@@ -53,7 +51,7 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -67,8 +65,7 @@ from repro.datasets.fastgen import (
     SessionSynth,
     build_burst_layout,
     build_emission_table,
-    render_segment_job,
-    segment_bounds,
+    render_text,
     to_event_columns,
 )
 from repro.etw.capture import CAPTURE_SUFFIX, write_capture_columns
@@ -97,12 +94,10 @@ DEFAULT_SCAN_EVENTS = 2000
 LOG_NAMES = ("benign.log", "mixed.log", "malicious.log")
 
 OUTPUT_FORMATS = ("text", "capture", "both")
-EXECUTORS = ("process", "thread")
 
-#: Events per render segment — small enough that text
-#: output streams in bounded chunks, large enough that per-segment
-#: overhead (stream seeks, pool dispatch) stays negligible.
-SEGMENT_EVENTS = 8192
+#: Events per rendered text chunk — bounds the text held in memory
+#: while a log is written.
+RENDER_CHUNK_EVENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -275,42 +270,20 @@ def _capture_source(spec: DatasetSpec, seed, log_name: str) -> dict:
     }
 
 
-def _render_session_text(synth: SessionSynth, segment, pool=None):
-    """Rendered text chunks of one synthesized session, in order.
-
-    Segments are bounded by :func:`~repro.datasets.fastgen.segment_bounds`
-    (bursts never span a boundary) and rendered independently — across
-    ``pool`` when given — then concatenated in order, so output bytes
-    are invariant to ``n_jobs``.
-    """
-    bounds = segment_bounds(synth.layout, SEGMENT_EVENTS)
+def _render_session_text(synth: SessionSynth, columns):
+    """Rendered text of one synthesized session, in
+    ``RENDER_CHUNK_EVENTS``-event chunks."""
     templates = synth.table.templates
     arities = synth.table.arities.tolist()
-    jobs = [
-        (
+    for start in range(0, synth.n_events, RENDER_CHUNK_EVENTS):
+        stop = start + RENDER_CHUNK_EVENTS
+        yield render_text(
             templates,
             arities,
-            segment.type_ids[start:stop],
-            segment.timestamps[start:stop],
+            columns.type_ids[start:stop],
+            columns.timestamps[start:stop],
             start,
         )
-        for start, stop in bounds
-    ]
-    if pool is None:
-        return map(render_segment_job, jobs)
-    return pool.map(render_segment_job, jobs)
-
-
-def _make_pool(n_jobs: int, executor: str):
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected {EXECUTORS}"
-        )
-    if n_jobs <= 1:
-        return None
-    if executor == "thread":
-        return ThreadPoolExecutor(max_workers=n_jobs)
-    return ProcessPoolExecutor(max_workers=n_jobs)
 
 
 def _resolve_spec(name: Union[str, DatasetSpec]) -> DatasetSpec:
@@ -364,8 +337,6 @@ def generate_dataset(
     train_events: int = DEFAULT_TRAIN_EVENTS,
     scan_events: int = DEFAULT_SCAN_EVENTS,
     format: str = "text",
-    n_jobs: int = 1,
-    executor: str = "process",
 ) -> GeneratedDataset:
     """Generate one dataset into ``dst`` (created if needed).
 
@@ -374,8 +345,7 @@ def generate_dataset(
     ``"text"`` writes the three ``.log`` files, ``"capture"`` writes
     ``.leapscap`` columnar captures directly from synthesized columns
     (no text round-trip), ``"both"`` writes both.  ``labels.json`` is
-    always written.  ``n_jobs``/``executor`` shard text rendering;
-    output bytes are identical for every (n_jobs, executor) combination.
+    always written.
     """
     spec = _resolve_spec(name)
     if format not in OUTPUT_FORMATS:
@@ -394,42 +364,35 @@ def generate_dataset(
         ("malicious.log", scan_events, MALICIOUS_ATTACK_RATE, "B"),
     ]
     logs: Dict[str, GeneratedLog] = {}
-    pool = _make_pool(n_jobs, executor)
-    try:
-        for log_name, n_events, attack_rate, build_id in plans:
-            stem = log_name[: -len(".log")]
-            log_path = dst / log_name
-            capture_path = dst / f"{stem}{CAPTURE_SUFFIX}"
-            if build_id:
-                synth = generator.session_synth(
-                    stem, n_events, attack_rate, build_id
-                )
-            else:
-                synth = generator.benign_synth(n_events)
-            segment = synth.synthesize()
-            if write_text:
-                _write_rendered(
-                    log_path, _render_session_text(synth, segment, pool)
-                )
-            if write_capture:
-                cols = to_event_columns(
-                    synth.table, segment.type_ids, segment.timestamps
-                )
-                write_capture_columns(
-                    capture_path,
-                    cols,
-                    source=_capture_source(spec, seed, log_name),
-                )
-            logs[log_name] = GeneratedLog(
-                path=log_path,
-                n_events=synth.n_events,
-                attack_eids=tuple(synth.layout.attack_eids().tolist()),
-                build_id=build_id,
-                capture_path=capture_path if write_capture else None,
+    for log_name, n_events, attack_rate, build_id in plans:
+        stem = log_name[: -len(".log")]
+        log_path = dst / log_name
+        capture_path = dst / f"{stem}{CAPTURE_SUFFIX}"
+        if build_id:
+            synth = generator.session_synth(
+                stem, n_events, attack_rate, build_id
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        else:
+            synth = generator.benign_synth(n_events)
+        columns = synth.synthesize()
+        if write_text:
+            _write_rendered(log_path, _render_session_text(synth, columns))
+        if write_capture:
+            cols = to_event_columns(
+                synth.table, columns.type_ids, columns.timestamps
+            )
+            write_capture_columns(
+                capture_path,
+                cols,
+                source=_capture_source(spec, seed, log_name),
+            )
+        logs[log_name] = GeneratedLog(
+            path=log_path,
+            n_events=synth.n_events,
+            attack_eids=tuple(synth.layout.attack_eids().tolist()),
+            build_id=build_id,
+            capture_path=capture_path if write_capture else None,
+        )
 
     _write_labels(dst, spec, seed, train_events, scan_events, logs)
     return GeneratedDataset(spec=spec, seed=seed, root=dst, logs=logs)
@@ -453,12 +416,17 @@ def generate_catalog(
     """Generate named datasets (default: all 21) under
     ``root/<name>-s<seed>/``.
 
-    ``n_jobs > 1`` generates datasets across a process pool — rows are
-    independent, so this parallelizes across the catalog rather than
-    within one session.
+    ``n_jobs > 1`` generates whole datasets across a process pool; the
+    bytes are identical for every worker count.  Names and ``n_jobs``
+    are checked before anything is written.
     """
-    root = Path(root)
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be >= 1")
     selected = list(names) if names else list(CATALOG)
+    unknown = [name for name in selected if name not in CATALOG]
+    if unknown:
+        raise ValueError(f"unknown dataset(s): {', '.join(unknown)}")
+    root = Path(root)
     kwargs = dict(
         train_events=train_events,
         scan_events=scan_events,
@@ -468,7 +436,7 @@ def generate_catalog(
         (name, root / f"{name}-s{seed}", seed, kwargs) for name in selected
     ]
     results: Dict[str, GeneratedDataset] = {}
-    if n_jobs <= 1 or len(jobs) <= 1:
+    if n_jobs == 1 or len(jobs) <= 1:
         for job in jobs:
             name, dataset = _generate_catalog_entry(job)
             results[name] = dataset

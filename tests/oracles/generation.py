@@ -179,7 +179,7 @@ def trace_session(
     attack_eids: List[int] = []
     benign_ordinal = 0
     attack_ordinal = 0
-    for is_attack in layout.attack_mask(0, layout.n_events).tolist():
+    for is_attack in layout.attack_mask().tolist():
         if is_attack:
             event = attack_plan.emit(tracer, attack_ordinal)
             attack_ordinal += 1

@@ -258,23 +258,9 @@ class TestInferMany:
             self.LOG1
         )
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    @pytest.mark.parametrize("n_jobs", [1, 2, 4])
-    def test_parallel_identical_to_sequential(self, n_jobs, executor):
-        merged = CFGInferencer().infer_many(
-            [self.LOG1, self.LOG2], n_jobs=n_jobs, executor=executor
-        )
-        assert merged == self.sequential()
-
     def test_accepts_generators(self):
         logs = (iter(log) for log in (self.LOG1, self.LOG2))
         assert CFGInferencer().infer_many(logs) == self.sequential()
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            CFGInferencer().infer_many([self.LOG1], n_jobs=0)
-        with pytest.raises(ValueError):
-            CFGInferencer().infer_many([self.LOG1], executor="fiber")
 
     def test_empty_input_yields_empty_cfg(self):
         merged = CFGInferencer().infer_many([])

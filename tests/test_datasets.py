@@ -19,6 +19,7 @@ from repro.datasets import (
     MIXED_ATTACK_RATE,
     OFFLINE_DATASETS,
     ONLINE_DATASETS,
+    generate_catalog,
     generate_dataset,
 )
 from repro.datasets.__main__ import main as datasets_main
@@ -47,6 +48,25 @@ class TestCatalog:
         assert len(OFFLINE_DATASETS) == 13
         assert len(ONLINE_DATASETS) == 8
         assert set(OFFLINE_DATASETS) | set(ONLINE_DATASETS) == set(CATALOG)
+
+    def test_generate_catalog_rejects_unknown_names_before_writing(
+        self, tmp_path
+    ):
+        with pytest.raises(ValueError, match="vim_codeinjct"):
+            generate_catalog(
+                tmp_path, names=["vim_codeinject", "vim_codeinjct"], **SMALL
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_jobs", [0, -2])
+    def test_generate_catalog_rejects_bad_n_jobs_before_writing(
+        self, tmp_path, n_jobs
+    ):
+        with pytest.raises(ValueError, match="n_jobs must be >= 1"):
+            generate_catalog(
+                tmp_path, names=["vim_codeinject"], n_jobs=n_jobs, **SMALL
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_names_follow_the_table_convention(self):
         for name, spec in CATALOG.items():
@@ -185,3 +205,14 @@ class TestDeterminism:
             "--train-events", "300", "--scan-events", "200",
         ]) == 0
         assert "selfcheck OK" in capsys.readouterr().out
+
+    def test_cli_rejects_jobs_below_one(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            datasets_main([
+                "--out", str(tmp_path), "--only", "vim_codeinject",
+                "--train-events", "300", "--scan-events", "200",
+                "--jobs", "0",
+            ])
+        assert exit_info.value.code == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,6 @@
 """Generation fast path: the vectorized columnar synthesizer must be
 byte-identical to the per-event tracer (text, captures, labels), for
-any worker count and any segmentation.
+any render chunking and any catalog worker count.
 
 The tracer is the oracle (``tests/oracles/generation.py``): it walks
 one event at a time through EventTracer with scalar cursors over the
@@ -15,16 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import generation
 from repro.datasets.catalog import CATALOG, DatasetSpec
 from repro.datasets.fastgen import (
     pick_indices,
-    segment_bounds,
+    render_text,
     stream_words,
     unit_floats,
 )
 from repro.datasets.generation import (
     MIXED_ATTACK_RATE,
     ScenarioGenerator,
+    generate_catalog,
     generate_dataset,
 )
 from repro.etw.capture import CAPTURE_SUFFIX, captures_byte_identical
@@ -164,23 +166,31 @@ class TestPinnedDigests:
 
 
 class TestWorkerInvariance:
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    @pytest.mark.parametrize("n_jobs", [1, 2])
-    def test_sharded_equals_serial(self, tmp_path, n_jobs, executor):
-        reference = generate_dataset(
-            "vim_reverse_tcp", tmp_path / "ref", train_events=TRAIN_EVENTS,
-            scan_events=SCAN_EVENTS, format="text",
-        )
-        sharded = generate_dataset(
-            "vim_reverse_tcp", tmp_path / f"j{n_jobs}-{executor}",
-            train_events=TRAIN_EVENTS, scan_events=SCAN_EVENTS,
-            format="text", n_jobs=n_jobs, executor=executor,
-        )
-        assert dataset_bytes(sharded.root) == dataset_bytes(reference.root)
+    """The catalog pool: whole datasets across processes."""
+
+    def test_catalog_pool_equals_serial(self, tmp_path):
+        runs = {
+            n_jobs: generate_catalog(
+                tmp_path / f"j{n_jobs}", names=SUBSET,
+                train_events=TRAIN_EVENTS, scan_events=SCAN_EVENTS,
+                format="both", n_jobs=n_jobs,
+            )
+            for n_jobs in (1, 2)
+        }
+        assert list(runs[2]) == list(SUBSET)
+        for name in SUBSET:
+            serial, pooled = runs[1][name].root, runs[2][name].root
+            assert dataset_bytes(pooled) == dataset_bytes(serial), name
+            for log_name in LOG_NAMES:
+                assert captures_byte_identical(
+                    (pooled / log_name).with_suffix(CAPTURE_SUFFIX),
+                    (serial / log_name).with_suffix(CAPTURE_SUFFIX),
+                ), (name, log_name)
 
 
 class TestSegmentation:
-    """Segment-merged synthesis equals single-shot at any boundaries."""
+    """Text rendered in chunks cut anywhere equals the single-shot
+    render: logs longer than one render chunk concatenate exactly."""
 
     @pytest.fixture(scope="class")
     def synth(self):
@@ -191,41 +201,43 @@ class TestSegmentation:
 
     @pytest.fixture(scope="class")
     def whole(self, synth):
-        return synth.synthesize()
+        columns = synth.synthesize()
+        return columns, render_text(
+            synth.table.templates, synth.table.arities,
+            columns.type_ids, columns.timestamps, 0,
+        )
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_random_cuts_merge_to_single_shot(self, synth, whole, data):
+        columns, text = whole
         n = synth.n_events
         cuts = sorted(
             data.draw(
                 st.sets(st.integers(min_value=1, max_value=n - 1), max_size=6)
             )
         )
-        bounds = list(zip([0] + cuts, cuts + [n]))
-        type_ids = np.concatenate(
-            [synth.type_ids(a, b) for a, b in bounds]
-        )
-        timestamps = np.concatenate(
-            [synth.timestamps(a, b) for a, b in bounds]
-        )
-        assert np.array_equal(type_ids, whole.type_ids)
-        assert np.array_equal(timestamps, whole.timestamps)
+        chunks = [
+            render_text(
+                synth.table.templates, synth.table.arities,
+                columns.type_ids[a:b], columns.timestamps[a:b], a,
+            )
+            for a, b in zip([0] + cuts, cuts + [n])
+        ]
+        assert b"".join(chunks) == text
 
-    @settings(max_examples=25, deadline=None)
-    @given(segment_events=st.integers(min_value=1, max_value=700))
-    def test_segment_bounds_cover_and_respect_bursts(
-        self, synth, segment_events
+    def test_small_render_chunks_write_the_same_logs(
+        self, tmp_path, monkeypatch
     ):
-        bounds = segment_bounds(synth.layout, segment_events)
-        assert bounds[0][0] == 0 and bounds[-1][1] == synth.n_events
-        for (_, a_stop), (b_start, _) in zip(bounds, bounds[1:]):
-            assert a_stop == b_start
-        starts = synth.layout.starts
-        ends = synth.layout.ends
-        for _, stop in bounds[:-1]:
-            inside = (starts < stop) & (stop < ends)
-            assert not inside.any(), f"cut {stop} splits a burst"
+        kwargs = dict(
+            train_events=TRAIN_EVENTS, scan_events=SCAN_EVENTS, format="text"
+        )
+        whole = generate_dataset("vim_reverse_tcp", tmp_path / "whole", **kwargs)
+        monkeypatch.setattr(generation, "RENDER_CHUNK_EVENTS", 7)
+        chunked = generate_dataset(
+            "vim_reverse_tcp", tmp_path / "chunked", **kwargs
+        )
+        assert dataset_bytes(chunked.root) == dataset_bytes(whole.root)
 
 
 class TestGenerateDatasetSurface:

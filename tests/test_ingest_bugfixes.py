@@ -155,7 +155,7 @@ class TestStaleBundleRewrite:
         bundle = tmp_path / "shared-bundle"
 
         first = detector.scan_logs(
-            paths, n_jobs=2, executor="process", bundle_path=bundle
+            paths, n_jobs=2, bundle_path=bundle
         )
         fingerprint = bundle_fingerprint(bundle)
         assert fingerprint == pipeline_fingerprint(detector.pipeline)
@@ -165,7 +165,7 @@ class TestStaleBundleRewrite:
         assert pipeline_fingerprint(detector.pipeline) != fingerprint
 
         second = detector.scan_logs(
-            paths, n_jobs=2, executor="process", bundle_path=bundle
+            paths, n_jobs=2, bundle_path=bundle
         )
         # the bundle was rewritten for the retrained model ...
         assert bundle_fingerprint(bundle) == pipeline_fingerprint(
@@ -192,7 +192,7 @@ class TestStaleBundleRewrite:
         assert bundle_fingerprint(bundle) is None
 
         results = detector.scan_logs(
-            paths, n_jobs=2, executor="process", bundle_path=bundle
+            paths, n_jobs=2, bundle_path=bundle
         )
         assert bundle_fingerprint(bundle) == pipeline_fingerprint(
             detector.pipeline

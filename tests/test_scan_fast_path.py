@@ -3,7 +3,7 @@
 The fast path must be invisible in the results: ``transform`` equals
 stacked ``transform_event`` rows bit for bit, ``scan_log`` equals the
 streaming scan, and ``scan_logs`` returns the same detections for any
-worker count or executor flavor.
+worker count.
 """
 
 import numpy as np
@@ -128,11 +128,11 @@ class TestFleetScan:
             with open(path) as handle:
                 assert result.detections == detector.scan_log(handle)
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    @pytest.mark.parametrize("n_jobs", [2, 3])
-    def test_parallel_equals_serial(self, detector, fleet, executor, n_jobs):
+    # the fleet scan's pool is a process pool
+    @pytest.mark.parametrize("n_jobs", [2, 3], ids=["2-process", "3-process"])
+    def test_parallel_equals_serial(self, detector, fleet, n_jobs):
         serial = detector.scan_logs(fleet)
-        parallel = detector.scan_logs(fleet, n_jobs=n_jobs, executor=executor)
+        parallel = detector.scan_logs(fleet, n_jobs=n_jobs)
         assert [r.source for r in parallel] == [r.source for r in serial]
         assert [r.detections for r in parallel] == [r.detections for r in serial]
 
@@ -166,8 +166,7 @@ class TestFleetScan:
         path = tmp_path / "a.log"
         path.write_text("\n".join(lines) + "\n")
         results = detector.scan_logs(
-            [str(path), str(path)], n_jobs=2, executor="process",
-            with_reports=True,
+            [str(path), str(path)], n_jobs=2, with_reports=True,
         )
         for result in results:
             assert result.report.events_yielded == len(SCAN_SPECS)
@@ -182,8 +181,6 @@ class TestFleetScan:
     def test_rejects_bad_arguments(self, detector, fleet):
         with pytest.raises(ValueError, match="n_jobs"):
             detector.scan_logs(fleet, n_jobs=0)
-        with pytest.raises(ValueError, match="executor"):
-            detector.scan_logs(fleet, executor="fiber")
 
     def test_untrained_raises_before_reading_logs(self):
         with pytest.raises(NotTrainedError):
@@ -214,9 +211,7 @@ class TestGoldenFleetScan:
             for log in ("benign.log", "mixed.log", "malicious.log")
         ]
         serial = detector.scan_logs(paths)
-        thread = detector.scan_logs(paths, n_jobs=2, executor="thread")
-        process = detector.scan_logs(paths, n_jobs=2, executor="process")
-        assert [r.detections for r in serial] == [r.detections for r in thread]
+        process = detector.scan_logs(paths, n_jobs=2)
         assert [r.detections for r in serial] == [r.detections for r in process]
         assert all(r.detections for r in serial)
 
@@ -245,16 +240,14 @@ class TestCaptureFleetScan:
         _, path, capture = capture_fixture
         assert capture.events.source == path
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
     def test_capture_eventlog_parallel_equals_serial(
-        self, detector, capture_fixture, executor
+        self, detector, capture_fixture, n_jobs
     ):
         lines, path, capture = capture_fixture
         want = detector.scan_log(lines)
         results = detector.scan_logs(
-            [capture.events, path, lines],
-            n_jobs=2,
-            executor=executor,
+            [capture.events, path, lines], n_jobs=n_jobs
         )
         assert [r.detections for r in results] == [want, want, want]
         # the rerouted EventLog keeps its capture provenance
