@@ -186,17 +186,14 @@ def bench_corpus(
         )
 
         # -- writer: naive loop vs vectorized assembly -----------------
-        # (same parsed events, columns sidecar warm — the convert path)
-        col_events = parse_fast(
-            text_path.read_bytes(), policy="drop", columns=True
-        )
+        # (the parsed events above — the convert path)
         naive_dir = Path(scratch) / "naive.leapscap"
         vec_dir = Path(scratch) / "vec.leapscap"
         write_naive_s = best_of(
-            repeats, lambda: write_capture_naive(naive_dir, col_events)
+            repeats, lambda: write_capture_naive(naive_dir, text_events)
         )
         write_vec_s = best_of(
-            repeats, lambda: write_capture(vec_dir, col_events)
+            repeats, lambda: write_capture(vec_dir, text_events)
         )
         writer_identical = captures_byte_identical(naive_dir, vec_dir)
         if not writer_identical:
@@ -235,8 +232,8 @@ def bench_corpus(
         "writer": {
             "naive_s": write_naive_s,
             "vectorized_s": write_vec_s,
-            "naive_events_per_s": len(col_events) / write_naive_s,
-            "vectorized_events_per_s": len(col_events) / write_vec_s,
+            "naive_events_per_s": len(text_events) / write_naive_s,
+            "vectorized_events_per_s": len(text_events) / write_vec_s,
             "speedup": write_naive_s / write_vec_s,
             "byte_identical": writer_identical,
         },

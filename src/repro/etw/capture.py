@@ -1,9 +1,7 @@
-"""Versioned binary columnar capture format — parse once, scan forever.
+"""Versioned binary columnar capture format and the one columnar codec.
 
-A fleet-scale LEAPS deployment re-reads the same telemetry text for
-every scan, so tokenizing dominates end-to-end time (BENCH_ingest).  A
-*capture* is the one-time columnar form of a parsed raw log: a
-``<name>.leapscap`` directory holding
+A *capture* is the columnar form of a parsed raw log, written once so
+later scans skip text parsing: a ``<name>.leapscap`` directory holding
 
 ``capture.json``
     Schema version (``leaps-capture/v1``), entity counts, provenance of
@@ -47,9 +45,18 @@ distinct walk tuple exactly once.  Frames come out of the parser's
 process-wide intern table, so downstream featurization memos hit on
 object identity exactly as after a text parse.
 
-Reading validates before trusting: schema string, id ranges, offset
-monotonicity, and vocabulary strings free of raw-log delimiters.  A
-capture that fails validation raises :class:`CaptureError` (or
+**One codec, two containers.**  :class:`DeltaEncoder` keeps cumulative
+string, frame and walk tables and turns a run of events into a
+:class:`Delta`: the nine event columns plus the vocabulary entries,
+frame rows and walks the run adds to those tables.
+:class:`DeltaDecoder` keeps the same tables on the reading side, checks
+a delta against them — dtype, shape, lengths, offsets, id ranges and
+vocabulary delimiters — and only then builds a single
+:class:`~repro.etw.events.EventRecord`.  A capture is the first delta
+against empty tables; the serve wire's columnar chunks
+(:mod:`repro.serve.columnar`) are the later deltas of a stream, framed
+as bytes.  Each container passes its own error type, so a capture that
+fails validation raises :class:`CaptureError` (or
 :class:`CaptureVersionError` for a schema mismatch) — a scanner must
 never silently misinterpret a capture written by a newer converter.
 """
@@ -60,12 +67,13 @@ import gc
 import json
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.etw.events import EventLog, EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
 from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
@@ -82,7 +90,20 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 _UINT64_MAX = 2**64 - 1
 
+#: vocabulary order of both containers; must never change within a version
 _VOCAB_NAMES = ("process", "category", "name", "module", "function")
+#: the nine per-event columns, in storage order
+_EVENT_COLUMNS = (
+    "eid", "timestamp", "pid", "tid", "opcode",
+    "process_id", "category_id", "name_id", "walk_id",
+)
+_INT_FIELDS = _EVENT_COLUMNS[:5]
+_STRING_FIELDS = _VOCAB_NAMES[:3]
+_FRAME_COLUMNS = (
+    "frame_index", "frame_module_id", "frame_function_id", "frame_address",
+)
+#: every numeric array of a delta, under its capture name
+_ARRAYS = _EVENT_COLUMNS + _FRAME_COLUMNS + ("walk_frame_ids", "walk_offsets")
 
 
 class CaptureError(RuntimeError):
@@ -108,10 +129,28 @@ class Capture:
     meta: dict
 
 
-# -- writing ----------------------------------------------------------
+# -- the codec ----------------------------------------------------------
 
 
-def _address_column(values: Sequence[int]) -> np.ndarray:
+class Delta(NamedTuple):
+    """What one run of events adds to the cumulative tables: ``arrays``
+    holds the nine event columns, the new frame rows and the new walks
+    as CSR (``walk_offsets`` starts at 0) under their capture array
+    names; ``vocabs`` holds each vocabulary's new entries."""
+
+    arrays: Dict[str, np.ndarray]
+    vocabs: Dict[str, List[str]]
+
+
+def _int64(name: str, values, error: type) -> np.ndarray:
+    # np.asarray performs the int64 range check itself (OverflowError)
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        raise error(f"{name} value out of int64 range") from None
+
+
+def _address_column(values: Sequence[int], error: type = CaptureError) -> np.ndarray:
     if not values:
         return np.zeros(0, dtype=np.int64)
     low, high = min(values), max(values)
@@ -119,30 +158,268 @@ def _address_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=np.int64)
     if 0 <= low and high <= _UINT64_MAX:
         return np.array(values, dtype=np.uint64)
-    raise CaptureError("frame address out of 64-bit range")
+    raise error("frame address out of 64-bit range")
 
 
-def _join_vocab(name: str, strings: Sequence[str]) -> str:
+def _join_vocab(name: str, strings: Sequence[str], error: type = CaptureError) -> str:
     for value in strings:
         # Construction-time validation normally guarantees this, but
         # events built by trusted fast paths bypass __init__ — recheck
         # before the newline join becomes the storage format.
         if "\n" in value or "\r" in value or "|" in value:
-            raise CaptureError(
+            raise error(
                 f"vocab_{name} entry {value!r} contains a raw-log delimiter"
             )
     return "\n".join(strings) + "\n" if strings else ""
 
 
-def _split_vocab(raw: object, name: str) -> List[str]:
-    text = str(raw)
+def _split_vocab(text: str, name: str, error: type) -> List[str]:
     if text == "":
         return []
     if not text.endswith("\n"):
-        raise CaptureError(f"vocab_{name} is missing its trailing sentinel")
+        raise error(f"vocab_{name} is missing its trailing sentinel")
     entries = text.split("\n")
     entries.pop()
     return entries
+
+
+class DeltaEncoder:
+    """Writing side of the codec: cumulative string, frame and walk
+    tables, grown in first-appearance order.  One instance per capture
+    or per wire stream; each delta carries only what the tables did not
+    already hold.  Encoding failures raise ``error``."""
+
+    def __init__(self, error: type = CaptureError):
+        self._error = error
+        self._vocabs: Dict[str, dict] = {name: {} for name in _VOCAB_NAMES}
+        self._frames: dict = {}
+        self._walks: dict = {}
+
+    def encode(self, events: Sequence[EventRecord]) -> Delta:
+        """The delta of ``events``, in event order."""
+        def field(name: str) -> list:
+            return list(map(attrgetter(name), events))
+
+        return self._encode(
+            [field(name) for name in _INT_FIELDS],
+            [(field(name), None) for name in _STRING_FIELDS],
+            (field("frames"), None),
+        )
+
+    def encode_columns(self, cols: EventColumns) -> Delta:
+        """The delta of the generator's :class:`EventColumns`: its
+        vocabularies and walks are interned, and its id columns are
+        translated through them, without a record in sight."""
+        return self._encode(
+            [getattr(cols, name) for name in _INT_FIELDS],
+            [
+                (getattr(cols, f"{name}_vocab"), getattr(cols, f"{name}_id"))
+                for name in _STRING_FIELDS
+            ],
+            (cols.walks, cols.walk_id),
+        )
+
+    def _encode(self, ints: list, strings: list, walks: tuple) -> Delta:
+        """``strings`` and ``walks`` pair values with optional local ids:
+        without ids the values are per event, with them the values are
+        a local table that the ids index."""
+        error = self._error
+        new: Dict[str, List[str]] = {name: [] for name in _VOCAB_NAMES}
+
+        def intern(name: str, values: list) -> np.ndarray:
+            table = self._vocabs[name]
+            for value in dict.fromkeys(values):
+                if value not in table:
+                    table[value] = len(table)
+                    new[name].append(value)
+            return np.fromiter(
+                map(table.__getitem__, values), np.int64, len(values)
+            )
+
+        def gather(ids: np.ndarray, local_ids) -> np.ndarray:
+            if local_ids is None:
+                return ids
+            return ids[np.asarray(local_ids, dtype=np.int64)]
+
+        arrays = {
+            name: _int64(name, values, error)
+            for name, values in zip(_INT_FIELDS, ints)
+        }
+        for name, (values, local_ids) in zip(_STRING_FIELDS, strings):
+            arrays[f"{name}_id"] = gather(intern(name, values), local_ids)
+
+        # Identity pre-pass: interned walks collapse by id() before any
+        # tuple is hashed; equal but distinct tuples still meet in the
+        # equality-keyed walk table.
+        walk_values, walk_local = walks
+        frame_table, walk_table = self._frames, self._walks
+        new_frames: List[StackFrame] = []
+        flat: List[int] = []
+        offsets = [0]
+        by_identity = {}
+        for key, walk in dict(zip(map(id, walk_values), walk_values)).items():
+            index = walk_table.get(walk)
+            if index is None:
+                index = walk_table[walk] = len(walk_table)
+                for frame in walk:
+                    frame_id = frame_table.get(frame)
+                    if frame_id is None:
+                        frame_id = frame_table[frame] = len(frame_table)
+                        new_frames.append(frame)
+                    flat.append(frame_id)
+                offsets.append(len(flat))
+            by_identity[key] = index
+        walk_ids = np.fromiter(
+            map(by_identity.__getitem__, map(id, walk_values)),
+            np.int64,
+            len(walk_values),
+        )
+        arrays["walk_id"] = gather(walk_ids, walk_local)
+        arrays["frame_index"] = _int64(
+            "frame_index", [frame.index for frame in new_frames], error
+        )
+        arrays["frame_module_id"] = intern(
+            "module", [frame.module for frame in new_frames]
+        )
+        arrays["frame_function_id"] = intern(
+            "function", [frame.function for frame in new_frames]
+        )
+        arrays["frame_address"] = _address_column(
+            [frame.address for frame in new_frames], error
+        )
+        arrays["walk_frame_ids"] = np.array(flat, dtype=np.int64)
+        arrays["walk_offsets"] = np.array(offsets, dtype=np.int64)
+        return Delta(arrays, new)
+
+
+class DeltaDecoder:
+    """Reading side of the codec: the same cumulative tables, as lists
+    of strings, interned frames and walk tuples.  :meth:`decode` checks
+    a delta against them before it builds a single record, and raises
+    ``error`` — the container's own error type — on any failure."""
+
+    def __init__(self, error: type = CaptureError):
+        self._error = error
+        self._vocabs: Dict[str, List[str]] = {name: [] for name in _VOCAB_NAMES}
+        self._frames: List[StackFrame] = []
+        self._walks: List[tuple] = []
+
+    def decode(self, arrays: dict, vocabs: Dict[str, List[str]], out: list) -> None:
+        """Append the events of one delta to ``out``.  ``arrays`` maps
+        the capture array names to the delta's arrays; ``vocabs`` maps
+        each vocabulary name to its new entries."""
+        error = self._error
+        for name in _ARRAYS:
+            array = arrays.get(name)
+            if array is None:
+                raise error(f"missing array {name!r}")
+            # kind and itemsize, not an exact dtype: byte order may vary
+            # and the check must not copy
+            kinds = "iu" if name == "frame_address" else "i"
+            if array.ndim != 1 or array.dtype.kind not in kinds or (
+                array.dtype.itemsize != 8
+            ):
+                raise error(f"{name} must be a 1-D 64-bit integer array")
+        columns = [arrays[name] for name in _EVENT_COLUMNS]
+        frame_index, module_ids, function_ids, addresses = (
+            arrays[name] for name in _FRAME_COLUMNS
+        )
+        flat = arrays["walk_frame_ids"]
+        offsets = arrays["walk_offsets"]
+        n_events = len(columns[0])
+        if any(len(column) != n_events for column in columns):
+            raise error("event columns disagree on length")
+        n_new_frames = len(frame_index)
+        if not (
+            len(module_ids) == len(function_ids) == len(addresses)
+            == n_new_frames
+        ):
+            raise error("frame table columns disagree on length")
+        if not len(offsets):
+            raise error("walk_offsets must have at least one entry")
+        if offsets[0] != 0 or offsets[-1] != len(flat):
+            raise error("walk_offsets must span walk_frame_ids exactly")
+        # compare, not subtract: a difference could wrap around
+        if len(offsets) > 1 and (offsets[:-1] > offsets[1:]).any():
+            raise error("walk_offsets must be monotonically non-decreasing")
+
+        tables = self._vocabs
+        frames, walks = self._frames, self._walks
+        sizes = {name: len(tables[name]) + len(vocabs[name]) for name in tables}
+        for name, column, bound in (
+            ("process_id", columns[5], sizes["process"]),
+            ("category_id", columns[6], sizes["category"]),
+            ("name_id", columns[7], sizes["name"]),
+            ("walk_id", columns[8], len(walks) + len(offsets) - 1),
+            ("frame_module_id", module_ids, sizes["module"]),
+            ("frame_function_id", function_ids, sizes["function"]),
+            ("walk_frame_ids", flat, len(frames) + n_new_frames),
+        ):
+            if len(column) and (column.min() < 0 or column.max() >= bound):
+                raise error(f"{name} out of range [0, {bound})")
+        for name, entries in vocabs.items():
+            for value in entries:
+                if "|" in value or "\r" in value:
+                    raise error(
+                        f"vocab_{name} entry {value!r} contains a raw-log "
+                        "delimiter"
+                    )
+
+        # The hot path: C-driven loops over Python ints and interned
+        # objects.  Pause generational GC as in the block-level text
+        # parser — the transient containers otherwise trigger rescans
+        # costing more than the reconstruction itself.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            for name, entries in vocabs.items():
+                tables[name].extend(entries)
+            modules, functions = tables["module"], tables["function"]
+            frames.extend(
+                intern_frame(index, modules[module], functions[function], address)
+                for index, module, function, address in zip(
+                    frame_index.tolist(),
+                    module_ids.tolist(),
+                    function_ids.tolist(),
+                    addresses.tolist(),
+                )
+            )
+            walk_frames = list(map(frames.__getitem__, flat.tolist()))
+            bounds = offsets.tolist()
+            walks.extend(
+                tuple(walk_frames[start:stop])
+                for start, stop in zip(bounds, bounds[1:])
+            )
+            processes = tables["process"]
+            categories = tables["category"]
+            names = tables["name"]
+            append = out.append
+            new = EventRecord.__new__
+            # Vocab strings are validated delimiter-free above and
+            # integer fields are exact int64 round-trips, so __init__
+            # can be bypassed exactly as in the block-level text parser.
+            for (
+                eid, timestamp, pid, tid, opcode,
+                process, category, name, walk,
+            ) in zip(*[column.tolist() for column in columns]):
+                record = new(EventRecord)
+                record.eid = eid
+                record.timestamp = timestamp
+                record.pid = pid
+                record.process = processes[process]
+                record.tid = tid
+                record.category = categories[category]
+                record.opcode = opcode
+                record.name = names[name]
+                record.frames = walks[walk]
+                append(record)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+
+# -- writing ----------------------------------------------------------
 
 
 def _finalize_capture(
@@ -177,6 +454,24 @@ def _finalize_capture(
     return path
 
 
+def _write_delta(
+    path: Union[str, os.PathLike],
+    delta: Delta,
+    report: Optional[ParseReport],
+    source: Optional[dict],
+) -> Path:
+    arrays = delta.arrays
+    counts = {
+        "events": len(arrays["eid"]),
+        "frames": len(arrays["frame_index"]),
+        "walks": len(arrays["walk_offsets"]) - 1,
+    }
+    return _finalize_capture(
+        Path(os.fspath(path)), dict(arrays), delta.vocabs, counts, report,
+        source,
+    )
+
+
 def captures_byte_identical(
     a: Union[str, os.PathLike], b: Union[str, os.PathLike]
 ) -> bool:
@@ -202,172 +497,6 @@ def captures_byte_identical(
         )
 
 
-def _int64_column(name: str, values: Sequence[int]) -> np.ndarray:
-    # np.array performs the int64 range check itself (OverflowError)
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        raise CaptureError(f"{name} value out of int64 range") from None
-
-
-def _walk_tables(distinct_walks: Sequence[Tuple[StackFrame, ...]]) -> dict:
-    """Frame table, walk CSR arrays, and module/function vocabularies
-    from the distinct walks in first-appearance order.
-
-    Byte-identical to a per-event writer's interleaved traversal
-    (``tests/oracles/capture.py``): that loop only does frame/vocab
-    work when it meets a *new* walk, so its traversal order is exactly "frames of each distinct walk, in
-    walk first-appearance order" — a frame's first appearance in that
-    sequence equals its first appearance in event order (a repeated
-    walk cannot introduce a frame its first occurrence didn't)."""
-    module_table: dict = {}
-    function_table: dict = {}
-    frame_ids: dict = {}
-    frame_index: List[int] = []
-    frame_module_id: List[int] = []
-    frame_function_id: List[int] = []
-    frame_address: List[int] = []
-    walk_frame_ids: List[int] = []
-    walk_offsets: List[int] = [0]
-    for walk in distinct_walks:
-        for frame in walk:
-            frame_id = frame_ids.get(frame)
-            if frame_id is None:
-                frame_id = len(frame_index)
-                frame_ids[frame] = frame_id
-                frame_index.append(frame.index)
-                module = module_table.get(frame.module)
-                if module is None:
-                    module = len(module_table)
-                    module_table[frame.module] = module
-                frame_module_id.append(module)
-                function = function_table.get(frame.function)
-                if function is None:
-                    function = len(function_table)
-                    function_table[frame.function] = function
-                frame_function_id.append(function)
-                frame_address.append(frame.address)
-            walk_frame_ids.append(frame_id)
-        walk_offsets.append(len(walk_frame_ids))
-    return {
-        "frame_index": _int64_column("frame_index", frame_index),
-        "frame_module_id": np.array(frame_module_id, dtype=np.int64),
-        "frame_function_id": np.array(frame_function_id, dtype=np.int64),
-        "frame_address": _address_column(frame_address),
-        "walk_frame_ids": np.array(walk_frame_ids, dtype=np.int64),
-        "walk_offsets": np.array(walk_offsets, dtype=np.int64),
-        "module_vocab": list(module_table),
-        "function_vocab": list(function_table),
-    }
-
-
-def _arrays_from_columns(cols) -> "tuple[dict, dict]":
-    """Array assembly from the parser's :class:`EventColumns` sidecar:
-    every per-event quantity is already an id or an int list, so the
-    writer's per-event cost is five ``np.array`` conversions."""
-    walk_arrays = _walk_tables(cols.walks)
-    arrays = {
-        "eid": _int64_column("eid", cols.eid),
-        "timestamp": _int64_column("timestamp", cols.timestamp),
-        "pid": _int64_column("pid", cols.pid),
-        "tid": _int64_column("tid", cols.tid),
-        "opcode": _int64_column("opcode", cols.opcode),
-        "process_id": np.array(cols.process_id, dtype=np.int64),
-        "category_id": np.array(cols.category_id, dtype=np.int64),
-        "name_id": np.array(cols.name_id, dtype=np.int64),
-        "walk_id": np.array(cols.walk_id, dtype=np.int64),
-        "frame_index": walk_arrays["frame_index"],
-        "frame_module_id": walk_arrays["frame_module_id"],
-        "frame_function_id": walk_arrays["frame_function_id"],
-        "frame_address": walk_arrays["frame_address"],
-        "walk_frame_ids": walk_arrays["walk_frame_ids"],
-        "walk_offsets": walk_arrays["walk_offsets"],
-    }
-    vocabs = {
-        "process": cols.process_vocab,
-        "category": cols.category_vocab,
-        "name": cols.name_vocab,
-        "module": walk_arrays["module_vocab"],
-        "function": walk_arrays["function_vocab"],
-    }
-    counts = {
-        "events": cols.n_events,
-        "frames": len(walk_arrays["frame_index"]),
-        "walks": len(cols.walks),
-    }
-    return arrays, vocabs, counts
-
-
-def _factorize(values: Sequence) -> "tuple[np.ndarray, list]":
-    """(id array, distinct values in first-appearance order) — the bulk
-    equivalent of interning each event's value in turn.
-    ``dict.fromkeys`` preserves first-appearance order in one C pass."""
-    table = {value: index for index, value in enumerate(dict.fromkeys(values))}
-    ids = np.fromiter(
-        map(table.__getitem__, values), np.int64, count=len(values)
-    )
-    return ids, list(table)
-
-
-def _arrays_from_events(events: Sequence[EventRecord]) -> "tuple[dict, dict]":
-    """Generic bulk assembly for arbitrary event sequences (no parser
-    sidecar): column extraction by comprehension, vocabularies by bulk
-    first-appearance interning, walk dedup with an identity pre-pass
-    (interned walks collapse by ``id()`` before any tuple is hashed)."""
-    n = len(events)
-    walks = [event.frames for event in events]
-    # identity pre-pass: first-appearance-ordered distinct *objects*
-    uniq = dict(zip(map(id, walks), walks))
-    # equality dedup over the (few) identity-distinct walks; two equal
-    # but distinct tuples must still collapse to one walk id, exactly
-    # as in an equality-keyed per-event table
-    walk_table: dict = {}
-    distinct_walks: List[Tuple[StackFrame, ...]] = []
-    idmap: dict = {}
-    for key, walk in uniq.items():
-        index = walk_table.get(walk)
-        if index is None:
-            index = len(distinct_walks)
-            walk_table[walk] = index
-            distinct_walks.append(walk)
-        idmap[key] = index
-    walk_id = np.fromiter(map(idmap.__getitem__, map(id, walks)), np.int64, n)
-    walk_arrays = _walk_tables(distinct_walks)
-    process_id, process_vocab = _factorize([e.process for e in events])
-    category_id, category_vocab = _factorize([e.category for e in events])
-    name_id, name_vocab = _factorize([e.name for e in events])
-    arrays = {
-        "eid": _int64_column("eid", [e.eid for e in events]),
-        "timestamp": _int64_column("timestamp", [e.timestamp for e in events]),
-        "pid": _int64_column("pid", [e.pid for e in events]),
-        "tid": _int64_column("tid", [e.tid for e in events]),
-        "opcode": _int64_column("opcode", [e.opcode for e in events]),
-        "process_id": process_id,
-        "category_id": category_id,
-        "name_id": name_id,
-        "walk_id": walk_id,
-        "frame_index": walk_arrays["frame_index"],
-        "frame_module_id": walk_arrays["frame_module_id"],
-        "frame_function_id": walk_arrays["frame_function_id"],
-        "frame_address": walk_arrays["frame_address"],
-        "walk_frame_ids": walk_arrays["walk_frame_ids"],
-        "walk_offsets": walk_arrays["walk_offsets"],
-    }
-    vocabs = {
-        "process": process_vocab,
-        "category": category_vocab,
-        "name": name_vocab,
-        "module": walk_arrays["module_vocab"],
-        "function": walk_arrays["function_vocab"],
-    }
-    counts = {
-        "events": n,
-        "frames": len(walk_arrays["frame_index"]),
-        "walks": len(distinct_walks),
-    }
-    return arrays, vocabs, counts
-
-
 def write_capture(
     path: Union[str, os.PathLike],
     events: Sequence[EventRecord],
@@ -375,31 +504,20 @@ def write_capture(
     report: Optional[ParseReport] = None,
     source: Optional[dict] = None,
 ) -> Path:
-    """Serialize parsed events to a capture directory ``path``.
+    """Serialize parsed events to a capture directory ``path``: the
+    first delta of a fresh :class:`DeltaEncoder`.
 
     Creates the directory (and parents) if needed; overwrites an
-    existing capture in place.  Returns the capture path.
-
-    Output is byte-identical to the per-event reference writer
-    (``tests/oracles/capture.py``) for every input.  When ``events`` is an
-    :class:`~repro.etw.events.EventLog` carrying the parser's
-    :class:`~repro.etw.events.EventColumns` sidecar
-    (``parse_fast(..., columns=True)``, as :func:`convert_log` uses),
-    array assembly skips per-event attribute access entirely; arbitrary
-    event sequences take the generic bulk path.
+    existing capture in place.  Returns the capture path.  Output is
+    byte-identical to the per-event reference writer
+    (``tests/oracles/capture.py``) for every input.
     """
-    path = Path(os.fspath(path))
-    cols = getattr(events, "columns", None)
-    if cols is not None and cols.n_events == len(events):
-        arrays, vocabs, counts = _arrays_from_columns(cols)
-    else:
-        arrays, vocabs, counts = _arrays_from_events(events)
-    return _finalize_capture(path, arrays, vocabs, counts, report, source)
+    return _write_delta(path, DeltaEncoder().encode(events), report, source)
 
 
 def write_capture_columns(
     path: Union[str, os.PathLike],
-    cols,
+    cols: EventColumns,
     *,
     report: Optional[ParseReport] = None,
     source: Optional[dict] = None,
@@ -412,9 +530,9 @@ def write_capture_columns(
     equivalent event list — ``tests/test_fastgen.py`` holds the
     generator's captures to the per-event reference writer.
     """
-    path = Path(os.fspath(path))
-    arrays, vocabs, counts = _arrays_from_columns(cols)
-    return _finalize_capture(path, arrays, vocabs, counts, report, source)
+    return _write_delta(
+        path, DeltaEncoder().encode_columns(cols), report, source
+    )
 
 
 def convert_log(
@@ -444,7 +562,6 @@ def convert_log(
         policy=policy,
         report=report,
         require_complete_tail=require_complete_tail,
-        columns=True,
     )
     return write_capture(
         dst,
@@ -461,11 +578,6 @@ def convert_log(
 # -- reading ----------------------------------------------------------
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CaptureError(message)
-
-
 def load_capture(path: Union[str, os.PathLike]) -> Capture:
     """Load and validate a capture; returns events bit-identical to the
     parse that was converted (same interned frames, same report)."""
@@ -478,183 +590,44 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
         )
     try:
         meta = json.loads(json_path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+    except (ValueError, RecursionError) as error:  # bad JSON, UTF-8 or depth
         raise CaptureError(f"unparseable {json_path}: {error}") from error
+    if not isinstance(meta, dict):
+        raise CaptureError(f"{json_path} is not a JSON object")
     schema = meta.get("schema")
     if schema != SCHEMA:
         raise CaptureVersionError(
             f"capture schema {schema!r} is not supported (expected {SCHEMA!r})"
         )
-
-    with np.load(npz_path, allow_pickle=False) as data:
-        try:
-            arrays = {key: data[key] for key in data.files}
-        except (ValueError, OSError) as error:
-            raise CaptureError(f"unreadable {npz_path}: {error}") from error
-
-    try:
-        vocab = {
-            name: _split_vocab(arrays[f"vocab_{name}"][()], name)
-            for name in _VOCAB_NAMES
-        }
-        eid = arrays["eid"]
-        timestamp = arrays["timestamp"]
-        pid = arrays["pid"]
-        tid = arrays["tid"]
-        opcode = arrays["opcode"]
-        process_id = arrays["process_id"]
-        category_id = arrays["category_id"]
-        name_id = arrays["name_id"]
-        walk_id = arrays["walk_id"]
-        frame_index = arrays["frame_index"]
-        frame_module_id = arrays["frame_module_id"]
-        frame_function_id = arrays["frame_function_id"]
-        frame_address = arrays["frame_address"]
-        walk_frame_ids = arrays["walk_frame_ids"]
-        walk_offsets = arrays["walk_offsets"]
-    except KeyError as error:
-        raise CaptureError(f"capture is missing array {error}") from error
-
-    n_events = len(eid)
-    n_frames = len(frame_index)
-    n_walks = len(walk_offsets) - 1
-    for name, column in (
-        ("timestamp", timestamp),
-        ("pid", pid),
-        ("tid", tid),
-        ("opcode", opcode),
-        ("process_id", process_id),
-        ("category_id", category_id),
-        ("name_id", name_id),
-        ("walk_id", walk_id),
-    ):
-        _require(
-            len(column) == n_events, f"column {name} length != event count"
-        )
-    _require(
-        len(frame_module_id) == n_frames
-        and len(frame_function_id) == n_frames
-        and len(frame_address) == n_frames,
-        "frame table columns disagree on length",
-    )
-    _require(n_walks >= 0, "walk_offsets must have at least one entry")
-    offsets = walk_offsets.tolist()
-    _require(
-        offsets[0] == 0 and offsets[-1] == len(walk_frame_ids),
-        "walk_offsets must span walk_frame_ids exactly",
-    )
-    _require(
-        all(a <= b for a, b in zip(offsets, offsets[1:])),
-        "walk_offsets must be monotonically non-decreasing",
-    )
-    for name, column, bound in (
-        ("process_id", process_id, len(vocab["process"])),
-        ("category_id", category_id, len(vocab["category"])),
-        ("name_id", name_id, len(vocab["name"])),
-        ("walk_id", walk_id, n_walks),
-        ("frame_module_id", frame_module_id, len(vocab["module"])),
-        ("frame_function_id", frame_function_id, len(vocab["function"])),
-        ("walk_frame_ids", walk_frame_ids, n_frames),
-    ):
-        if len(column) and (
-            int(column.min()) < 0 or int(column.max()) >= bound
-        ):
-            raise CaptureError(f"{name} out of range [0, {bound})")
-    for name in ("process", "category", "name", "module", "function"):
-        for value in vocab[name]:
-            if "|" in value or "\r" in value:
-                raise CaptureError(
-                    f"vocab_{name} entry {value!r} contains a raw-log "
-                    "delimiter"
-                )
-
-    # The hot path: pure C-driven loops over Python ints and interned
-    # objects.  Pause generational GC as in the block-level text parser —
-    # the transient containers otherwise trigger rescans costing more
-    # than the reconstruction itself.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        modules = vocab["module"]
-        functions = vocab["function"]
-        frames: List[StackFrame] = [
-            intern_frame(index, modules[module], functions[function], address)
-            for index, module, function, address in zip(
-                frame_index.tolist(),
-                frame_module_id.tolist(),
-                frame_function_id.tolist(),
-                frame_address.tolist(),
-            )
-        ]
-        flat = walk_frame_ids.tolist()
-        walks: List[Tuple[StackFrame, ...]] = [
-            tuple(frames[frame_id] for frame_id in flat[start:stop])
-            for start, stop in zip(offsets, offsets[1:])
-        ]
-        processes = vocab["process"]
-        categories = vocab["category"]
-        names = vocab["name"]
-        events = EventLog()
-        append = events.append
-        new = EventRecord.__new__
-        # Vocab strings are validated delimiter-free above and integer
-        # fields are exact int64 round-trips, so __init__ can be
-        # bypassed exactly as in the block-level text parser.
-        for (
-            event_eid,
-            event_timestamp,
-            event_pid,
-            event_process,
-            event_tid,
-            event_category,
-            event_opcode,
-            event_name,
-            event_walk,
-        ) in zip(
-            eid.tolist(),
-            timestamp.tolist(),
-            pid.tolist(),
-            process_id.tolist(),
-            tid.tolist(),
-            category_id.tolist(),
-            opcode.tolist(),
-            name_id.tolist(),
-            walk_id.tolist(),
-        ):
-            record = new(EventRecord)
-            record.eid = event_eid
-            record.timestamp = event_timestamp
-            record.pid = event_pid
-            record.process = processes[event_process]
-            record.tid = event_tid
-            record.category = categories[event_category]
-            record.opcode = event_opcode
-            record.name = names[event_name]
-            record.frames = walks[event_walk]
-            append(record)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-
     report_doc = meta.get("parse_report")
-    report = None if report_doc is None else ParseReport.from_dict(report_doc)
-    events.report = report
-    events.source = os.fspath(path)
+    try:
+        report = None if report_doc is None else ParseReport.from_dict(report_doc)
+    except ValueError as error:
+        raise CaptureError(f"bad parse_report in {json_path}: {error}") from error
+
+    try:
+        data = np.load(npz_path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            arrays = {key: data[key] for key in data.files}
+    except Exception as error:
+        # A damaged archive surfaces as BadZipFile, EOFError, ValueError,
+        # NotImplementedError, OSError, a zlib or lzma error, ... — an
+        # open-ended set that all means "unreadable" here.
+        raise CaptureError(f"unreadable {npz_path}: {error}") from error
+
+    vocabs = {}
+    for name in _VOCAB_NAMES:
+        raw = arrays.get(f"vocab_{name}")
+        if raw is None:
+            raise CaptureError(f"capture is missing array 'vocab_{name}'")
+        if raw.ndim or raw.dtype.kind != "U":
+            raise CaptureError(f"vocab_{name} must be a string scalar")
+        vocabs[name] = _split_vocab(str(raw[()]), name, CaptureError)
+    events = EventLog(report=report, source=os.fspath(path))
+    DeltaDecoder().decode(arrays, vocabs, events)
     return Capture(events=events, report=report, meta=meta)
-
-
-def read_capture(
-    path: Union[str, os.PathLike],
-) -> Tuple[EventLog, Optional[ParseReport]]:
-    """Events + conversion report of a capture (convenience wrapper)."""
-    capture = load_capture(path)
-    return capture.events, capture.report
-
-
-def iter_capture(path: Union[str, os.PathLike]) -> Iterator[EventRecord]:
-    """``iter_parse``-shaped access: yield the capture's events in order."""
-    return iter(load_capture(path).events)
 
 
 # -- command line ------------------------------------------------------

@@ -103,22 +103,17 @@ class EventRecord:
 
 
 class EventColumns:
-    """Columnar view of a parsed event list — the capture writer's fast
-    input (DESIGN.md §12).
-
-    The vectorized text parser builds these alongside the records for
-    the price of a few dict lookups per event; the capture writer then
-    assembles its arrays from the columns without ever touching the
-    records again.  Invariants (the parser guarantees them, the writer
-    relies on them):
+    """The generation fast path's sink: synthesized events as columns
+    (DESIGN.md §13), which
+    :func:`~repro.etw.capture.write_capture_columns` encodes without
+    ever building an :class:`EventRecord`.  Invariants (the generator
+    guarantees them, the capture encoder relies on them):
 
     * every ``*_id`` column indexes its vocabulary, and vocabularies
       list distinct values in first-appearance order over the events;
     * ``walks`` lists the distinct walk tuples in first-appearance
-      order, and every event whose walk repeats an earlier one shares
-      the *same* tuple object (walks are interned per parse);
-    * all lists are exactly ``n_events`` long (except the vocabularies
-      and ``walks``, which hold distinct values only).
+      order;
+    * the id and integer columns are exactly ``n_events`` long.
     """
 
     __slots__ = (
@@ -159,13 +154,10 @@ class EventLog(list):
     ``source`` records where the events came from (the capture
     directory path for the columnar reader, ``None`` for hand-built
     logs) — fleet scans use it to ship a *path* to pool workers instead
-    of pickling the whole event list.  ``columns`` optionally carries
-    the parser's :class:`EventColumns` sidecar; it is only valid while
-    the log is unmodified, so every mutation drops it (length-changing
-    mutations are additionally caught by the consumer's length check).
+    of pickling the whole event list.
     """
 
-    __slots__ = ("report", "source", "columns")
+    __slots__ = ("report", "source")
 
     def __init__(
         self,
@@ -176,25 +168,8 @@ class EventLog(list):
         super().__init__(events)
         self.report = report
         self.source = source
-        self.columns: Optional[EventColumns] = None
 
     def __reduce__(self):
         # list subclass with __slots__: default pickling would drop
         # ``report``/``source``; fleet scans ship EventLogs to workers.
-        # The columns sidecar is deliberately not shipped.
         return (type(self), (list(self), self.report, self.source))
-
-    # Length-preserving mutations would silently desynchronize the
-    # columnar sidecar; drop it.  (Length-changing mutations are caught
-    # by the consumer comparing len(self) to columns.n_events.)
-    def __setitem__(self, index, value):
-        self.columns = None
-        super().__setitem__(index, value)
-
-    def sort(self, *args, **kwargs):
-        self.columns = None
-        super().sort(*args, **kwargs)
-
-    def reverse(self):
-        self.columns = None
-        super().reverse()

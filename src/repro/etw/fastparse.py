@@ -47,7 +47,7 @@ from __future__ import annotations
 import gc
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
+from repro.etw.events import EventRecord, StackFrame
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
@@ -173,7 +173,7 @@ def _blocks(text: str) -> Tuple[List[str], List[Walk], int]:
 
 
 def _parse_body(
-    body: str, check_tail: bool = True, columns: bool = False
+    body: str, check_tail: bool = True
 ) -> Tuple[List[EventRecord], int, int]:
     """The block path proper over ``body`` — the lines joined by
     ``"\\n"``, ``\\r``-free, no trailing-newline convention.  Returns
@@ -183,10 +183,7 @@ def _parse_body(
     ``check_tail=False`` skips the truncated-tail heuristic — only valid
     when the caller *knows* the final block is complete, i.e. for a
     streaming region cut immediately before a valid ``EVENT`` line
-    (:class:`StreamingParser`); end-of-input always checks.
-
-    ``columns=True`` builds the :class:`EventColumns` sidecar in the
-    same build loop and returns an :class:`EventLog` carrying it."""
+    (:class:`StreamingParser`); end-of-input always checks."""
     n_blank = 0
     try:
         heads, walks, n_frames = _blocks(body)
@@ -197,7 +194,7 @@ def _parse_body(
         if not n_blank:
             raise
         if not kept:
-            return _empty(columns), n_blank, n_blank
+            return [], n_blank, n_blank
         heads, walks, n_frames = _blocks("\n".join(kept))
     n_lines = len(heads) + n_frames + n_blank
 
@@ -212,8 +209,6 @@ def _parse_body(
 
     fields = (eids, timestamps, pids, ecols[3], tids, ecols[5], opcodes,
               ecols[7], walks)
-    if columns:
-        return _build_with_columns(*fields), n_lines, n_blank
     events: List[EventRecord] = []
     append = events.append
     new = EventRecord.__new__
@@ -235,99 +230,6 @@ def _parse_body(
         record.frames = walk
         append(record)
     return events, n_lines, n_blank
-
-
-def _empty(columns: bool) -> List[EventRecord]:
-    if not columns:
-        return []
-    empty = EventLog()
-    empty.columns = EventColumns()
-    return empty
-
-
-def _build_with_columns(
-    eids: List[int],
-    timestamps: List[int],
-    pids: List[int],
-    processes: List[str],
-    tids: List[int],
-    categories: List[str],
-    opcodes: List[int],
-    names: List[str],
-    walks: List[Walk],
-) -> EventLog:
-    """The record build loop with the :class:`EventColumns` sidecar:
-    identical records (same bypassed-``__init__`` construction), plus
-    per-event vocabulary ids and interned walk tuples assembled while
-    the loop already holds every field.  Equal walks share one tuple
-    object — the interning that makes the capture writer's id-based
-    dedup an O(1)-per-event dict hit instead of a per-frame hash."""
-    cols = EventColumns()
-    cols.eid = eids
-    cols.timestamp = timestamps
-    cols.pid = pids
-    cols.tid = tids
-    cols.opcode = opcodes
-    process_ids = cols.process_id
-    category_ids = cols.category_id
-    name_ids = cols.name_id
-    walk_ids = cols.walk_id
-    walk_table = cols.walks
-    ptable: dict = {}
-    ctable: dict = {}
-    ntable: dict = {}
-    wtable: dict = {}
-    add_pid = process_ids.append
-    add_cid = category_ids.append
-    add_nid = name_ids.append
-    add_wid = walk_ids.append
-    events = EventLog()
-    append = events.append
-    new = EventRecord.__new__
-    for eid, timestamp, pid, process, tid, category, opcode, name, walk in zip(
-        eids, timestamps, pids, processes, tids, categories, opcodes, names,
-        walks,
-    ):
-        record = new(EventRecord)
-        record.eid = eid
-        record.timestamp = timestamp
-        record.pid = pid
-        record.process = process
-        record.tid = tid
-        record.category = category
-        record.opcode = opcode
-        record.name = name
-        walk_index = wtable.get(walk)
-        if walk_index is None:
-            walk_index = len(walk_table)
-            wtable[walk] = walk_index
-            walk_table.append(walk)
-        else:
-            walk = walk_table[walk_index]
-        record.frames = walk
-        append(record)
-        value = ptable.get(process)
-        if value is None:
-            value = len(ptable)
-            ptable[process] = value
-        add_pid(value)
-        value = ctable.get(category)
-        if value is None:
-            value = len(ctable)
-            ctable[category] = value
-        add_cid(value)
-        value = ntable.get(name)
-        if value is None:
-            value = len(ntable)
-            ntable[name] = value
-        add_nid(value)
-        add_wid(walk_index)
-    cols.n_events = len(events)
-    cols.process_vocab = list(ptable)
-    cols.category_vocab = list(ctable)
-    cols.name_vocab = list(ntable)
-    events.columns = cols
-    return events
 
 
 def _check_tail(
@@ -359,7 +261,7 @@ def _check_tail(
         raise _Fallback  # every same-etype walk is deeper
 
 
-def _parse_guarded(body: str, check_tail: bool = True, columns: bool = False):
+def _parse_guarded(body: str, check_tail: bool = True):
     """:func:`_parse_body` with generational GC paused (the record build
     allocates one object per event; collections rescanning them
     mid-parse cost more than the parse) and the caller's GC state
@@ -368,7 +270,7 @@ def _parse_guarded(body: str, check_tail: bool = True, columns: bool = False):
     if gc_was_enabled:
         gc.disable()
     try:
-        return _parse_body(body, check_tail=check_tail, columns=columns)
+        return _parse_body(body, check_tail=check_tail)
     except _Fallback:
         return None
     finally:
@@ -399,7 +301,6 @@ def parse_fast(
     policy: str = "strict",
     report: Optional[ParseReport] = None,
     require_complete_tail: bool = False,
-    columns: bool = False,
 ) -> List[EventRecord]:
     """Parse raw log text, bytes or lines into events, fast.
 
@@ -409,16 +310,9 @@ def parse_fast(
     ``bytes`` input (a whole file's contents) mirrors
     :func:`~repro.etw.parser.read_log_lines`: ``\\n``/``\\r\\n``
     boundaries only, and undecodable lines reach the parser as raw
-    ``bytes`` for ``BAD_ENCODING`` classification.
-
-    With ``columns=True`` the block path additionally builds the
-    :class:`~repro.etw.events.EventColumns` sidecar (vocabulary ids and
-    interned walks, assembled for a few dict lookups per event while
-    the build loop is hot) and returns an
-    :class:`~repro.etw.events.EventLog` carrying it — the capture
-    writer's fast input.  Inputs that fall back to the scalar parser
-    return without a sidecar; consumers must treat the sidecar as
-    optional.
+    ``bytes`` for ``BAD_ENCODING`` classification.  Events of one
+    distinct walk share one frame tuple, which the capture encoder's
+    identity pre-pass exploits.
     """
     if policy not in PARSE_POLICIES:
         raise ValueError(
@@ -441,13 +335,13 @@ def parse_fast(
         else:
             text = source.replace("\r\n", "\n") if "\r" in source else source
         if not text:
-            return _empty(columns)
+            return []
         # A single trailing newline ends the last line; it is not a line.
         body = text[:-1] if text.endswith("\n") else text
     else:
         lines = source if isinstance(source, list) else list(source)
         if not lines:
-            return _empty(columns)
+            return []
         body = _join_lines(lines)
         if body is None:
             return _scalar(lines, policy, report, require_complete_tail)
@@ -457,7 +351,7 @@ def parse_fast(
     # A lone \r is field content to the scalar parser (classified
     # BAD_FIELD via the EventRecord delimiter check) — scalar owns it.
     if "\r" not in body:
-        parsed = _parse_guarded(body, columns=columns)
+        parsed = _parse_guarded(body)
     if parsed is None or (expected is not None and parsed[1] != expected):
         # A line-list item holding a newline joins into extra lines;
         # the scalar parser sees it as one line.

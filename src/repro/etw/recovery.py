@@ -58,6 +58,25 @@ class ParseIssue:
     message: str
 
 
+#: the integer fields of a serialized :class:`ParseReport`
+_LINE_COUNTERS = (
+    "total_lines", "blank_lines", "consumed_lines", "error_lines",
+    "discarded_lines", "events_yielded", "events_dropped",
+)
+
+
+def _integer(value, optional: bool = False):
+    if type(value) is int or (optional and value is None):
+        return value
+    raise ValueError(f"{value!r} is not an integer")
+
+
+def _text(value):
+    if type(value) is str:
+        return value
+    raise ValueError(f"{value!r} is not a string")
+
+
 #: Cap on retained :class:`ParseIssue` objects so a pathological log
 #: cannot balloon the report; counters keep counting past the cap.
 MAX_RECORDED_ISSUES = 1000
@@ -194,31 +213,33 @@ class ParseReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ParseReport":
-        report = cls(
-            total_lines=int(doc["total_lines"]),
-            blank_lines=int(doc["blank_lines"]),
-            consumed_lines=int(doc["consumed_lines"]),
-            error_lines=int(doc["error_lines"]),
-            discarded_lines=int(doc["discarded_lines"]),
-            events_yielded=int(doc["events_yielded"]),
-            events_dropped=int(doc["events_dropped"]),
-            truncated_tail=bool(doc["truncated_tail"]),
-            counts={
-                ParseErrorKind(kind): int(n)
-                for kind, n in doc["counts"].items()
-            },
-            issues=[
-                ParseIssue(
-                    kind=ParseErrorKind(issue["kind"]),
-                    lineno=int(issue["lineno"]),
-                    message=issue["message"],
-                )
-                for issue in doc["issues"]
-            ],
-        )
-        report.first_bad_lineno = doc["first_bad_lineno"]
-        report.last_bad_lineno = doc["last_bad_lineno"]
-        return report
+        """Inverse of :meth:`to_dict`.  ``doc`` may come from an
+        untrusted capture or wire chunk, so every field is type-checked:
+        anything :meth:`to_dict` cannot have written raises
+        :class:`ValueError`."""
+        try:
+            if type(doc["truncated_tail"]) is not bool:
+                raise ValueError("truncated_tail is not a boolean")
+            return cls(
+                **{name: _integer(doc[name]) for name in _LINE_COUNTERS},
+                truncated_tail=doc["truncated_tail"],
+                counts={
+                    ParseErrorKind(kind): _integer(n)
+                    for kind, n in doc["counts"].items()
+                },
+                issues=[
+                    ParseIssue(
+                        kind=ParseErrorKind(issue["kind"]),
+                        lineno=_integer(issue["lineno"]),
+                        message=_text(issue["message"]),
+                    )
+                    for issue in doc["issues"]
+                ],
+                first_bad_lineno=_integer(doc["first_bad_lineno"], True),
+                last_bad_lineno=_integer(doc["last_bad_lineno"], True),
+            )
+        except (KeyError, TypeError, AttributeError) as error:
+            raise ValueError(f"malformed parse report: {error!r}") from error
 
     def summary(self) -> str:
         """One-line human-readable digest for logs and CLIs."""

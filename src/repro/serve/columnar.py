@@ -39,27 +39,36 @@ independent of either machine)::
 accounting rides the wire so a columnar stream's terminal ``RESULT``
 is bit-identical to the text path's.
 
-:class:`ChunkEncoder` and :class:`CaptureChunkDecoder` are a stateful
-pair: both sides grow the same cumulative tables in the same order, so
-ids never need renegotiating.  The decoder buffers arbitrary byte
-fragments (chunks may split anywhere, across frames or socket reads)
-and validates every id and length before materializing a single
-:class:`~repro.etw.events.EventRecord`; frames come out of the
-process-wide intern table exactly as after a text parse, so
-featurization memos hit on object identity.
+An events chunk is a :class:`~repro.etw.capture.Delta` in byte form:
+:class:`ChunkEncoder` and :class:`CaptureChunkDecoder` each hold one
+:class:`~repro.etw.capture.DeltaEncoder` or
+:class:`~repro.etw.capture.DeltaDecoder` per stream — the very codec
+that writes and reads ``.leapscap`` captures — and add only the chunk
+byte framing.  Both sides grow the same cumulative tables in the same
+order, so ids never need renegotiating, and a fresh encoder's first
+chunk carries exactly the arrays of the equivalent capture.  The
+decoder buffers arbitrary byte fragments (chunks may split anywhere,
+across frames or socket reads), and every failure — framing, the
+delta's own checks, a malformed report — raises :class:`ChunkError`.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import struct
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.etw.events import EventRecord, StackFrame
-from repro.etw.parser import intern_frame
+from repro.etw.capture import (
+    _EVENT_COLUMNS,
+    _VOCAB_NAMES,
+    DeltaDecoder,
+    DeltaEncoder,
+    _join_vocab,
+    _split_vocab,
+)
+from repro.etw.events import EventRecord
 from repro.etw.recovery import ParseReport
 
 CHUNK_MAGIC = b"LC"
@@ -80,13 +89,9 @@ _U32 = struct.Struct("<I")
 _U8 = struct.Struct("B")
 _I64 = np.dtype("<i8")
 _U64 = np.dtype("<u8")
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
-_UINT64_MAX = 2**64 - 1
-
-#: vocabulary serialization order; must never change within a version
-_VOCAB_NAMES = ("process", "category", "name", "module", "function")
+#: ``walk_offsets`` of a chunk that adds no walks (read-only, shared)
+_FIRST_OFFSET = np.zeros(1, dtype=np.int64)
+_FIRST_OFFSET.setflags(write=False)
 
 
 class ChunkError(RuntimeError):
@@ -96,18 +101,8 @@ class ChunkError(RuntimeError):
 # -- encoding ----------------------------------------------------------
 
 
-def _encode_vocab_delta(new_entries: List[str]) -> bytes:
-    if not new_entries:
-        return _U32.pack(0) + _U32.pack(0)
-    blob = ("\n".join(new_entries) + "\n").encode("utf-8")
-    return _U32.pack(len(new_entries)) + _U32.pack(len(blob)) + blob
-
-
-def _int64_bytes(values: Sequence[int], what: str) -> bytes:
-    try:
-        return np.array(values, dtype=_I64).tobytes()
-    except OverflowError:
-        raise ChunkError(f"{what} value out of int64 range") from None
+def _little_endian(array: np.ndarray) -> np.ndarray:
+    return array.astype(_U64 if array.dtype.kind == "u" else _I64, copy=False)
 
 
 class ChunkEncoder:
@@ -115,124 +110,35 @@ class ChunkEncoder:
     cumulative across every chunk it has encoded)."""
 
     def __init__(self):
-        self._vocabs = {name: {} for name in _VOCAB_NAMES}
-        self._frames: dict = {}
-        self._walks: dict = {}
-
-    def _vocab_id(self, name: str, value: str, new: List[str]) -> int:
-        table = self._vocabs[name]
-        index = table.get(value)
-        if index is None:
-            index = len(table)
-            table[value] = index
-            new.append(value)
-        return index
+        self._encoder = DeltaEncoder(ChunkError)
 
     def encode_events(self, events: Sequence[EventRecord]) -> bytes:
         """One events chunk covering ``events``, including whatever
         vocab/frame/walk entries they introduce."""
-        new_vocab = {name: [] for name in _VOCAB_NAMES}
-        new_frames: List[Tuple[int, int, int, int]] = []
-        new_walk_flat: List[int] = []
-        new_walk_lens: List[int] = []
-
-        eid: List[int] = []
-        timestamp: List[int] = []
-        pid: List[int] = []
-        tid: List[int] = []
-        opcode: List[int] = []
-        process_id: List[int] = []
-        category_id: List[int] = []
-        name_id: List[int] = []
-        walk_id: List[int] = []
-
-        frames = self._frames
-        walks = self._walks
-        for event in events:
-            eid.append(event.eid)
-            timestamp.append(event.timestamp)
-            pid.append(event.pid)
-            tid.append(event.tid)
-            opcode.append(event.opcode)
-            process_id.append(
-                self._vocab_id("process", event.process, new_vocab["process"])
-            )
-            category_id.append(
-                self._vocab_id(
-                    "category", event.category, new_vocab["category"]
-                )
-            )
-            name_id.append(self._vocab_id("name", event.name, new_vocab["name"]))
-
-            walk = event.frames
-            index = walks.get(walk)
-            if index is None:
-                ids = []
-                for frame in walk:
-                    frame_id = frames.get(frame)
-                    if frame_id is None:
-                        frame_id = len(frames)
-                        frames[frame] = frame_id
-                        new_frames.append(
-                            (
-                                frame.index,
-                                self._vocab_id(
-                                    "module",
-                                    frame.module,
-                                    new_vocab["module"],
-                                ),
-                                self._vocab_id(
-                                    "function",
-                                    frame.function,
-                                    new_vocab["function"],
-                                ),
-                                frame.address,
-                            )
-                        )
-                    ids.append(frame_id)
-                index = len(walks)
-                walks[walk] = index
-                new_walk_flat.extend(ids)
-                new_walk_lens.append(len(ids))
-            walk_id.append(index)
-
-        addresses = [row[3] for row in new_frames]
-        if addresses and (
-            min(addresses) < _INT64_MIN or max(addresses) > _INT64_MAX
-        ):
-            if min(addresses) < 0 or max(addresses) > _UINT64_MAX:
-                raise ChunkError("frame address out of 64-bit range")
-            addr_flag, addr_bytes = 1, np.array(addresses, dtype=_U64).tobytes()
-        else:
-            addr_flag = 0
-            addr_bytes = _int64_bytes(addresses, "frame address")
-
-        parts = [_U32.pack(len(eid))]
+        arrays, vocabs = self._encoder.encode(events)
+        parts = [_U32.pack(len(arrays["eid"]))]
         for name in _VOCAB_NAMES:
-            parts.append(_encode_vocab_delta(new_vocab[name]))
-        parts.append(_U32.pack(len(new_frames)))
-        parts.append(_int64_bytes([r[0] for r in new_frames], "frame index"))
-        parts.append(_int64_bytes([r[1] for r in new_frames], "frame module"))
-        parts.append(_int64_bytes([r[2] for r in new_frames], "frame function"))
-        parts.append(_U8.pack(addr_flag))
-        parts.append(addr_bytes)
-        parts.append(_U32.pack(len(new_walk_lens)))
-        parts.append(_U32.pack(len(new_walk_flat)))
-        parts.append(_int64_bytes(new_walk_flat, "walk frame id"))
-        parts.append(_int64_bytes(new_walk_lens, "walk length"))
-        for column, what in (
-            (eid, "eid"),
-            (timestamp, "timestamp"),
-            (pid, "pid"),
-            (tid, "tid"),
-            (opcode, "opcode"),
-            (process_id, "process_id"),
-            (category_id, "category_id"),
-            (name_id, "name_id"),
-            (walk_id, "walk_id"),
-        ):
-            parts.append(_int64_bytes(column, what))
-        body = b"".join(parts)
+            blob = _join_vocab(name, vocabs[name], ChunkError).encode("utf-8")
+            parts += [_U32.pack(len(vocabs[name])), _U32.pack(len(blob)), blob]
+        address = arrays["frame_address"]
+        offsets = arrays["walk_offsets"]
+        parts += [
+            _U32.pack(len(address)),
+            arrays["frame_index"],
+            arrays["frame_module_id"],
+            arrays["frame_function_id"],
+            _U8.pack(address.dtype.kind == "u"),
+            address,
+            _U32.pack(len(offsets) - 1),
+            _U32.pack(len(arrays["walk_frame_ids"])),
+            arrays["walk_frame_ids"],
+            np.diff(offsets),
+        ]
+        parts += [arrays[name] for name in _EVENT_COLUMNS]
+        body = b"".join(
+            part if isinstance(part, bytes) else _little_endian(part)
+            for part in parts
+        )
         return (
             _CHUNK_HEADER.pack(CHUNK_MAGIC, CHUNK_VERSION, CHUNK_EVENTS, len(body))
             + body
@@ -275,10 +181,8 @@ class _Cursor:
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 
-    def int64s(self, count: int, what: str) -> list:
-        return np.frombuffer(
-            self.take(count * 8, what), dtype=_I64, count=count
-        ).tolist()
+    def array(self, count: int, what: str, dtype: np.dtype = _I64) -> np.ndarray:
+        return np.frombuffer(self.take(count * 8, what), dtype=dtype)
 
     def done(self) -> bool:
         return self.offset == self.end
@@ -290,14 +194,13 @@ class CaptureChunkDecoder:
     :meth:`feed` accepts byte fragments cut at *any* boundary and
     returns whatever whole chunks they complete, decoded into
     ``(events, reports)``.  State (vocabularies, interned frames,
-    walk tuples) accumulates across chunks, mirroring the encoder.
+    walk tuples) accumulates across chunks in the stream's
+    :class:`~repro.etw.capture.DeltaDecoder`, mirroring the encoder.
     """
 
     def __init__(self):
         self._buffer = bytearray()
-        self._vocabs = {name: [] for name in _VOCAB_NAMES}
-        self._frames: List[StackFrame] = []
-        self._walks: List[Tuple[StackFrame, ...]] = []
+        self._decoder = DeltaDecoder(ChunkError)
 
     @property
     def buffered_bytes(self) -> int:
@@ -334,7 +237,7 @@ class CaptureChunkDecoder:
             )
             del self._buffer[: CHUNK_HEADER_SIZE + body_len]
             if kind == CHUNK_EVENTS:
-                events.extend(self._decode_events(memoryview(body)))
+                self._decode_events(memoryview(body), events)
             elif kind == CHUNK_REPORT:
                 reports.append(self._decode_report(body))
             else:
@@ -344,158 +247,56 @@ class CaptureChunkDecoder:
     # -- internals -----------------------------------------------------
     def _decode_report(self, body: bytes) -> ParseReport:
         try:
-            doc = json.loads(body.decode("utf-8"))
-            return ParseReport.from_dict(doc)
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError,
-                TypeError, ValueError) as error:
+            return ParseReport.from_dict(json.loads(body.decode("utf-8")))
+        # bad UTF-8, bad JSON, nesting too deep, or no parse report
+        except (ValueError, RecursionError) as error:
             raise ChunkError(f"bad report chunk: {error}") from error
 
-    def _read_vocab_delta(self, cursor: _Cursor, name: str) -> None:
-        n_new = cursor.u32(f"vocab_{name} count")
-        blob_len = cursor.u32(f"vocab_{name} blob length")
-        blob = cursor.take(blob_len, f"vocab_{name} blob")
-        if n_new == 0:
-            if blob_len:
-                raise ChunkError(f"vocab_{name} has bytes but no entries")
-            return
-        try:
-            text = bytes(blob).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise ChunkError(f"vocab_{name} blob is not UTF-8") from error
-        if not text.endswith("\n"):
-            raise ChunkError(f"vocab_{name} blob missing trailing sentinel")
-        entries = text.split("\n")
-        entries.pop()
-        if len(entries) != n_new:
-            raise ChunkError(
-                f"vocab_{name} declares {n_new} entries, blob has "
-                f"{len(entries)}"
-            )
-        for value in entries:
-            if "|" in value or "\r" in value:
-                raise ChunkError(
-                    f"vocab_{name} entry {value!r} contains a raw-log "
-                    "delimiter"
-                )
-        self._vocabs[name].extend(entries)
-
-    def _decode_events(self, view: memoryview) -> List[EventRecord]:
+    def _decode_events(self, view: memoryview, out: List[EventRecord]) -> None:
         cursor = _Cursor(view)
         n_events = cursor.u32("event count")
+        vocabs = {}
         for name in _VOCAB_NAMES:
-            self._read_vocab_delta(cursor, name)
-
-        vocabs = self._vocabs
-        modules = vocabs["module"]
-        functions = vocabs["function"]
+            n_new = cursor.u32(f"vocab_{name} count")
+            blob = cursor.take(cursor.u32(f"vocab_{name} blob length"),
+                               f"vocab_{name} blob")
+            try:
+                text = bytes(blob).decode("utf-8")
+            except UnicodeDecodeError as error:
+                raise ChunkError(f"vocab_{name} blob is not UTF-8") from error
+            entries = vocabs[name] = _split_vocab(text, name, ChunkError)
+            if len(entries) != n_new:
+                raise ChunkError(
+                    f"vocab_{name} declares {n_new} entries, blob has "
+                    f"{len(entries)}"
+                )
 
         n_new_frames = cursor.u32("frame count")
-        frame_index = cursor.int64s(n_new_frames, "frame index")
-        frame_module = cursor.int64s(n_new_frames, "frame module ids")
-        frame_function = cursor.int64s(n_new_frames, "frame function ids")
+        arrays = {
+            name: cursor.array(n_new_frames, name)
+            for name in ("frame_index", "frame_module_id", "frame_function_id")
+        }
         addr_flag = cursor.u8("frame address dtype")
         if addr_flag not in (0, 1):
             raise ChunkError(f"bad frame address dtype flag {addr_flag}")
-        addr_raw = cursor.take(n_new_frames * 8, "frame addresses")
-        addresses = np.frombuffer(
-            addr_raw, dtype=_U64 if addr_flag else _I64, count=n_new_frames
-        ).tolist()
-
+        arrays["frame_address"] = cursor.array(
+            n_new_frames, "frame_address", _U64 if addr_flag else _I64
+        )
         n_new_walks = cursor.u32("walk count")
         n_flat = cursor.u32("walk flat length")
-        walk_flat = cursor.int64s(n_flat, "walk frame ids")
-        walk_lens = cursor.int64s(n_new_walks, "walk lengths")
-
-        columns = [
-            cursor.int64s(n_events, what)
-            for what in (
-                "eid", "timestamp", "pid", "tid", "opcode",
-                "process_id", "category_id", "name_id", "walk_id",
-            )
-        ]
+        arrays["walk_frame_ids"] = cursor.array(n_flat, "walk frame ids")
+        lengths = cursor.array(n_new_walks, "walk lengths")
+        arrays["walk_offsets"] = (
+            np.concatenate((_FIRST_OFFSET, lengths.cumsum()))
+            if n_new_walks else _FIRST_OFFSET
+        )
+        for name in _EVENT_COLUMNS:
+            arrays[name] = cursor.array(n_events, name)
         if not cursor.done():
             raise ChunkError(
                 f"{cursor.end - cursor.offset} trailing bytes in events chunk"
             )
-
-        # -- validate ids against the cumulative tables ----------------
-        frames = self._frames
-        walks = self._walks
-        n_frames_after = len(frames) + n_new_frames
-        for module_id, function_id in zip(frame_module, frame_function):
-            if not 0 <= module_id < len(modules):
-                raise ChunkError("frame module id out of range")
-            if not 0 <= function_id < len(functions):
-                raise ChunkError("frame function id out of range")
-        if sum(walk_lens) != n_flat or any(n < 0 for n in walk_lens):
-            raise ChunkError("walk lengths do not cover the flat frame ids")
-        for frame_id in walk_flat:
-            if not 0 <= frame_id < n_frames_after:
-                raise ChunkError("walk frame id out of range")
-        n_walks_after = len(walks) + n_new_walks
-        bounds = (
-            ("process_id", columns[5], len(vocabs["process"])),
-            ("category_id", columns[6], len(vocabs["category"])),
-            ("name_id", columns[7], len(vocabs["name"])),
-            ("walk_id", columns[8], n_walks_after),
-        )
-        for what, column, bound in bounds:
-            for value in column:
-                if not 0 <= value < bound:
-                    raise ChunkError(f"{what} out of range [0, {bound})")
-
-        # -- materialize (same GC-paused discipline as load_capture) ---
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for index, module, function, address in zip(
-                frame_index, frame_module, frame_function, addresses
-            ):
-                frames.append(
-                    intern_frame(index, modules[module], functions[function], address)
-                )
-            offset = 0
-            for length in walk_lens:
-                walks.append(
-                    tuple(
-                        frames[frame_id]
-                        for frame_id in walk_flat[offset : offset + length]
-                    )
-                )
-                offset += length
-            processes = vocabs["process"]
-            categories = vocabs["category"]
-            names = vocabs["name"]
-            events: List[EventRecord] = []
-            append = events.append
-            new = EventRecord.__new__
-            for (
-                event_eid,
-                event_timestamp,
-                event_pid,
-                event_tid,
-                event_opcode,
-                event_process,
-                event_category,
-                event_name,
-                event_walk,
-            ) in zip(*columns):
-                record = new(EventRecord)
-                record.eid = event_eid
-                record.timestamp = event_timestamp
-                record.pid = event_pid
-                record.process = processes[event_process]
-                record.tid = event_tid
-                record.category = categories[event_category]
-                record.opcode = event_opcode
-                record.name = names[event_name]
-                record.frames = walks[event_walk]
-                append(record)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return events
+        self._decoder.decode(arrays, vocabs, out)
 
 
 def encode_event_stream(

@@ -19,9 +19,7 @@ from repro.etw.capture import (
     CaptureVersionError,
     convert_log,
     is_capture_path,
-    iter_capture,
     load_capture,
-    read_capture,
     write_capture,
 )
 from repro.etw.events import EventLog
@@ -102,14 +100,14 @@ class TestRoundTrip:
     def test_write_capture_without_report(self, tmp_path):
         events = list(iter_parse(TINY_LOG.splitlines()))
         path = write_capture(tmp_path / "x.leapscap", events)
-        events_back, report = read_capture(path)
-        assert list(events_back) == events
-        assert report is None
+        capture = load_capture(path)
+        assert list(capture.events) == events
+        assert capture.report is None
 
     def test_iter_capture_yields_in_order(self, tmp_path):
         events = list(iter_parse(TINY_LOG.splitlines()))
         path = write_capture(tmp_path / "x.leapscap", events)
-        assert list(iter_capture(path)) == events
+        assert list(load_capture(path).events) == events
 
     def test_loaded_capture_is_event_log_with_report(self, tmp_path):
         capture, _, _ = roundtrip(tmp_path, TINY_LOG.splitlines())
@@ -212,6 +210,102 @@ class TestValidation:
         with pytest.raises(CaptureError, match="delimiter"):
             load_capture(capture_path)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda a: {"eid": a["eid"] + 0.5}, id="float-eid"),
+            pytest.param(lambda a: {"eid": a["eid"].astype(str)}, id="str-eid"),
+            pytest.param(
+                lambda a: {"frame_index": a["frame_index"] + 0.25},
+                id="float-frame-index",
+            ),
+            pytest.param(
+                lambda a: {"walk_id": a["walk_id"].astype(np.float64)},
+                id="float-walk-id",
+            ),
+            pytest.param(
+                lambda a: {
+                    "walk_frame_ids": a["walk_frame_ids"].astype(np.float64)
+                },
+                id="float-walk-frame-ids",
+            ),
+            pytest.param(
+                lambda a: {
+                    name: a[name].reshape(-1, 1)
+                    for name in ("eid", "timestamp", "pid", "tid", "opcode",
+                                 "process_id", "category_id", "name_id",
+                                 "walk_id")
+                },
+                id="2d-event-columns",
+            ),
+        ],
+    )
+    def test_malformed_arrays(self, capture_path, mutate):
+        with np.load(capture_path / "arrays.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        self._rewrite(capture_path, **mutate(arrays))
+        with pytest.raises(CaptureError):
+            load_capture(capture_path)
+
+    @pytest.mark.parametrize("truncate", [False, True], ids=["not-a-zip", "truncated"])
+    def test_unreadable_npz(self, capture_path, truncate):
+        npz = capture_path / "arrays.npz"
+        raw = npz.read_bytes()
+        npz.write_bytes(raw[: len(raw) // 2] if truncate else b"not a zip")
+        with pytest.raises(CaptureError, match="unreadable"):
+            load_capture(capture_path)
+
+    def _edit_meta(self, capture_path, edit):
+        path = capture_path / "capture.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+    @pytest.mark.parametrize(
+        "document", [[SCHEMA], SCHEMA], ids=["json-list", "json-string"]
+    )
+    def test_metadata_not_an_object(self, capture_path, document):
+        self._edit_meta(capture_path, lambda meta: document)
+        with pytest.raises(CaptureError, match="not a JSON object"):
+            load_capture(capture_path)
+
+    def test_deeply_nested_metadata(self, capture_path):
+        depth = 100_000
+        (capture_path / "capture.json").write_text("[" * depth + "]" * depth)
+        with pytest.raises(CaptureError, match="unparseable"):
+            load_capture(capture_path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda report: 5, id="number"),
+            pytest.param(
+                lambda report: {
+                    key: value for key, value in report.items()
+                    if key != "issues"
+                },
+                id="missing-key",
+            ),
+            pytest.param(
+                lambda report: {**report, "total_lines": "x"}, id="bad-count"
+            ),
+            pytest.param(
+                lambda report: {
+                    **report,
+                    "issues": [
+                        {"kind": "no-such-kind", "lineno": 1, "message": "m"}
+                    ],
+                },
+                id="unknown-kind",
+            ),
+        ],
+    )
+    def test_malformed_parse_report(self, capture_path, edit):
+        self._edit_meta(
+            capture_path,
+            lambda meta: {**meta, "parse_report": edit(meta["parse_report"])},
+        )
+        with pytest.raises(CaptureError, match="parse_report"):
+            load_capture(capture_path)
+
     def test_write_rejects_out_of_range_ints(self, tmp_path):
         events = list(iter_parse(TINY_LOG.splitlines()))
         huge = events[0].with_frames(events[0].frames)
@@ -258,9 +352,8 @@ class TestWriterEquivalence:
 
         report = ParseReport()
         events = parse_fast(
-            TINY_LOG.splitlines(), policy="drop", report=report, columns=True
+            TINY_LOG.splitlines(), policy="drop", report=report
         )
-        assert events.columns is not None  # the fast assembly path
         vec = self.write_both(
             tmp_path, events, report=report, source={"path": "x.log"}
         )
@@ -289,7 +382,7 @@ class TestWriterEquivalence:
         for variant in fault_corpus(base, seed=seed):
             report = ParseReport()
             events = parse_fast(
-                variant.lines, policy="drop", report=report, columns=True
+                variant.lines, policy="drop", report=report
             )
             scratch = tmp_path / variant.name
             scratch.mkdir()
@@ -314,7 +407,7 @@ class TestWriterEquivalence:
             lines = [raw.rstrip("\n") for raw in read_header(relpath)]
             report = ParseReport()
             events = parse_fast(
-                lines, policy="drop", report=report, columns=True
+                lines, policy="drop", report=report
             )
             scratch = tmp_path / relpath.replace("/", "_")
             scratch.mkdir()

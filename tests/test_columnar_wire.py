@@ -10,6 +10,7 @@ of the codec's tamper rejection.
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,9 @@ from repro.etw.recovery import ParseReport
 from repro.serve.batching import score_chunks
 from repro.serve.columnar import (
     CHUNK_HEADER_SIZE,
+    CHUNK_MAGIC,
+    CHUNK_REPORT,
+    CHUNK_VERSION,
     CaptureChunkDecoder,
     ChunkEncoder,
     ChunkError,
@@ -27,6 +31,7 @@ from repro.serve.columnar import (
 from repro.serve.streams import StreamScanner
 
 from tests.conftest import TINY_LOG
+from tests.oracles.capture import write_capture_naive
 from tests.test_api import make_log
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
@@ -108,6 +113,77 @@ class TestCodecRoundTrip:
         assert reports[0].to_dict() == report.to_dict()
 
 
+def chunk_arrays(chunk):
+    """An events chunk read as capture arrays, straight from the layout
+    in the module docstring (independent of the decoder): vocabularies
+    as their newline-joined blobs, walk lengths as CSR offsets."""
+    body = memoryview(chunk)[CHUNK_HEADER_SIZE:]
+    offset = 0
+
+    def take(n):
+        nonlocal offset
+        offset += n
+        return body[offset - n : offset]
+
+    def u32():
+        return struct.unpack("<I", take(4))[0]
+
+    def ints(n, dtype="<i8"):
+        return np.frombuffer(take(8 * n), dtype=dtype).copy()
+
+    n_events = u32()
+    arrays = {}
+    for name in ("process", "category", "name", "module", "function"):
+        u32()  # entry count
+        arrays[f"vocab_{name}"] = bytes(take(u32())).decode("utf-8")
+    n_frames = u32()
+    for column in ("frame_index", "frame_module_id", "frame_function_id"):
+        arrays[column] = ints(n_frames)
+    wide = take(1)[0]
+    arrays["frame_address"] = ints(n_frames, "<u8" if wide else "<i8")
+    n_walks, n_flat = u32(), u32()
+    arrays["walk_frame_ids"] = ints(n_flat)
+    arrays["walk_offsets"] = np.concatenate(
+        [np.zeros(1, np.int64), np.cumsum(ints(n_walks))]
+    )
+    for column in ("eid", "timestamp", "pid", "tid", "opcode", "process_id",
+                   "category_id", "name_id", "walk_id"):
+        arrays[column] = ints(n_events)
+    assert offset == len(body)
+    return arrays
+
+
+def uint64_tiny_lines():
+    lines = TINY_LOG.splitlines()
+    lines[1] = "STACK|0|0|app.exe|WinMain|0xfffffffffffff012"
+    return lines
+
+
+class TestLayoutIdentity:
+    """A capture is the first delta against empty tables: a fresh
+    encoder's first chunk carries exactly the arrays the per-event
+    capture writer stores."""
+
+    @pytest.mark.parametrize(
+        "lines",
+        [TINY_LOG.splitlines(), uint64_tiny_lines(), make_log(SCAN_SPECS), []],
+        ids=["tiny", "uint64", "scan-specs", "empty"],
+    )
+    def test_first_chunk_is_the_capture(self, tmp_path, lines):
+        events = parse_fast(lines)
+        got = chunk_arrays(ChunkEncoder().encode_events(events))
+        path = write_capture_naive(tmp_path / "x.leapscap", events)
+        with np.load(path / "arrays.npz") as data:
+            stored = {key: data[key] for key in data.files}
+        assert sorted(got) == sorted(stored)
+        for key, array in stored.items():
+            if key.startswith("vocab_"):
+                assert got[key] == str(array[()]), key
+            else:
+                assert got[key].dtype == array.dtype, key
+                assert got[key].tolist() == array.tolist(), key
+
+
 class TestCodecValidation:
     def blob(self):
         return encode_blob(parse_fast(TINY_LOG.splitlines()))
@@ -144,6 +220,17 @@ class TestCodecValidation:
         struct.pack_into("<q", blob, len(blob) - 8, 999)
         with pytest.raises(ChunkError, match="walk_id out of range"):
             CaptureChunkDecoder().feed(bytes(blob))
+
+    def test_deeply_nested_report_chunk(self):
+        depth = 100_000
+        body = b"[" * depth + b"]" * depth
+        chunk = (
+            struct.pack(">2sBBI", CHUNK_MAGIC, CHUNK_VERSION, CHUNK_REPORT,
+                        len(body))
+            + body
+        )
+        with pytest.raises(ChunkError, match="bad report chunk"):
+            CaptureChunkDecoder().feed(chunk)
 
     def test_trailing_garbage_in_body(self):
         blob = self.blob()

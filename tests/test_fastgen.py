@@ -29,9 +29,16 @@ from repro.datasets.generation import (
     generate_catalog,
     generate_dataset,
 )
-from repro.etw.capture import CAPTURE_SUFFIX, captures_byte_identical
+from repro.etw.capture import (
+    CAPTURE_SUFFIX,
+    captures_byte_identical,
+    load_capture,
+)
+from repro.etw.fastparse import parse_fast
+from repro.etw.recovery import ParseReport
+from repro.serve.columnar import encode_event_stream
 
-from tests.conftest import REPO_ROOT
+from tests.conftest import REPO_ROOT, TINY_LOG
 from tests.oracles.generation import (
     WordClock,
     WordStream,
@@ -48,6 +55,9 @@ DIGEST_PARAMS = {
     "datasets": list(SUBSET), "train_events": TRAIN_EVENTS,
     "scan_events": SCAN_EVENTS, "format": "both", "seed": 0,
 }
+#: chunk sizes of the pinned wire streams: the serve workload's slice
+#: size and the encoder's default
+WIRE_CHUNK_EVENTS = (250, 8192)
 
 
 def dataset_bytes(root):
@@ -95,6 +105,33 @@ def generate_subset_digests(root):
             ).root
         )
         for name in SUBSET
+    }
+
+
+def wire_digests(root):
+    """sha256 of the columnar chunk stream a fresh encoder emits, at
+    each of ``WIRE_CHUNK_EVENTS``, for every capture of the subset
+    generated under ``root`` and for ``TINY_LOG`` with a uint64 return
+    address (plus its parse report chunk)."""
+    sources = {}
+    for name in SUBSET:
+        for log_name in LOG_NAMES:
+            capture = load_capture(
+                (root / name / log_name).with_suffix(CAPTURE_SUFFIX)
+            )
+            sources[f"{name}/{log_name}"] = (capture.events, capture.report)
+    lines = TINY_LOG.splitlines()
+    lines[1] = "STACK|0|0|app.exe|WinMain|0xfffffffffffff012"
+    report = ParseReport()
+    sources["tiny-uint64"] = (
+        parse_fast(lines, policy="drop", report=report), report
+    )
+    return {
+        f"{key}@{chunk_events}": hashlib.sha256(
+            b"".join(encode_event_stream(events, report, chunk_events))
+        ).hexdigest()
+        for key, (events, report) in sources.items()
+        for chunk_events in WIRE_CHUNK_EVENTS
     }
 
 
@@ -163,6 +200,13 @@ class TestPinnedDigests:
         committed = json.loads(DIGESTS_PATH.read_text())
         assert committed["params"] == DIGEST_PARAMS
         assert generate_subset_digests(tmp_path) == committed["digests"]
+
+    def test_wire_chunks_match_committed_digests(self, tmp_path):
+        """Chunk bytes are pinned too: a reordered vocabulary or column
+        would still round-trip, but not match these."""
+        committed = json.loads(DIGESTS_PATH.read_text())
+        generate_subset_digests(tmp_path)  # writes the subset's captures
+        assert wire_digests(tmp_path) == committed["wire"]
 
 
 class TestWorkerInvariance:
@@ -333,4 +377,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         digests = generate_subset_digests(Path(scratch))
-    print(json.dumps({"params": DIGEST_PARAMS, "digests": digests}, indent=2))
+        wire = wire_digests(Path(scratch))
+    print(json.dumps(
+        {"params": DIGEST_PARAMS, "digests": digests, "wire": wire}, indent=2
+    ))

@@ -11,6 +11,7 @@ import shutil
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.etw.capture import write_capture
@@ -292,6 +293,74 @@ class TestRegistryRouting:
             }
             assert outcomes["broken"].error is not None
             assert outcomes["broken"].error["kind"] == "BundleError"
+            assert outcomes["good"].error is None
+            assert outcomes["good"].detections == rows(
+                detector.scan_stream(lines)
+            )
+        finally:
+            handle.stop()
+
+    def test_malformed_capture_yields_error_frame(
+        self, detector, registry, tmp_path
+    ):
+        """A capture served by path whose arrays fail validation answers
+        its stream with a ``CaptureError`` frame, and the shard goes on
+        serving: the next good capture still gets its detections."""
+        lines = make_log(SCAN_SPECS)
+        good = write_capture(
+            tmp_path / "good.leapscap", RawLogParser().parse_lines(lines)
+        )
+        broken = tmp_path / "broken.leapscap"
+        shutil.copytree(good, broken)
+        with np.load(broken / "arrays.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["walk_id"] = arrays["walk_id"].astype(np.float64)
+        np.savez(broken / "arrays.npz", **arrays)
+        handle = start_in_thread(registry, n_shards=1, executor="thread")
+        try:
+            outcomes = {}
+            for name, path in (("broken", broken), ("good", good)):
+                client = ServeClient(handle.address, timeout=10.0)
+                client.hello(f"by-{name}", path=str(path))
+                outcomes[name] = client.finish(timeout=10.0)
+            assert outcomes["broken"].error["kind"] == "CaptureError"
+            assert outcomes["good"].error is None
+            assert outcomes["good"].detections == rows(detector.scan_log(lines))
+        finally:
+            handle.stop()
+
+    def test_malformed_report_chunk_yields_error_frame(
+        self, detector, registry
+    ):
+        """A columnar report chunk whose JSON is no parse report answers
+        its stream with a ``ChunkError`` frame, and the shard goes on
+        serving the next stream."""
+        from repro.etw.fastparse import parse_fast
+        from repro.etw.recovery import ParseReport
+        from repro.serve.columnar import (
+            CHUNK_MAGIC,
+            CHUNK_REPORT,
+            CHUNK_VERSION,
+        )
+
+        lines = make_log(SCAN_SPECS)
+        events = parse_fast(lines)
+        body = json.dumps({**ParseReport().to_dict(), "counts": 5}).encode()
+        bad_report = (
+            CHUNK_MAGIC + bytes([CHUNK_VERSION, CHUNK_REPORT])
+            + len(body).to_bytes(4, "big") + body
+        )
+        handle = start_in_thread(registry, n_shards=1, executor="thread")
+        try:
+            outcomes = {}
+            for name, extra in (("bad-report", bad_report), ("good", b"")):
+                client = ServeClient(handle.address, timeout=10.0)
+                client.hello(name)
+                client.send_events(events)
+                if extra:
+                    client.send_chunk(extra)
+                outcomes[name] = client.finish(timeout=10.0)
+            assert outcomes["bad-report"].error["kind"] == "ChunkError"
             assert outcomes["good"].error is None
             assert outcomes["good"].detections == rows(
                 detector.scan_stream(lines)
