@@ -69,7 +69,7 @@ from tests.oracles.capture import write_capture_naive
 DATA_DIR = REPO_ROOT / "benchmarks" / ".data"
 
 SCHEMA = "leaps-bench-e2e/v2"
-#: golden datasets with all three logs, as in bench_scan.py
+#: golden datasets with all three logs
 DEFAULT_DATASETS = (
     "notepad++_reverse_tcp_online",
     "notepad++_reverse_https_online",

@@ -75,6 +75,7 @@ from repro.serve.protocol import (
     pack_json,
     parse_header,
 )
+from repro.serve.workers import FLUSH_DEADLINE_S, TARGET_BATCH_WINDOWS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -412,8 +413,6 @@ def run_ramp_step(
     events_per_stream: int,
     mode: str,
     executor: str = "process",
-    flush_deadline_s: Optional[float] = None,
-    target_batch_windows: Optional[int] = None,
 ) -> dict:
     """One ramp step in one wire ``mode`` ("text" | "columnar")."""
     specs = []
@@ -426,13 +425,7 @@ def run_ramp_step(
         frames = [hello, *variants[variant][mode], pack_frame(FRAME_END)]
         specs.append((stream_id, variant, frames))
 
-    handle = start_in_thread(
-        registry,
-        n_shards=n_shards,
-        executor=executor,
-        flush_deadline_s=flush_deadline_s,
-        target_batch_windows=target_batch_windows,
-    )
+    handle = start_in_thread(registry, n_shards=n_shards, executor=executor)
     try:
         t0 = time.perf_counter()
         conns = drive_streams(handle.address, specs)
@@ -678,7 +671,6 @@ def main(argv=None) -> int:
         registry = ModelRegistry()
         registry.register("default", "v1", bundle)
 
-        serve_config = build_config(args.seed)
         acceptance_streams = min(
             (s for s in ramp if s >= ACCEPTANCE_STREAMS), default=max(ramp)
         )
@@ -703,12 +695,6 @@ def main(argv=None) -> int:
                         registry, variants, n_streams, n_shards,
                         events_per_stream, mode,
                         executor=executor,
-                        flush_deadline_s=(
-                            serve_config.serve_flush_deadline_s
-                        ),
-                        target_batch_windows=(
-                            serve_config.serve_target_batch_windows
-                        ),
                     )
                     if (
                         candidate["errors"]
@@ -846,8 +832,8 @@ def main(argv=None) -> int:
             "variants": len(variants),
             "fd_limit": fd_limit,
             "skipped_ramp_steps": clamped,
-            "flush_deadline_s": serve_config.serve_flush_deadline_s,
-            "target_batch_windows": serve_config.serve_target_batch_windows,
+            "flush_deadline_s": FLUSH_DEADLINE_S,
+            "target_batch_windows": TARGET_BATCH_WINDOWS,
             "columnar_chunk_events": COLUMNAR_CHUNK_EVENTS,
         },
         "ramp": steps,

@@ -13,6 +13,10 @@ from typing import Tuple
 
 import numpy as np
 
+#: keys older bundles carry that configure nothing (the serve batching
+#: settings are now constants in ``repro.serve.workers``)
+_RETIRED = ("serve_flush_deadline_s", "serve_target_batch_windows")
+
 
 @dataclass
 class LeapsConfig:
@@ -28,16 +32,6 @@ class LeapsConfig:
     #: windows buffered per scoring batch in score_stream/scan_stream —
     #: the streaming-scan memory bound alongside the event deque
     stream_chunk_windows: int = 256
-
-    # -- serving (the always-on fleet scorer, DESIGN.md §12)
-    #: longest a score-ready window chunk may wait for batch-mates
-    #: before the shard worker flushes it to the kernel anyway — the
-    #: knob trades single-stream latency for cross-stream batch size
-    serve_flush_deadline_s: float = 0.05
-    #: ready windows at which a shard flushes without waiting for the
-    #: deadline (scores are bit-identical at any setting; only kernel
-    #: call granularity changes)
-    serve_target_batch_windows: int = 1024
 
     # -- weighting
     #: use CFG-guided per-sample weights (False = plain-SVM baseline)
@@ -79,10 +73,6 @@ class LeapsConfig:
             raise ValueError("parse_policy must be 'strict', 'warn' or 'drop'")
         if self.stream_chunk_windows < 1:
             raise ValueError("stream_chunk_windows must be >= 1")
-        if self.serve_flush_deadline_s < 0:
-            raise ValueError("serve_flush_deadline_s must be >= 0")
-        if self.serve_target_batch_windows < 1:
-            raise ValueError("serve_target_batch_windows must be >= 1")
         if not self.lam_grid or not self.sigma2_grid:
             raise ValueError("lam_grid and sigma2_grid must be non-empty")
         if self.cv_folds < 2 and len(self.lam_grid) * len(self.sigma2_grid) > 1:
@@ -117,12 +107,15 @@ class LeapsConfig:
     def from_dict(cls, doc: dict) -> "LeapsConfig":
         """Inverse of :meth:`to_dict`; rejects unknown keys so a stale
         or foreign bundle fails loudly instead of silently dropping
-        settings."""
+        settings.  The retired serve batching keys that older bundles
+        carry are the one exception: they never changed a score."""
+        doc = dict(doc)
+        for key in _RETIRED:
+            doc.pop(key, None)
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown LeapsConfig keys: {sorted(unknown)}")
-        doc = dict(doc)
         for key in ("lam_grid", "sigma2_grid"):
             if key in doc:
                 doc[key] = tuple(doc[key])

@@ -17,7 +17,7 @@ A trained :class:`~repro.core.pipeline.LeapsPipeline` serializes to a
 Floats ride in the ``.npz`` (lossless IEEE-754 bytes); JSON carries only
 structure, strings, and ints — so ``save → load → scan`` produces
 *bit-identical* detections to the in-memory detector, which the tests
-and ``benchmarks/bench_scan.py`` assert.
+assert.
 
 Training-time artifacts (the benign/mixed CFGs, the ``TrainingReport``)
 are deliberately **not** persisted: a scanner process needs none of
@@ -29,9 +29,11 @@ The ``schema`` field is checked on load.  Unknown versions raise
 misinterpret a bundle written by a newer trainer.  ``leaps-model/v2``
 dropped a v1 solver field that could never change the fitted model (the
 SMO partner-selection rule); v1 bundles still load, the field ignored,
-and scan bit-identically.  Any other defect — missing keys, wrong
-types, arrays that disagree with each other — raises
-:class:`BundleError`, never a bare ``KeyError`` or ``IndexError``.
+and scan bit-identically; so do bundles whose config still carries the
+two retired serve batching keys (``LeapsConfig.from_dict`` drops
+them).  Any other defect — missing keys, wrong types, arrays that
+disagree with each other — raises :class:`BundleError`, never a bare
+``KeyError`` or ``IndexError``.
 """
 
 from __future__ import annotations

@@ -26,12 +26,17 @@ time is recorded in ``TrainingReport.stage_seconds``.
 
 Scanning:  featurize a production log with the *training* vocabularies
 and score each window; negative decision values are malicious windows.
-The streaming path (:meth:`LeapsPipeline.score_stream`) consumes a raw
-line iterator with bounded memory — a deque of at most
-``window_events`` pending events inside the coalescer plus at most
-``stream_chunk_windows`` buffered windows per scoring batch — so
-whole-machine logs never need to fit in RAM; :meth:`score_log` and the
-detector's ``scan_log`` are thin wrappers that drain it.
+Two paths, bit-identical to each other:
+
+* batch — :meth:`LeapsPipeline.score_events` over a parsed log (the
+  detector's ``scan_log``/``scan_logs``);
+* incremental — :meth:`LeapsPipeline.score_stream` over a raw line
+  iterator, draining the :mod:`repro.core.streaming` scanner that the
+  serve shards also run: block parse, block featurize, block coalesce,
+  chunked scoring.  Memory stays bounded by one feed of lines, the
+  parser's held stack block (at most ``StreamingParser.BACKLOG_LIMIT``
+  lines), ``window_events`` coalescer rows and one scoring chunk, so
+  whole-machine logs never need to fit in RAM.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ import numpy as np
 
 from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
+from repro.core.streaming import StreamScanner, scan_lines
 from repro.core.weights import WeightAssessor
 from repro.etw.events import EventRecord
-from repro.etw.parser import RawLogParser, iter_parse
+from repro.etw.parser import RawLogParser
 from repro.etw.recovery import ParseReport
 from repro.etw.stack_partition import StackPartitioner
 from repro.learning.cross_validation import GridResult, grid_search_wsvm
@@ -310,37 +316,22 @@ class LeapsPipeline:
         return self.report
 
     # -- testing phase -------------------------------------------------
-    def featurize_log(
-        self, lines: Iterable[str]
-    ) -> Tuple[List[Window], np.ndarray]:
-        """Parse + featurize a log with the training-time vocabularies;
-        returns the window metadata and the scaled sample matrix."""
-        if self.featurizer is None or self.standardizer is None:
+    def _check_trained(self) -> None:
+        if self.model is None or self.featurizer is None or self.standardizer is None:
             raise NotTrainedError("pipeline has not been trained")
-        events = self.parser.parse_lines(lines)
-        windows, matrix = self.coalescer.coalesce_with_matrix(
-            self.featurizer.transform(events), events
-        )
-        if not windows:
-            return [], np.zeros((0, self.coalescer.dims))
-        return windows, self.standardizer.transform(matrix)
 
     def score_events(
         self, events: Sequence[EventRecord]
     ) -> Tuple[List[Window], np.ndarray]:
-        """Score an already-parsed event sequence — the scan fast path.
+        """Score an already-parsed event sequence — the batch scan path.
 
         Featurizes through the vocabulary memo into one preallocated
         matrix, coalesces every window in a single gather, standardizes
         once, and scores in ``stream_chunk_windows``-sized kernel
         batches.  The chunk boundaries match :meth:`score_stream`'s, so
-        the decision values are bit-identical to the streaming path (and
-        to the historical per-event implementation).
+        the decision values are bit-identical to the streaming path.
         """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        if self.featurizer is None or self.standardizer is None:
-            raise NotTrainedError("pipeline has not been trained")
+        self._check_trained()
         windows, matrix = self.coalescer.coalesce_with_matrix(
             self.featurizer.transform(events), events
         )
@@ -355,19 +346,6 @@ class LeapsPipeline:
             )
         return windows, scores
 
-    def score_log(self, lines: Iterable[str]) -> Tuple[List[Window], np.ndarray]:
-        """Decision values per window (negative ⇒ malicious).
-
-        Batch fast path: parses the whole log, then
-        :meth:`score_events`.  Bit-identical to draining
-        :meth:`score_stream` (verified by tests on every complete golden
-        dataset); use the streaming path for logs that must not be
-        materialized.
-        """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        return self.score_events(self.parser.parse_lines(lines))
-
     def score_stream(
         self,
         lines: Iterable[str],
@@ -377,44 +355,13 @@ class LeapsPipeline:
         """Stream ``(window, decision_value)`` pairs off a raw-log line
         iterator with bounded memory.
 
-        Events are parsed, featurized, and coalesced incrementally (the
-        coalescer holds at most ``window_events`` pending events); at
-        most ``stream_chunk_windows`` completed windows are buffered
-        before each batched kernel evaluation.  ``report``/``policy``
+        Drains one :class:`~repro.core.streaming.StreamScanner` — the
+        scanner a serve shard keeps per stream — with
+        :func:`~repro.core.streaming.scan_lines`.  ``report``/``policy``
         expose the recovering-ingestion knobs; the default policy is the
-        config's ``parse_policy``.
+        config's ``parse_policy``.  An untrained pipeline or an unknown
+        policy raises here, before any line is read.
         """
-        if self.model is None:
-            raise NotTrainedError("pipeline has not been trained")
-        if self.featurizer is None or self.standardizer is None:
-            raise NotTrainedError("pipeline has not been trained")
-        return self._score_stream(lines, report, policy or self.parser.policy)
-
-    def _score_stream(
-        self,
-        lines: Iterable[str],
-        report: Optional[ParseReport],
-        policy: str,
-    ) -> Iterator[Tuple[Window, float]]:
-        events = iter_parse(lines, policy=policy, report=report)
-        pairs = (
-            (event, self.featurizer.transform_event(event)) for event in events
-        )
-        chunk = self.config.stream_chunk_windows
-        pending: List[Window] = []
-        for window in self.coalescer.iter_coalesce(pairs):
-            pending.append(window)
-            if len(pending) >= chunk:
-                yield from self._score_windows(pending)
-                pending = []
-        if pending:
-            yield from self._score_windows(pending)
-
-    def _score_windows(
-        self, windows: List[Window]
-    ) -> Iterator[Tuple[Window, float]]:
-        matrix = self.standardizer.transform(
-            np.stack([window.vector for window in windows])
-        )
-        scores = self.model.decision_function(matrix)
-        return zip(windows, scores)
+        self._check_trained()
+        scanner = StreamScanner("", self, policy=policy, report=report)
+        return scan_lines(scanner, lines)

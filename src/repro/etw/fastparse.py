@@ -51,6 +51,7 @@ from repro.etw.events import EventRecord, StackFrame
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
+    ParseError,
     ParseMachine,
     _event_from_fields,
     intern_frame,
@@ -444,7 +445,8 @@ class StreamingParser:
         """Feed the next chunk of (already newline-split, ``\\r\\n``-
         normalized) lines; returns the events they completed.  Strict
         mode raises :class:`~repro.etw.parser.ParseError` exactly as the
-        scalar parser would, with matching line numbers.
+        scalar parser would, with matching line numbers; the events the
+        call completed before the failing line ride on it as ``events``.
 
         ``cr_free=True`` asserts every line is a ``str`` with no ``\\r``
         anywhere (the byte-fed serving path proves this with one C-speed
@@ -452,8 +454,39 @@ class StreamingParser:
         own scan."""
         if self._finished:
             raise RuntimeError("feed_lines() after finish()")
+        out: List[EventRecord] = []
+        try:
+            self._feed(lines, cr_free, out)
+        except ParseError as error:
+            error.events = out
+            raise
+        return out
+
+    def finish(self) -> List[EventRecord]:
+        """End of stream: drain the holdback through the scalar machine
+        and run the real truncated-tail logic.  Returns the final
+        events, if any (on ``ParseError.events`` if it raises)."""
+        if self._finished:
+            return []
+        self._finished = True
+        held, self._holdback = self._holdback, []
+        out: List[EventRecord] = []
+        try:
+            self._feed_scalar(held, out)
+            event = self.machine.finish()
+        except ParseError as error:
+            error.events = out
+            raise
+        if event is not None:
+            out.append(event)
+        return out
+
+    def _feed(
+        self, lines: Sequence[LogLine], cr_free: bool, out: List[EventRecord]
+    ) -> None:
         if self._scalar_mode:
-            return self._feed_scalar(lines)
+            self._feed_scalar(lines, out)
+            return
         cut = None
         for position in range(len(lines) - 1, -1, -1):
             if _opens_event(lines[position]):
@@ -461,48 +494,33 @@ class StreamingParser:
                 break
         if cut is None:
             if not lines:
-                return []
+                return
             self._holdback.extend(lines)
             self._holdback_cr_free = self._holdback_cr_free and cr_free
             if len(self._holdback) > self.backlog_limit:
                 self._scalar_mode = True
                 held, self._holdback = self._holdback, []
-                return self._feed_scalar(held)
-            return []
+                self._feed_scalar(held, out)
+            return
         region = self._holdback + list(lines[:cut])
         region_cr_free = self._holdback_cr_free and cr_free
         self._holdback = list(lines[cut:])
         self._holdback_cr_free = cr_free
-        if not region:
-            return []
-        return self._bulk_region(region, cr_free=region_cr_free)
+        if region:
+            self._bulk_region(region, region_cr_free, out)
 
-    def finish(self) -> List[EventRecord]:
-        """End of stream: drain the holdback through the scalar machine
-        and run the real truncated-tail logic.  Returns the final
-        events, if any."""
-        if self._finished:
-            return []
-        self._finished = True
-        held, self._holdback = self._holdback, []
-        out = self._feed_scalar(held)
-        event = self.machine.finish()
-        if event is not None:
-            out.append(event)
-        return out
-
-    def _feed_scalar(self, lines: Sequence[LogLine]) -> List[EventRecord]:
-        out: List[EventRecord] = []
+    def _feed_scalar(
+        self, lines: Sequence[LogLine], out: List[EventRecord]
+    ) -> None:
         feed = self.machine.feed
         for raw in lines:
             event = feed(raw)
             if event is not None:
                 out.append(event)
-        return out
 
     def _bulk_region(
-        self, region: List[LogLine], cr_free: bool = False
-    ) -> List[EventRecord]:
+        self, region: List[LogLine], cr_free: bool, out: List[EventRecord]
+    ) -> None:
         # The machine is virgin here (block mode never leaves an open
         # event in it), so the region starts at a block boundary.
         parsed = None
@@ -516,10 +534,10 @@ class StreamingParser:
             parsed = _parse_guarded(body, check_tail=False)
         if parsed is None or parsed[1] != len(region):
             self._scalar_mode = True
-            out = self._feed_scalar(region)
+            self._feed_scalar(region, out)
             held, self._holdback = self._holdback, []
-            out.extend(self._feed_scalar(held))
-            return out
+            self._feed_scalar(held, out)
+            return
         events, n_lines, n_blank = parsed
         report = self.machine.report
         report.total_lines += n_lines
@@ -527,4 +545,4 @@ class StreamingParser:
         report.consumed_lines += n_lines - n_blank
         self.machine.observe_bulk_events(events)
         self.machine.lineno += n_lines
-        return events
+        out.extend(events)

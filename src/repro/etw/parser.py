@@ -50,6 +50,11 @@ from repro.etw.recovery import (
 class ParseError(ValueError):
     """Raised on a structurally invalid raw-log line."""
 
+    #: events an incremental parser call completed before the failing
+    #: line (:class:`~repro.etw.fastparse.StreamingParser` fills it) —
+    #: exactly what :func:`iter_parse` would have yielded before raising
+    events: Sequence[EventRecord] = ()
+
     def __init__(
         self,
         message: str,

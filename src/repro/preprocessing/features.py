@@ -22,11 +22,11 @@ with ``repro.preprocessing.clustering``.)
 Scan fast path: production logs are highly repetitive — thousands of
 events collapse to a few dozen distinct ``(etype, app-path,
 system-path)`` attribute triples — so once the vocabularies are frozen,
-resolved id rows are memoized per triple.  :meth:`transform` fills one
-preallocated ``(n, 3)`` array through that memo, and
-:meth:`transform_event` returns a cached read-only row, so streaming
-scans stop re-resolving identical stacks.  Cached or not, the emitted
-values are bit-identical to the uncached lookups.
+resolved ids are memoized per triple and per raw event key.
+:meth:`transform` fills one preallocated ``(n, 3)`` array through that
+memo; it is the one featurization call of every scan path (batch,
+incremental and served), and its values are bit-identical to the
+uncached lookups.
 """
 
 from __future__ import annotations
@@ -91,8 +91,6 @@ class EventFeaturizer:
         # attribute triple → resolved (etype_id, app_id, system_id);
         # valid only after the vocabularies are frozen in fit()
         self._id_cache: Dict[AttributeTriple, Tuple[int, int, int]] = {}
-        # resolved id triple → shared read-only feature row
-        self._row_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
         # (category, opcode, name, frames) → resolved ids: short-circuits
         # the attribute-triple construction itself, which is the dominant
         # per-event cost once ids are memoized.  Keying on the raw frames
@@ -114,7 +112,6 @@ class EventFeaturizer:
     # -- fit / transform ----------------------------------------------
     def fit(self, *event_streams: Iterable[EventRecord]) -> "EventFeaturizer":
         self._id_cache.clear()
-        self._row_cache.clear()
         self._event_cache.clear()
         for stream in event_streams:
             for event in stream:
@@ -149,23 +146,6 @@ class EventFeaturizer:
             ids = self._resolve(self.attributes(event))
             self._event_cache[key] = ids
         return ids
-
-    def transform_event(self, event: EventRecord) -> np.ndarray:
-        """Feature row for one event — the streaming-scan unit; equals
-        the corresponding row of :meth:`transform` bit for bit.
-
-        Returns a shared read-only array per distinct attribute triple;
-        copy before mutating.
-        """
-        if not self.fitted:
-            raise RuntimeError("EventFeaturizer.transform before fit")
-        ids = self._resolve_event(event)
-        row = self._row_cache.get(ids)
-        if row is None:
-            row = np.array(ids, dtype=float)
-            row.setflags(write=False)
-            self._row_cache[ids] = row
-        return row
 
     def transform(self, events: Sequence[EventRecord]) -> np.ndarray:
         if not self.fitted:

@@ -6,6 +6,11 @@ into one sample — 10 events × 3 dims = the paper's 30-dim vectors — and
 slides the window by ``stride`` events.  Trailing events that do not
 fill a whole window are dropped.
 
+Two coalescers share one geometry: :class:`WindowCoalescer` gathers a
+whole log's windows at once (training and the batch scan), and
+:class:`PushCoalescer` carries a stream's last ``window_events`` rows
+between blocks (the incremental scan), producing the same windows.
+
 Per-window sample weights aggregate the member events' Algorithm-2
 weights (mean by default, max as the pessimistic alternative).
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -60,9 +65,9 @@ class WindowCoalescer:
     def coalesce_with_matrix(
         self, features: np.ndarray, events: Sequence[EventRecord]
     ) -> Tuple[List[Window], np.ndarray]:
-        """:meth:`coalesce` plus the stacked ``(m, 3*window)`` sample
-        matrix, built in one pass — each ``Window.vector`` is a row view
-        of the returned matrix."""
+        """Every window of a featurized log plus the stacked
+        ``(m, 3*window)`` sample matrix, built in one pass — each
+        ``Window.vector`` is a row view of the returned matrix."""
         if len(features) != len(events):
             raise ValueError("features/events length mismatch")
         starts = np.asarray(self._starts(len(events)), dtype=np.intp)
@@ -81,32 +86,10 @@ class WindowCoalescer:
         ]
         return windows, matrix
 
-    def coalesce(
-        self, features: np.ndarray, events: Sequence[EventRecord]
-    ) -> List[Window]:
-        return self.coalesce_with_matrix(features, events)[0]
-
     def push_coalescer(self) -> "PushCoalescer":
         """A fresh push-mode coalescer carrying this coalescer's geometry
-        — one per live stream in the serving path."""
+        — one per incremental scan."""
         return PushCoalescer(self.window_events, self.stride)
-
-    def iter_coalesce(
-        self, pairs: Iterable[Tuple[EventRecord, np.ndarray]]
-    ) -> Iterator[Window]:
-        """Incremental coalescing over an ``(event, feature_row)`` stream.
-
-        Holds a deque of at most ``window_events`` pending pairs — the
-        streaming-scan memory bound — and yields each :class:`Window` the
-        moment its last event arrives.  Produces exactly the windows of
-        :meth:`coalesce` (same spans, bit-identical vectors) without ever
-        materializing the event list.
-        """
-        coalescer = self.push_coalescer()
-        for event, row in pairs:
-            window = coalescer.push(event, row)
-            if window is not None:
-                yield window
 
     def coalesce_matrix(self, features: np.ndarray) -> np.ndarray:
         """Window vectors only, stacked into an ``(m, 3*window)`` matrix."""
@@ -130,15 +113,14 @@ class WindowCoalescer:
 
 
 class PushCoalescer:
-    """Push-mode core of :meth:`WindowCoalescer.iter_coalesce`: feed one
-    ``(event, feature_row)`` pair, get back the :class:`Window` it
-    completed, if any.
+    """Incremental coalescing: push blocks of events and their feature
+    rows, get back the windows each block completed.
 
-    This is the per-stream coalescing state the serving workers keep
-    alive between socket payloads — a deque of at most ``window_events``
-    pending rows plus the running event count — so window spans and
-    vectors are bit-identical to the pull path no matter how the stream's
-    bytes were chunked in flight.
+    The per-stream state between blocks is a deque of at most
+    ``window_events`` pending rows plus the running event count — the
+    coalescer's share of the streaming-scan memory bound — so window
+    spans and vectors equal :meth:`WindowCoalescer.coalesce_with_matrix`'s
+    over the whole stream, however the stream was cut into blocks.
     """
 
     __slots__ = ("window_events", "stride", "buffer", "count")
@@ -153,34 +135,18 @@ class PushCoalescer:
         self.buffer: deque = deque(maxlen=window_events)
         self.count = 0
 
-    def push(self, event: EventRecord, row: np.ndarray) -> "Window | None":
-        self.buffer.append((event, row))
-        self.count += 1
-        start = self.count - self.window_events
-        if start >= 0 and start % self.stride == 0:
-            return Window(
-                start_index=start,
-                start_eid=self.buffer[0][0].eid,
-                end_eid=event.eid,
-                vector=np.concatenate([pair[1] for pair in self.buffer]),
-            )
-        return None
-
     def push_block(self, events, rows: np.ndarray) -> "list[Window]":
-        """Push a whole parsed block at once — the serving fast path for
-        bulk regions, equivalent to ``push(events[i], rows[i])`` per pair.
+        """Push the next block of events (any length) with their
+        ``(n, 3)`` feature rows; returns the windows whose last event
+        lies in this block.
 
-        Window vectors come out bit-identical to the scalar path: a
-        window covering rows ``[j, j+w)`` of the held+new row matrix is
-        that slice flattened, which is exactly the ``np.concatenate`` of
-        the same per-event rows (pure data movement, no arithmetic).
+        A window covering rows ``[j, j+w)`` of the held+new row matrix
+        is that slice flattened — pure data movement, so its vector is
+        bit-identical to the batch gather's.
         """
         n = len(events)
         if n == 0:
             return []
-        if n == 1:
-            window = self.push(events[0], rows[0])
-            return [window] if window is not None else []
         window_events = self.window_events
         stride = self.stride
         base = self.count

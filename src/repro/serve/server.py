@@ -103,17 +103,9 @@ class DetectionServer:
         port: int = 0,
         unix_path: Optional[str] = None,
         ack_window_bytes: int = ACK_WINDOW_BYTES,
-        flush_deadline_s: Optional[float] = None,
-        target_batch_windows: Optional[int] = None,
     ):
         self.registry = registry
-        self.pool = ShardPool(
-            registry,
-            n_shards=n_shards,
-            executor=executor,
-            flush_deadline_s=flush_deadline_s,
-            target_batch_windows=target_batch_windows,
-        )
+        self.pool = ShardPool(registry, n_shards=n_shards, executor=executor)
         self.host = host
         self.port = port
         self.unix_path = unix_path
@@ -448,8 +440,6 @@ def start_in_thread(
     port: int = 0,
     unix_path: Optional[str] = None,
     ack_window_bytes: int = ACK_WINDOW_BYTES,
-    flush_deadline_s: Optional[float] = None,
-    target_batch_windows: Optional[int] = None,
 ) -> ServerHandle:
     """Start a :class:`DetectionServer` on a dedicated event-loop
     thread and block until it is accepting connections."""
@@ -461,8 +451,6 @@ def start_in_thread(
         port=port,
         unix_path=unix_path,
         ack_window_bytes=ack_window_bytes,
-        flush_deadline_s=flush_deadline_s,
-        target_batch_windows=target_batch_windows,
     )
     started = threading.Event()
     box: dict = {}

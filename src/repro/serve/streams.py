@@ -1,136 +1,44 @@
-"""Per-stream push pipeline: socket bytes → score-ready window chunks.
+"""Per-stream serve state: the core scanner plus the columnar wire.
 
-One :class:`StreamScanner` holds everything a live stream needs between
-payloads: the byte-fragment buffer (lines split across socket reads),
-the incremental parser (:class:`repro.etw.fastparse.StreamingParser`),
-the push-mode window coalescer, and the open scoring chunk.  Feeding it
-the stream's bytes in *any* chunking produces windows — and, after
-scoring, detections — bit-identical to
-:meth:`LeapsDetector.scan_stream` over the whole log at once:
-
-* byte → line splitting mirrors :func:`repro.etw.parser.read_log_lines`
-  (``\\n``/``\\r\\n`` boundaries only; undecodable lines pass through as
-  ``bytes`` for ``BAD_ENCODING`` classification);
-* parsing *is* the scalar parser (shared
-  :class:`~repro.etw.parser.ParseMachine`), bulk-accelerated on clean
-  regions;
-* chunk boundaries replicate ``LeapsPipeline._score_stream``'s
-  ``stream_chunk_windows`` discipline exactly — chunk k covers windows
-  ``[k·chunk, (k+1)·chunk)`` of *this stream*, independent of how its
-  bytes interleaved with other streams' — which is what lets the
-  cross-stream micro-batcher score many streams per kernel call without
-  moving a single score bit (DESIGN.md §12).
+Each stream owns one :class:`StreamScanner`, the scanner of
+:mod:`repro.core.streaming` that ``scan_stream`` drains, so served
+detections are ``scan_stream``'s by construction.  This subclass adds
+``FRAME_DATA_COLUMNAR`` ingest, the rule that a stream carries text or
+columnar data but never both, and the incomplete-chunk check at END.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional
+from typing import Optional
 
-from repro.etw.fastparse import StreamingParser
-from repro.etw.parser import LogLine, ParseError
-from repro.serve.batching import ScoreChunk
+from repro.core import streaming
 from repro.serve.columnar import CaptureChunkDecoder, ChunkError
 
 
-class StreamScanner:
-    """Push-mode equivalent of one ``scan_stream`` call."""
+class StreamScanner(streaming.StreamScanner):
+    """The core scanner with the columnar wire mode."""
 
-    def __init__(
-        self,
-        stream_id: str,
-        pipeline,
-        policy: Optional[str] = None,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if pipeline.model is None or pipeline.featurizer is None:
-            raise ValueError("StreamScanner needs a trained pipeline")
-        self.stream_id = stream_id
-        self.pipeline = pipeline
-        self.policy = policy or pipeline.parser.policy
-        self.parser = StreamingParser(policy=self.policy)
-        self.report = self.parser.report
-        self.coalescer = pipeline.coalescer.push_coalescer()
-        self.chunk_windows = int(pipeline.config.stream_chunk_windows)
-        self._clock = clock
-        self._transform = pipeline.featurizer.transform_event
-        self._batch_transform = pipeline.featurizer.transform
-        self._fragment = b""
-        self._pending: List = []  # windows of the open (partial) chunk
-        self._pending_times: List[float] = []
-        self._ready: List[ScoreChunk] = []
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._decoder: Optional[CaptureChunkDecoder] = None
         self._mode: Optional[str] = None  # "text" | "columnar" once fed
-        self.events_seen = 0
-        self.windows_made = 0
-        self.bytes_seen = 0
-        self.lines_seen = 0
-        self.decode_s = 0.0  # byte→line / chunk→event decode time
-        self.featurize_s = 0.0  # transform + coalesce + chunk time
-        self.finished = False
-        self.disconnected = False
-        self.error: Optional[ParseError] = None
 
-    # -- ingest --------------------------------------------------------
     def feed_bytes(self, data: bytes) -> None:
-        """Ingest the next raw text payload; lines split across
-        payloads are held as a fragment until their newline arrives.
-
-        The whole completed region is decoded in one pass (one
-        ``decode`` + one ``split`` instead of per-line calls); the
-        result is identical to per-piece decoding because ``\\n`` is a
-        single byte no UTF-8 sequence can span, ``\\r\\n`` collapse
-        touches exactly the bytes per-piece ``strip_cr`` would, and an
-        undecodable region falls back to the per-piece path so only
-        genuinely broken lines pass through as ``bytes``."""
-        self.bytes_seen += len(data)
         if self._mode == "columnar":
             raise ChunkError("stream already carries columnar data")
         self._mode = "text"
-        start = time.perf_counter()
-        buffer = self._fragment + data
-        cut = buffer.rfind(b"\n")
-        if cut < 0:
-            self._fragment = buffer
-            self.decode_s += time.perf_counter() - start
-            return
-        region = buffer[: cut + 1]
-        self._fragment = buffer[cut + 1 :]
-        cr_free = False
-        try:
-            text = region.decode("utf-8")
-        except UnicodeDecodeError:
-            pieces = region.split(b"\n")
-            pieces.pop()  # region ends with the delimiter
-            lines: List[LogLine] = [
-                self._decode(piece, strip_cr=True) for piece in pieces
-            ]
-        else:
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-            else:
-                # one C-speed scan proved the whole region \r-free, so
-                # the bulk parser can skip its per-line gate
-                cr_free = True
-            lines = text.split("\n")
-            lines.pop()
-        self.decode_s += time.perf_counter() - start
-        self.feed_lines(lines, cr_free=cr_free)
-
-    def feed_events(self, events: List) -> None:
-        """Ingest already-parsed events (a ``.leapscap`` capture served
-        by path) — same featurize/coalesce/chunk path, no parse."""
-        self._ingest(events)
+        super().feed_bytes(data)
 
     def feed_chunk_bytes(self, data: bytes) -> None:
         """Ingest columnar chunk bytes (``FRAME_DATA_COLUMNAR``
         payloads) in arbitrary fragments; client-shipped report chunks
         merge into this stream's report so the terminal result matches
         a server-side parse of the same text."""
-        self.bytes_seen += len(data)
         if self._mode == "text":
             raise ChunkError("stream already carries text data")
         self._mode = "columnar"
+        self.bytes_seen += len(data)
         if self._decoder is None:
             self._decoder = CaptureChunkDecoder()
         start = time.perf_counter()
@@ -138,144 +46,21 @@ class StreamScanner:
         self.decode_s += time.perf_counter() - start
         for report in reports:
             self.report.merge(report)
-        self._ingest(events)
-
-    def feed_lines(self, lines: List[LogLine], cr_free: bool = False) -> None:
-        self.lines_seen += len(lines)
-        try:
-            events = self.parser.feed_lines(lines, cr_free=cr_free)
-        except ParseError as error:
-            # strict policy: the stream is dead; the report was
-            # finalized by the machine before raising
-            self.error = error
-            self.finished = True
-            raise
-        self._ingest(events)
+        self.feed_events(events)
 
     def finish(self, disconnected: bool = False) -> None:
-        """End of stream: flush the fragment, run the parser's real
-        end-of-input (truncated-tail) logic, and close the open chunk.
-
-        ``disconnected`` marks a client that vanished without ``END`` —
-        its tail cannot be trusted, so ``report.truncated_tail`` is
-        forced on (recording a ``TRUNCATED_TAIL`` issue if the depth
-        heuristic had not already fired) and the partial result is
-        emitted rather than silently dropped.
-        """
-        if self.finished:
-            return
-        self.disconnected = disconnected
-        if self._decoder is not None and self._decoder.buffered_bytes:
-            # a columnar chunk was cut short: fatal on a clean END (the
-            # client claims it sent everything), merely truncation on a
-            # disconnect (the partial chunk is discarded; the forced
-            # truncated-tail below records the loss)
-            if not disconnected:
-                self.finished = True
-                raise ChunkError(
-                    f"{self._decoder.buffered_bytes} bytes of an "
-                    "incomplete columnar chunk at END"
-                )
-            self._decoder = CaptureChunkDecoder()
-        tail: List[LogLine] = []
-        if self._fragment:
-            # final unterminated line; a trailing \r is content here,
-            # exactly as in a batch read of the whole file
-            tail.append(self._decode(self._fragment, strip_cr=False))
-            self._fragment = b""
-        try:
-            events = self.parser.feed_lines(tail) if tail else []
-            events.extend(self.parser.finish())
-        except ParseError as error:
-            self.error = error
+        """A columnar chunk cut short is fatal on a clean ``END`` and
+        discarded on a disconnect (the forced truncated tail records
+        the loss)."""
+        if (
+            not self.finished
+            and not disconnected
+            and self._decoder is not None
+            and self._decoder.buffered_bytes
+        ):
             self.finished = True
-            raise
-        self._ingest(events)
-        if disconnected and not self.report.truncated_tail:
-            from repro.etw.recovery import ParseErrorKind
-
-            self.report.truncated_tail = True
-            self.report.record(
-                ParseErrorKind.TRUNCATED_TAIL,
-                max(self.parser.machine.lineno, 1),
-                "stream disconnected before END",
+            raise ChunkError(
+                f"{self._decoder.buffered_bytes} bytes of an "
+                "incomplete columnar chunk at END"
             )
-        if self._pending:
-            self._ready.append(self._close_chunk(final=True))
-        self.finished = True
-
-    # -- scoring handoff -----------------------------------------------
-    @property
-    def unscored_windows(self) -> int:
-        """Windows parsed but not yet handed to a scoring call — the
-        backpressure watermark input."""
-        return len(self._pending) + sum(
-            len(chunk.windows) for chunk in self._ready
-        )
-
-    @property
-    def ready_window_count(self) -> int:
-        """Windows sitting in completed (score-ready) chunks."""
-        return sum(len(chunk.windows) for chunk in self._ready)
-
-    def take_ready(self) -> List[ScoreChunk]:
-        """Claim the completed chunks (the micro-batcher's input)."""
-        ready, self._ready = self._ready, []
-        return ready
-
-    # -- internals -----------------------------------------------------
-    @staticmethod
-    def _decode(piece: bytes, strip_cr: bool) -> LogLine:
-        if strip_cr and piece.endswith(b"\r"):
-            piece = piece[:-1]
-        try:
-            return piece.decode("utf-8")
-        except UnicodeDecodeError:
-            return piece
-
-    def _ingest(self, events: List) -> None:
-        if not events:
-            return
-        start = time.perf_counter()
-        now = self._clock()
-        if len(events) >= 8:
-            # bulk region: vectorized featurization + block coalescing
-            # (bit-identical to the per-event path — the batch transform
-            # equals stacked transform_event rows, and block windows are
-            # the same row slices)
-            rows = self._batch_transform(events)
-            windows = self.coalescer.push_block(events, rows)
-        else:
-            transform = self._transform
-            push = self.coalescer.push
-            windows = []
-            for event in events:
-                window = push(event, transform(event))
-                if window is not None:
-                    windows.append(window)
-        pending = self._pending
-        times = self._pending_times
-        chunk_windows = self.chunk_windows
-        for window in windows:
-            pending.append(window)
-            times.append(now)
-            if len(pending) >= chunk_windows:
-                self._ready.append(self._close_chunk(final=False))
-                pending = self._pending
-                times = self._pending_times
-        self.events_seen += len(events)
-        self.featurize_s += time.perf_counter() - start
-
-    def _close_chunk(self, final: bool) -> ScoreChunk:
-        chunk = ScoreChunk(
-            stream_id=self.stream_id,
-            pipeline=self.pipeline,
-            windows=self._pending,
-            times=self._pending_times,
-            final=final,
-            ready_at=self._clock(),
-        )
-        self.windows_made += len(self._pending)
-        self._pending = []
-        self._pending_times = []
-        return chunk
+        super().finish(disconnected)

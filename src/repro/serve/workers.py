@@ -15,14 +15,15 @@ Each worker runs :func:`shard_worker_loop` over an input queue:
 * after handling a message it opportunistically drains the queue, so
   under load many streams' payloads land between scoring calls and
   their ready chunks coalesce into one micro-batch
-  (:func:`repro.serve.batching.score_chunks`);
+  (:func:`repro.core.streaming.score_chunks`);
 * scoring is **adaptively batched**: ready chunks wait up to
-  ``flush_deadline_s`` for batch-mates from other streams (or until
-  ``target_batch_windows`` are ready, whichever first) before the
+  :data:`FLUSH_DEADLINE_S` for batch-mates from other streams (or until
+  :data:`TARGET_BATCH_WINDOWS` are ready, whichever first) before the
   kernel call fires — bigger batches per call under load, bounded
-  added latency when idle, and bit-identical scores at any setting
-  (the knobs live on :class:`repro.core.config.LeapsConfig` as
-  ``serve_flush_deadline_s`` / ``serve_target_batch_windows``);
+  added latency when idle, and bit-identical scores either way;
+* a stream that fails (strict ``ParseError``, ``ChunkError``,
+  ``StackPartitionError``, an unreadable path) gets an error frame, and
+  the shard goes on serving its other streams;
 * backpressure: every ``data`` payload is acknowledged after parsing
   (the server bounds per-stream unacked bytes), and a stream whose
   unscored-window queue crosses :data:`WINDOW_HIGH_WATER` gets an
@@ -53,11 +54,11 @@ import numpy as np
 
 from pathlib import Path
 
-from repro.core.config import LeapsConfig
 from repro.core.persistence import BundleError
+from repro.core.streaming import ScoreChunk, score_chunks
 from repro.etw.capture import CaptureError, is_capture_path, load_capture
 from repro.etw.parser import ParseError, evict_frame_intern, frame_intern_stats
-from repro.serve.batching import ScoreChunk, score_chunks
+from repro.etw.stack_partition import StackPartitionError
 from repro.serve.columnar import ChunkError
 from repro.serve.registry import ModelRegistry, UnknownModelError
 from repro.serve.streams import StreamScanner
@@ -68,6 +69,12 @@ WINDOW_HIGH_WATER = 2048
 WINDOW_LOW_WATER = 512
 #: per-shard bound on retained window→detection latency samples
 LATENCY_SAMPLES = 200_000
+#: longest a score-ready chunk waits for batch-mates from other streams
+FLUSH_DEADLINE_S = 0.05
+#: ready windows at which a shard scores without waiting for the deadline
+TARGET_BATCH_WINDOWS = 1024
+#: what ends one stream without ending the shard
+_STREAM_ERRORS = (ParseError, ChunkError, StackPartitionError)
 
 
 def shard_for(stream_id: str, n_shards: int) -> int:
@@ -137,19 +144,9 @@ class _ShardState:
 
 
 def shard_worker_loop(
-    shard_index: int,
-    in_queue,
-    out_queue,
-    registry_spec: dict,
-    flush_deadline_s: Optional[float] = None,
-    target_batch_windows: Optional[int] = None,
+    shard_index: int, in_queue, out_queue, registry_spec: dict
 ) -> None:
     """The worker main loop; identical under thread and process pools."""
-    defaults = LeapsConfig()
-    if flush_deadline_s is None:
-        flush_deadline_s = defaults.serve_flush_deadline_s
-    if target_batch_windows is None:
-        target_batch_windows = defaults.serve_target_batch_windows
     registry = ModelRegistry.from_spec(
         registry_spec, on_reload=evict_frame_intern
     )
@@ -160,10 +157,10 @@ def shard_worker_loop(
         if state.ready_windows and state.oldest_ready_at is not None:
             # something is score-ready: wait for batch-mates only until
             # the oldest chunk's flush deadline
-            remaining = flush_deadline_s - (
+            remaining = FLUSH_DEADLINE_S - (
                 time.monotonic() - state.oldest_ready_at
             )
-            if remaining <= 0 or state.ready_windows >= target_batch_windows:
+            if remaining <= 0 or state.ready_windows >= TARGET_BATCH_WINDOWS:
                 _flush(state, put)
                 _finalize(state, put)
                 continue
@@ -178,13 +175,13 @@ def shard_worker_loop(
         stop = _handle(state, put, message)
         # opportunistic drain: whatever arrived while we were busy gets
         # parsed now, so one flush scores it all in one batch
-        while not stop and state.ready_windows < target_batch_windows:
+        while not stop and state.ready_windows < TARGET_BATCH_WINDOWS:
             try:
                 message = in_queue.get_nowait()
             except queue.Empty:
                 break
             stop = _handle(state, put, message)
-        if stop or state.ready_windows >= target_batch_windows:
+        if stop or state.ready_windows >= TARGET_BATCH_WINDOWS:
             _flush(state, put)
         # streams whose chunks are all scored finalize immediately —
         # only streams with unflushed windows wait on the deadline
@@ -203,7 +200,7 @@ def _handle(state: _ShardState, put, message) -> bool:
                     scanner.feed_bytes(payload)
                 else:
                     scanner.feed_chunk_bytes(payload)
-            except (ParseError, ChunkError) as error:
+            except _STREAM_ERRORS as error:
                 _fail_stream(state, put, stream_id, scanner, error)
             else:
                 state.note_ready(scanner, ready_before)
@@ -252,7 +249,7 @@ def _handle(state: _ShardState, put, message) -> bool:
             else:
                 scanner.feed_bytes(Path(path).read_bytes())
             scanner.finish()
-        except ParseError as error:
+        except _STREAM_ERRORS as error:
             _fail_stream(state, put, stream_id, scanner, error)
             return False
         except (OSError, CaptureError) as error:
@@ -275,7 +272,7 @@ def _handle(state: _ShardState, put, message) -> bool:
         ready_before = scanner.ready_window_count
         try:
             scanner.finish(disconnected=(kind == "abort"))
-        except (ParseError, ChunkError) as error:
+        except _STREAM_ERRORS as error:
             _fail_stream(state, put, stream_id, scanner, error)
             return False
         state.note_ready(scanner, ready_before)
@@ -294,10 +291,10 @@ def _fail_stream(
     state: _ShardState, put, stream_id: str, scanner: StreamScanner, error
 ) -> None:
     """Fatal stream failure — a strict-mode parse error (the report was
-    finalized by the parse machine before raising) or a columnar chunk
-    that failed validation.  Surface it with the error and free the
-    stream (its unscored windows die with it, as in a serial
-    ``scan_stream`` that raised)."""
+    finalized by the parse machine before raising), a columnar chunk
+    that failed validation, or a stack walk that does not partition.
+    Surface it with the error and free the stream (its unscored windows
+    die with it)."""
     state.scanners.pop(stream_id, None)
     state.paused.discard(stream_id)
     state.retire(scanner)
@@ -467,8 +464,6 @@ class ShardPool:
         registry: ModelRegistry,
         n_shards: int = 1,
         executor: str = "process",
-        flush_deadline_s: Optional[float] = None,
-        target_batch_windows: Optional[int] = None,
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
@@ -477,7 +472,6 @@ class ShardPool:
         self.n_shards = n_shards
         self.executor = executor
         spec = registry.spec()
-        worker_args = (flush_deadline_s, target_batch_windows)
         if executor == "process":
             context = multiprocessing.get_context()
             self.out_queue = context.Queue()
@@ -485,8 +479,7 @@ class ShardPool:
             self.workers = [
                 context.Process(
                     target=shard_worker_loop,
-                    args=(index, self.in_queues[index], self.out_queue, spec)
-                    + worker_args,
+                    args=(index, self.in_queues[index], self.out_queue, spec),
                     daemon=True,
                     name=f"leaps-shard-{index}",
                 )
@@ -498,8 +491,7 @@ class ShardPool:
             self.workers = [
                 threading.Thread(
                     target=shard_worker_loop,
-                    args=(index, self.in_queues[index], self.out_queue, spec)
-                    + worker_args,
+                    args=(index, self.in_queues[index], self.out_queue, spec),
                     daemon=True,
                     name=f"leaps-shard-{index}",
                 )

@@ -68,6 +68,22 @@ def e2e_dataset(data_dir: Path) -> Path:
     return path
 
 
+#: The catalog row the generated-data equivalence tests scan, and its
+#: scale (a few seconds' worth of simulated activity per log).
+GENERATED_ROW = "notepad++_reverse_tcp_online"
+GENERATED_EVENTS = {"train_events": 1500, "scan_events": 1500}
+
+
+@pytest.fixture(scope="session")
+def generated_row(tmp_path_factory) -> Path:
+    """One catalog row, generated once per session: a directory holding
+    ``benign.log``, ``mixed.log`` and ``malicious.log``."""
+    from repro.datasets import generate_dataset
+
+    root = tmp_path_factory.mktemp("generated-row") / GENERATED_ROW
+    return generate_dataset(GENERATED_ROW, root, seed=0, **GENERATED_EVENTS).root
+
+
 TINY_LOG = """\
 EVENT|0|0|1000|app.exe|4|UI_MESSAGE|21|ui_get_message
 STACK|0|0|app.exe|WinMain|0x400012

@@ -6,9 +6,14 @@ Each module keeps the straightforward version of one optimized layer:
 * :mod:`tests.oracles.grid` — the grid search that re-kernelizes every
   (λ, σ², fold) cell;
 * :mod:`tests.oracles.capture` — the per-event capture writer;
-* :mod:`tests.oracles.generation` — the per-event scenario tracer.
+* :mod:`tests.oracles.generation` — the per-event scenario tracer;
+* :mod:`tests.oracles.stream_scan` — the per-event streaming scan
+  (scalar parse, per-event featurize and coalesce, one
+  ``decision_function`` call per chunk) that ``scan_stream`` ran before
+  it drained the block scanner.
 
 The equivalence suites compare production output against these bit for
-bit, and the benches time them as the "naive" baseline.  Production code
-never imports them.
+bit; ``benchmarks/bench_e2e.py`` and ``benchmarks/bench_table1.py`` time
+the capture writer and the tracer as their naive baselines.  Production
+code never imports them.
 """

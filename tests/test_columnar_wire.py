@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
-from repro.serve.batching import score_chunks
+from repro.serve import score_chunks
 from repro.serve.columnar import (
     CHUNK_HEADER_SIZE,
     CHUNK_MAGIC,

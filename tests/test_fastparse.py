@@ -178,13 +178,16 @@ def _chunked(lines, seed):
 def run_streaming(lines, policy, seed, rct=False, chunks=None):
     """Feed one input through StreamingParser in seeded chunks (or the
     given ``chunks``) and the scalar parser whole; assert total
-    equivalence (events, frame identity, reports, errors). Returns the
+    equivalence (events, frame identity, reports, errors).  When both
+    raise, the events the stream produced — returned by the calls before
+    the failing one plus the failing call's ``ParseError.events`` — must
+    be the events ``iter_parse`` yielded before raising.  Returns the
     events (None when raised)."""
     from repro.etw.fastparse import StreamingParser
 
     stream_report, scalar_report = ParseReport(), ParseReport()
     stream_error = scalar_error = None
-    stream_events = scalar_events = None
+    stream_events, scalar_events = [], []
     parser = StreamingParser(
         policy=policy, report=stream_report, require_complete_tail=rct
     )
@@ -193,22 +196,20 @@ def run_streaming(lines, policy, seed, rct=False, chunks=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            collected = []
             for chunk in chunks:
-                collected.extend(parser.feed_lines(chunk))
-            collected.extend(parser.finish())
-            stream_events = collected
+                stream_events.extend(parser.feed_lines(chunk))
+            stream_events.extend(parser.finish())
         except ParseError as error:
             stream_error = error
+            stream_events.extend(error.events)
         try:
-            scalar_events = list(
-                iter_parse(
-                    lines,
-                    policy=policy,
-                    report=scalar_report,
-                    require_complete_tail=rct,
-                )
-            )
+            for event in iter_parse(
+                lines,
+                policy=policy,
+                report=scalar_report,
+                require_complete_tail=rct,
+            ):
+                scalar_events.append(event)
         except ParseError as error:
             scalar_error = error
     if scalar_error is not None:
@@ -217,12 +218,12 @@ def run_streaming(lines, policy, seed, rct=False, chunks=None):
         assert stream_error.lineno == scalar_error.lineno
     else:
         assert stream_error is None
-        assert stream_events == scalar_events
-        for mine, theirs in zip(stream_events, scalar_events):
-            for frame_a, frame_b in zip(mine.frames, theirs.frames):
-                assert frame_a is frame_b  # same intern table
+    assert stream_events == scalar_events
+    for mine, theirs in zip(stream_events, scalar_events):
+        for frame_a, frame_b in zip(mine.frames, theirs.frames):
+            assert frame_a is frame_b  # same intern table
     assert stream_report.to_dict() == scalar_report.to_dict()
-    return stream_events
+    return None if stream_error is not None else stream_events
 
 
 class TestStreamingParser:

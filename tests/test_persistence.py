@@ -225,6 +225,24 @@ class TestSchemaVersions:
         lines = make_log(SCAN_SPECS)
         assert LeapsDetector.load(bundle).scan_log(lines) == trained.scan_log(lines)
 
+    def test_retired_serve_keys_scan_bit_identically(self, trained, bundle):
+        """A bundle saved while ``LeapsConfig`` still carried the serve
+        batching fields loads with those two keys ignored and scans
+        bit-identically; any other unknown key still raises
+        (``test_unknown_config_key_rejected``)."""
+
+        def with_retired_keys(doc):
+            doc["config"]["serve_flush_deadline_s"] = 0.05
+            doc["config"]["serve_target_batch_windows"] = 1024
+            return doc
+
+        rewrite_doc(bundle, with_retired_keys)
+        lines = make_log(SCAN_SPECS)
+        loaded = LeapsDetector.load(bundle)
+        assert loaded.config == trained.config
+        assert loaded.scan_log(lines) == trained.scan_log(lines)
+        assert list(loaded.scan_stream(lines)) == trained.scan_log(lines)
+
 
 def test_save_bundle_is_detector_save(trained, tmp_path):
     """The pipeline-level entry point and the detector method agree."""

@@ -1,9 +1,9 @@
 """Scan fast path: vectorized featurization and the parallel fleet scan.
 
-The fast path must be invisible in the results: ``transform`` equals
-stacked ``transform_event`` rows bit for bit, ``scan_log`` equals the
-streaming scan, and ``scan_logs`` returns the same detections for any
-worker count.
+The fast path must be invisible in the results: ``transform`` over a
+whole log equals the stacked rows of each event transformed alone bit
+for bit, ``scan_log`` equals the streaming scan, and ``scan_logs``
+returns the same detections for any worker count.
 """
 
 import numpy as np
@@ -23,11 +23,15 @@ class TestVectorizedTransform:
     def fitted(self, events):
         return EventFeaturizer().fit(events)
 
+    @staticmethod
+    def event_rows(featurizer, events):
+        return np.concatenate([featurizer.transform([e]) for e in events])
+
     def test_matches_stacked_transform_event_rows(self):
         events = RawLogParser().parse_lines(make_log(SCAN_SPECS))
         featurizer = self.fitted(events)
         batch = featurizer.transform(events)
-        rows = np.stack([featurizer.transform_event(e) for e in events])
+        rows = self.event_rows(featurizer, events)
         assert batch.shape == (len(events), 3)
         assert np.array_equal(batch, rows)
 
@@ -37,7 +41,7 @@ class TestVectorizedTransform:
         )
         novel = RawLogParser().parse_lines(make_log([("beacon", PAYLOAD + NET)] * 2))
         batch = featurizer.transform(novel)
-        rows = np.stack([featurizer.transform_event(e) for e in novel])
+        rows = self.event_rows(featurizer, novel)
         assert np.array_equal(batch, rows)
         assert (batch[:, 1] == 0).all()  # app signature never trained
 
@@ -47,15 +51,6 @@ class TestVectorizedTransform:
         )
         assert featurizer.transform([]).shape == (0, 3)
 
-    def test_transform_event_rows_are_shared_and_read_only(self):
-        events = RawLogParser().parse_lines(make_log([("read", APP + SYS)] * 3))
-        featurizer = self.fitted(events)
-        first = featurizer.transform_event(events[0])
-        second = featurizer.transform_event(events[1])
-        assert first is second  # identical attributes share one row
-        with pytest.raises(ValueError):
-            first[0] = 99.0
-
     def test_unfitted_transform_raises(self):
         with pytest.raises(RuntimeError, match="before fit"):
             EventFeaturizer().transform([])
@@ -64,12 +59,12 @@ class TestVectorizedTransform:
 @pytest.mark.parametrize("relpath", ALL_LOGS)
 def test_transform_matches_event_rows_on_golden_heads(relpath):
     """Property over every golden log head: the vectorized batch path
-    and the per-event streaming path produce bit-identical rows."""
+    and per-event transforms produce bit-identical rows."""
     events = RawLogParser().parse_lines(read_header(relpath))
     assert events
     featurizer = EventFeaturizer().fit(events)
     batch = featurizer.transform(events)
-    rows = np.stack([featurizer.transform_event(e) for e in events])
+    rows = TestVectorizedTransform.event_rows(featurizer, events)
     assert np.array_equal(batch, rows), relpath
 
 

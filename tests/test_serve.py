@@ -28,7 +28,7 @@ from repro.serve import (
 from repro import LeapsConfig, LeapsDetector
 
 from tests.faults import fault_corpus
-from tests.test_api import make_log, tiny_training_logs
+from tests.test_api import APP, SYS, make_log, tiny_training_logs
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
 
@@ -326,6 +326,47 @@ class TestRegistryRouting:
             assert outcomes["broken"].error["kind"] == "CaptureError"
             assert outcomes["good"].error is None
             assert outcomes["good"].detections == rows(detector.scan_log(lines))
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize("mode", ["text", "columnar", "capture-path"])
+    def test_unpartitionable_walk_yields_error_frame(
+        self, detector, registry, tmp_path, mode
+    ):
+        """A stack walk with an app frame below a system frame parses
+        cleanly but cannot be featurized: its stream gets a
+        ``StackPartitionError`` frame, and the shard goes on serving —
+        the next good stream, in the same ingest mode, still gets its
+        detections."""
+        from repro.etw.fastparse import parse_fast
+
+        good = make_log(SCAN_SPECS)
+        specs = list(SCAN_SPECS)
+        specs[5] = ("read", SYS[:1] + APP)
+        bad = make_log(specs)
+        handle = start_in_thread(registry, n_shards=1, executor="thread")
+        try:
+            outcomes = {}
+            for name, lines in (("bad", bad), ("good", good)):
+                client = ServeClient(handle.address, timeout=10.0)
+                if mode == "capture-path":
+                    path = write_capture(
+                        tmp_path / f"{name}.leapscap",
+                        RawLogParser().parse_lines(lines),
+                    )
+                    client.hello(f"{mode}-{name}", path=str(path))
+                else:
+                    client.hello(f"{mode}-{name}")
+                    if mode == "text":
+                        client.send(("\n".join(lines) + "\n").encode())
+                    else:
+                        client.send_events(parse_fast(lines))
+                outcomes[name] = client.finish(timeout=10.0)
+            assert outcomes["bad"].error["kind"] == "StackPartitionError"
+            assert outcomes["good"].error is None
+            assert outcomes["good"].detections == rows(
+                detector.scan_stream(good)
+            )
         finally:
             handle.stop()
 

@@ -1,13 +1,19 @@
-"""Streaming scan: equivalence with the batch path and bounded memory."""
+"""Streaming scan: equivalence with the batch path, with the per-event
+oracle, and bounded memory."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro import LeapsConfig, LeapsDetector, ParseReport
+from repro.core import streaming
 from repro.core.pipeline import LeapsPipeline, NotTrainedError
-from repro.etw.parser import iter_parse
+from repro.etw.parser import ParseError, ParseMachine, iter_parse
+from repro.etw.stack_partition import StackPartitionError
 from repro.preprocessing.windows import WindowCoalescer
 
+from tests.oracles.stream_scan import score_stream_naive
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log, tiny_training_logs
 
 
@@ -27,17 +33,27 @@ def tiny_detector(**overrides):
     return detector
 
 
+def featurize_log(pipeline, lines):
+    """Parse + featurize a log with the training-time vocabularies: the
+    window metadata and the scaled sample matrix."""
+    events = pipeline.parser.parse_lines(lines)
+    windows, matrix = pipeline.coalescer.coalesce_with_matrix(
+        pipeline.featurizer.transform(events), events
+    )
+    return windows, pipeline.standardizer.transform(matrix)
+
+
 SCAN_SPECS = [("read", APP + SYS), ("beacon", PAYLOAD + NET)] * 8
 
 
 class TestCoalescerStream:
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
-    def test_iter_coalesce_matches_batch(self, window, stride):
+    def test_push_block_matches_batch(self, window, stride):
         events = list(iter_parse(make_log(SCAN_SPECS)))
         features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        batch = coalescer.coalesce(features, events)
-        stream = list(coalescer.iter_coalesce(zip(events, features)))
+        batch, _ = coalescer.coalesce_with_matrix(features, events)
+        stream = coalescer.push_coalescer().push_block(events, features)
         assert len(stream) == len(batch)
         for got, want in zip(stream, batch):
             assert got.start_index == want.start_index
@@ -48,7 +64,7 @@ class TestCoalescerStream:
     def test_short_stream_yields_nothing(self):
         coalescer = WindowCoalescer(window_events=10, stride=5)
         events = list(iter_parse(make_log(SCAN_SPECS[:3])))
-        assert list(coalescer.iter_coalesce((e, np.zeros(3)) for e in events)) == []
+        assert coalescer.push_coalescer().push_block(events, np.zeros((3, 3))) == []
 
 
 class TestStreamEquivalence:
@@ -62,7 +78,7 @@ class TestStreamEquivalence:
         reproduces the historical batch scores bit for bit."""
         detector = tiny_detector(stream_chunk_windows=1 << 20)
         lines = make_log(SCAN_SPECS)
-        windows, matrix = detector.pipeline.featurize_log(lines)
+        windows, matrix = featurize_log(detector.pipeline, lines)
         reference = detector.pipeline.model.decision_function(matrix)
         streamed = list(detector.scan_stream(lines))
         assert len(streamed) == len(windows)
@@ -77,7 +93,7 @@ class TestStreamEquivalence:
         the full-batch reference to float64 noise."""
         detector = tiny_detector(stream_chunk_windows=3)
         lines = make_log(SCAN_SPECS)
-        _, matrix = detector.pipeline.featurize_log(lines)
+        _, matrix = featurize_log(detector.pipeline, lines)
         reference = detector.pipeline.model.decision_function(matrix)
         streamed = [d.score for d in detector.scan_stream(lines)]
         np.testing.assert_allclose(streamed, reference, rtol=0, atol=1e-12)
@@ -123,13 +139,100 @@ class TestStreamIngestion:
         with pytest.raises(NotTrainedError):
             LeapsDetector().scan_stream([])
 
+    def test_unknown_policy_raises_eagerly(self):
+        with pytest.raises(ValueError, match="unknown parse policy"):
+            tiny_detector().scan_stream([], policy="lenient")
+
+
+#: corrupt lines the oracle property test splices into a log: a foreign
+#: tag (the open event survives it) and a short EVENT line (it drops the
+#: open event under strict policy)
+CORRUPT_LINES = ("@@corrupt@@", "EVENT|1|2")
+#: an app frame below a system frame: parses, but does not partition
+UNPARTITIONABLE = ("read", SYS[:1] + APP)
+
+
+def oracle_outcome(scan, *args, **kwargs):
+    """Drain one scan; returns (pairs, error) with pairs as plain tuples."""
+    pairs, error = [], None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            for window, score in scan(*args, **kwargs):
+                pairs.append(
+                    (window.start_index, window.start_eid, window.end_eid,
+                     window.vector.tobytes(), float(score))
+                )
+        except (ParseError, StackPartitionError) as caught:
+            error = caught
+    return pairs, error
+
+
+class TestOracleEquivalence:
+    """``score_stream`` ≡ the per-event chain of ``tests/oracles``:
+    same pairs bit for bit, same error after the same pairs, same
+    report — for any feed size and scoring chunk."""
+
+    @pytest.fixture(scope="class")
+    def pipelines(self):
+        return {
+            chunk: tiny_detector(stream_chunk_windows=chunk).pipeline
+            for chunk in (1, 3, 256)
+        }
+
+    def check(self, pipeline, lines, policy):
+        report, oracle_report = ParseReport(), ParseReport()
+        got, error = oracle_outcome(
+            pipeline.score_stream, lines, report=report, policy=policy
+        )
+        want, oracle_error = oracle_outcome(
+            score_stream_naive, pipeline, lines, report=oracle_report,
+            policy=policy,
+        )
+        assert got == want
+        assert type(error) is type(oracle_error)
+        if isinstance(oracle_error, StackPartitionError):
+            # the report reflects how far the parser had read, and the
+            # block scanner reads a feed ahead of the per-event chain
+            assert str(error) == str(oracle_error)
+            return
+        if oracle_error is not None:
+            assert (error.kind, error.lineno) == (
+                oracle_error.kind, oracle_error.lineno,
+            )
+        assert report.to_dict() == oracle_report.to_dict()
+
+    @pytest.mark.parametrize("feed", [1, 7, streaming.FEED_LINES])
+    @pytest.mark.parametrize("policy", ["strict", "warn", "drop"])
+    def test_corrupt_line_anywhere(self, pipelines, monkeypatch, feed, policy):
+        monkeypatch.setattr(streaming, "FEED_LINES", feed)
+        base = make_log(SCAN_SPECS * 2)
+        for chunk, pipeline in pipelines.items():
+            self.check(pipeline, base, policy)
+            for position in range(0, len(base) + 1, 13):
+                for corrupt in CORRUPT_LINES:
+                    lines = base[:position] + [corrupt] + base[position:]
+                    self.check(pipeline, lines, policy)
+
+    @pytest.mark.parametrize("feed", [1, 7, streaming.FEED_LINES])
+    def test_unpartitionable_walk(self, pipelines, monkeypatch, feed):
+        monkeypatch.setattr(streaming, "FEED_LINES", feed)
+        for chunk, pipeline in pipelines.items():
+            for position in (0, 1, 5, 10, 17, 31):
+                specs = list(SCAN_SPECS * 2)
+                specs[position] = UNPARTITIONABLE
+                self.check(pipeline, make_log(specs), "drop")
+
 
 @pytest.mark.e2e
 class TestGoldenEquivalence:
-    """scan_stream ≡ scan_log on every complete golden dataset."""
+    """scan_stream ≡ scan_log ≡ the per-event oracle on a generated
+    catalog row."""
+
+    LOGS = ("benign.log", "mixed.log", "malicious.log")
 
     @pytest.fixture(scope="class")
-    def trained(self, e2e_dataset):
+    def trained(self, generated_row):
         config = LeapsConfig(
             window_events=10,
             stride=5,
@@ -138,53 +241,68 @@ class TestGoldenEquivalence:
             cv_folds=0,
             max_train_windows=400,
             seed=0,
-            # whole log in one scoring chunk → bit-identical to the
-            # historical full-batch decision_function
-            stream_chunk_windows=1 << 20,
+            # several scoring chunks per log
+            stream_chunk_windows=64,
         )
         detector = LeapsDetector(config)
-        detector.train_from_logs(
-            (e2e_dataset / "benign.log").read_text().splitlines(),
-            (e2e_dataset / "mixed.log").read_text().splitlines(),
+        detector.fit_logs(
+            [generated_row / "benign.log"], [generated_row / "mixed.log"]
         )
         return detector
 
-    def complete_datasets(self, data_dir):
-        from tests.conftest import is_generated_cache
+    @pytest.mark.parametrize("log", LOGS)
+    def test_stream_equals_log_and_oracle(self, trained, generated_row, log):
+        lines = (generated_row / log).read_text().splitlines()
+        streamed = list(trained.scan_stream(lines))
+        assert len(streamed) > trained.config.stream_chunk_windows
+        assert streamed == trained.scan_log(lines)
+        want, error = oracle_outcome(score_stream_naive, trained.pipeline, lines)
+        assert error is None
+        assert [
+            (d.index, d.start_eid, d.end_eid, d.score) for d in streamed
+        ] == [pair[:3] + pair[4:] for pair in want]
 
-        return sorted(
-            p.parent
-            for p in data_dir.glob("*/benign.log")
-            if not is_generated_cache(p.parent.name)
-            and (p.parent / "mixed.log").exists()
-            and (p.parent / "malicious.log").exists()
-        )
-
-    def test_stream_equals_log_on_all_complete_datasets(self, trained, data_dir):
-        datasets = self.complete_datasets(data_dir)
-        assert datasets
-        for dataset in datasets:
-            for log in ("benign.log", "mixed.log", "malicious.log"):
-                lines = (dataset / log).read_text().splitlines()
-                streamed = list(trained.scan_stream(lines))
-                assert streamed == trained.scan_log(lines), (dataset.name, log)
-
-    def test_stream_equals_batch_reference_on_all_complete_datasets(
-        self, trained, data_dir
-    ):
+    @pytest.mark.parametrize("log", LOGS)
+    def test_stream_equals_batch_reference(self, trained, generated_row, log):
         """Non-vacuous check: the incremental path reproduces the
-        independent batch computation (featurize_log + full-matrix
-        decision_function) bit for bit."""
-        for dataset in self.complete_datasets(data_dir):
-            for log in ("benign.log", "mixed.log", "malicious.log"):
-                lines = (dataset / log).read_text().splitlines()
-                windows, matrix = trained.pipeline.featurize_log(lines)
-                reference = trained.pipeline.model.decision_function(matrix)
-                streamed = list(trained.scan_stream(lines))
-                assert [d.score for d in streamed] == [float(s) for s in reference]
-                assert [d.index for d in streamed] == [
-                    w.start_index for w in windows
-                ], (dataset.name, log)
+        independent batch computation (featurize the whole log, score
+        each ``stream_chunk_windows`` slice of its matrix) bit for bit."""
+        lines = (generated_row / log).read_text().splitlines()
+        windows, matrix = featurize_log(trained.pipeline, lines)
+        chunk = trained.config.stream_chunk_windows
+        reference = np.concatenate([
+            trained.pipeline.model.decision_function(matrix[start : start + chunk])
+            for start in range(0, len(matrix), chunk)
+        ])
+        streamed = list(trained.scan_stream(lines))
+        assert [d.score for d in streamed] == [float(s) for s in reference]
+        assert [d.index for d in streamed] == [w.start_index for w in windows]
+
+    def test_open_file_stays_on_the_block_path(
+        self, trained, generated_row, monkeypatch
+    ):
+        """File iteration keeps each line's newline; the scan strips it,
+        so only the final event block — the holdback at end of input —
+        reaches the scalar machine."""
+        path = generated_row / "malicious.log"
+        lines = path.read_text().splitlines()
+        final_block = max(
+            position
+            for position, line in enumerate(lines)
+            if line.startswith("EVENT|")
+        )
+        fed = []
+        feed = ParseMachine.feed
+
+        def recording_feed(machine, raw):
+            fed.append(raw)
+            return feed(machine, raw)
+
+        monkeypatch.setattr(ParseMachine, "feed", recording_feed)
+        with open(path) as handle:
+            streamed = list(trained.scan_stream(handle))
+        assert fed == lines[final_block:]
+        assert streamed == trained.scan_log(lines)
 
 
 class TestBoundedMemory:

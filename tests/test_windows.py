@@ -48,13 +48,14 @@ class TestCoalesce:
     def test_window_metadata(self):
         events = make_events(5)
         features = np.zeros((5, 3))
-        windows = WindowCoalescer(window_events=2, stride=2).coalesce(features, events)
+        coalescer = WindowCoalescer(window_events=2, stride=2)
+        windows, _ = coalescer.coalesce_with_matrix(features, events)
         assert [(w.start_eid, w.end_eid) for w in windows] == [(0, 1), (2, 3)]
         assert windows[1].start_index == 2
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            WindowCoalescer().coalesce(np.zeros((3, 3)), make_events(4))
+            WindowCoalescer().coalesce_with_matrix(np.zeros((3, 3)), make_events(4))
 
 
 class TestWindowWeights:
@@ -79,49 +80,62 @@ class TestWindowWeights:
             WindowCoalescer(stride=0)
 
 
+def push_one(coalescer, event, row):
+    """Push a single event — the smallest block — and return the window
+    it completed, if any."""
+    windows = coalescer.push_block([event], row[None, :])
+    assert len(windows) <= 1
+    return windows[0] if windows else None
+
+
+def assert_same_windows(got, want):
+    assert len(got) == len(want)
+    for mine, theirs in zip(got, want):
+        assert mine.start_index == theirs.start_index
+        assert mine.start_eid == theirs.start_eid
+        assert mine.end_eid == theirs.end_eid
+        assert np.array_equal(mine.vector, theirs.vector)
+
+
 class TestPushCoalescer:
-    """The serving-side push coalescer must reproduce the pull-mode
-    stream (and hence the batch path) window for window."""
+    """The incremental push coalescer must reproduce the batch gather
+    (and hence the batch scan) window for window."""
 
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
-    def test_push_matches_iter_coalesce(self, window, stride):
+    def test_push_matches_batch(self, window, stride):
         events = make_events(17)
         features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        pulled = list(coalescer.iter_coalesce(zip(events, features)))
+        batch, _ = coalescer.coalesce_with_matrix(features, events)
         push = coalescer.push_coalescer()
-        pushed = []
-        for event, row in zip(events, features):
-            out = push.push(event, row)
-            if out is not None:
-                pushed.append(out)
-        assert len(pushed) == len(pulled)
-        for got, want in zip(pushed, pulled):
-            assert got.start_index == want.start_index
-            assert got.start_eid == want.start_eid
-            assert got.end_eid == want.end_eid
-            assert np.array_equal(got.vector, want.vector)
+        pushed = [
+            w
+            for event, row in zip(events, features)
+            for w in [push_one(push, event, row)]
+            if w is not None
+        ]
+        assert_same_windows(pushed, batch)
 
     def test_short_stream_pushes_nothing(self):
         push = WindowCoalescer(window_events=10, stride=5).push_coalescer()
         for event in make_events(9):
-            assert push.push(event, np.zeros(3)) is None
+            assert push_one(push, event, np.zeros(3)) is None
 
     def test_fresh_push_coalescer_per_stream(self):
         coalescer = WindowCoalescer(window_events=2, stride=1)
         first, second = coalescer.push_coalescer(), coalescer.push_coalescer()
         events = make_events(4)
         for event in events[:3]:
-            first.push(event, np.zeros(3))
+            push_one(first, event, np.zeros(3))
         # a second stream's coalescer starts from scratch
-        assert second.push(events[0], np.zeros(3)) is None
-        assert second.push(events[1], np.zeros(3)) is not None
+        assert push_one(second, events[0], np.zeros(3)) is None
+        assert push_one(second, events[1], np.zeros(3)) is not None
 
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
     @pytest.mark.parametrize("split", [1, 3, 6, 17])
     def test_push_block_matches_scalar_push(self, window, stride, split):
-        """Block pushes in any splitting reproduce the scalar push
-        stream window for window, bit for bit."""
+        """Block pushes in any splitting reproduce the scalar stream —
+        one event per push — window for window, bit for bit."""
         events = make_events(17)
         features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
@@ -129,7 +143,7 @@ class TestPushCoalescer:
         want = [
             w
             for event, row in zip(events, features)
-            for w in [scalar.push(event, row)]
+            for w in [push_one(scalar, event, row)]
             if w is not None
         ]
         block = coalescer.push_coalescer()
@@ -141,17 +155,12 @@ class TestPushCoalescer:
                     features[start : start + split],
                 )
             )
-        assert len(got) == len(want)
-        for mine, theirs in zip(got, want):
-            assert mine.start_index == theirs.start_index
-            assert mine.start_eid == theirs.start_eid
-            assert mine.end_eid == theirs.end_eid
-            assert np.array_equal(mine.vector, theirs.vector)
+        assert_same_windows(got, want)
         # the two coalescers stay interchangeable mid-stream
         extra = make_events(20)[17:]
         for event in extra:
             row = np.full(3, float(event.eid))
-            a, b = scalar.push(event, row), block.push(event, row)
+            a, b = push_one(scalar, event, row), push_one(block, event, row)
             assert (a is None) == (b is None)
             if a is not None:
                 assert np.array_equal(a.vector, b.vector)
