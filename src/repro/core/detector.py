@@ -42,7 +42,7 @@ from repro.core.persistence import (
     save_bundle,
 )
 from repro.core.pipeline import LeapsPipeline, TrainingReport
-from repro.etw.capture import is_capture_path, load_capture
+from repro.etw.capture import Capture, is_capture_path, load_capture
 from repro.etw.events import EventLog
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
@@ -211,28 +211,33 @@ class LeapsDetector:
         with_reports: bool,
     ) -> ScanResult:
         """Scan one log (a path when ``lines`` is None, else the given
-        lines) through the batch fast path."""
+        lines) through the batch fast path.  A capture — by path or by
+        :class:`_CaptureRef` — scans from its columns; every other
+        input scans records."""
         if lines is None:
             assert source is not None
-            lines = self._log_lines(source)
+            lines = (
+                load_capture(source) if is_capture_path(source)
+                else self._log_lines(source)
+            )
         elif isinstance(lines, _CaptureRef):
             reference = lines
-            lines = load_capture(reference.path).events
-            if len(lines) != reference.n_events:
+            lines = load_capture(reference.path)
+            if lines.columns.n_events != reference.n_events:
                 raise RuntimeError(
                     f"capture {reference.path} changed during the scan: "
                     f"expected {reference.n_events} events, "
-                    f"loaded {len(lines)}"
+                    f"loaded {lines.columns.n_events}"
                 )
         report = ParseReport() if with_reports else None
-        if isinstance(lines, EventLog):
-            # pre-parsed events (a columnar capture): nothing to parse;
-            # surface the conversion-time recovery accounting instead
+        if isinstance(lines, (Capture, EventLog)):
+            # pre-parsed events: nothing to parse; surface the
+            # conversion-time recovery accounting instead
             if report is not None and lines.report is not None:
                 report.merge(lines.report)
             if source is None:
                 source = lines.source
-            events: List = list(lines)
+            events = lines.columns if isinstance(lines, Capture) else lines
         else:
             events = parse_fast(
                 lines,
@@ -240,16 +245,14 @@ class LeapsDetector:
                 report=report,
             )
         windows, scores = self.pipeline.score_events(events)
-        detections = [
-            WindowDetection(
-                index=window.start_index,
-                start_eid=window.start_eid,
-                end_eid=window.end_eid,
-                score=float(score),
-                malicious=bool(score < 0.0),
-            )
-            for window, score in zip(windows, scores)
-        ]
+        detections = list(map(
+            WindowDetection,
+            windows.start_index.tolist(),
+            windows.start_eid.tolist(),
+            windows.end_eid.tolist(),
+            scores.tolist(),
+            (scores < 0.0).tolist(),
+        ))
         return ScanResult(source=source, detections=detections, report=report)
 
     def scan_logs(

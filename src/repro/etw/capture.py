@@ -50,9 +50,12 @@ string, frame and walk tables and turns a run of events into a
 :class:`Delta`: the nine event columns plus the vocabulary entries,
 frame rows and walks the run adds to those tables.
 :class:`DeltaDecoder` keeps the same tables on the reading side, checks
-a delta against them — dtype, shape, lengths, offsets, id ranges and
-vocabulary delimiters — and only then builds a single
-:class:`~repro.etw.events.EventRecord`.  A capture is the first delta
+a delta against them — dtype, shape, lengths, offsets, id ranges,
+vocabulary delimiters and frame numbering — and only then grows them.
+It returns the delta's events as :class:`~repro.etw.events.EventColumns`
+over those tables; records are built only on request
+(:meth:`~repro.etw.events.EventColumns.records`, which
+:attr:`Capture.events` calls on first read).  A capture is the first delta
 against empty tables; the serve wire's columnar chunks
 (:mod:`repro.serve.columnar`) are the later deltas of a stream, framed
 as bytes.  Each container passes its own error type, so a capture that
@@ -63,10 +66,9 @@ never silently misinterpret a capture written by a newer converter.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
@@ -93,10 +95,7 @@ _UINT64_MAX = 2**64 - 1
 #: vocabulary order of both containers; must never change within a version
 _VOCAB_NAMES = ("process", "category", "name", "module", "function")
 #: the nine per-event columns, in storage order
-_EVENT_COLUMNS = (
-    "eid", "timestamp", "pid", "tid", "opcode",
-    "process_id", "category_id", "name_id", "walk_id",
-)
+_EVENT_COLUMNS = EventColumns.COLUMNS
 _INT_FIELDS = _EVENT_COLUMNS[:5]
 _STRING_FIELDS = _VOCAB_NAMES[:3]
 _FRAME_COLUMNS = (
@@ -121,12 +120,27 @@ def is_capture_path(path: Union[str, os.PathLike]) -> bool:
 
 @dataclass
 class Capture:
-    """A loaded capture: the events, the conversion-time parse report
-    (``None`` when the writer had none), and the raw metadata document."""
+    """A loaded capture: the decoded columns, the conversion-time parse
+    report (``None`` when the writer had none), the raw metadata
+    document and the capture path.  ``events`` builds the records on
+    first read; a capture scan featurizes ``columns`` and never does."""
 
-    events: EventLog
+    columns: EventColumns
     report: Optional[ParseReport]
     meta: dict
+    source: str
+    _events: Optional[EventLog] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def events(self) -> EventLog:
+        """The records, with the report and the capture path."""
+        if self._events is None:
+            self._events = EventLog(
+                self.columns.records(), report=self.report, source=self.source
+            )
+        return self._events
 
 
 # -- the codec ----------------------------------------------------------
@@ -295,19 +309,22 @@ class DeltaEncoder:
 class DeltaDecoder:
     """Reading side of the codec: the same cumulative tables, as lists
     of strings, interned frames and walk tuples.  :meth:`decode` checks
-    a delta against them before it builds a single record, and raises
-    ``error`` — the container's own error type — on any failure."""
+    a delta against them before any table grows, and raises ``error``
+    — the container's own error type — on any failure."""
 
     def __init__(self, error: type = CaptureError):
         self._error = error
         self._vocabs: Dict[str, List[str]] = {name: [] for name in _VOCAB_NAMES}
         self._frames: List[StackFrame] = []
+        # the stack index of every frame in ``_frames``
+        self._frame_index = np.zeros(0, dtype=np.int64)
         self._walks: List[tuple] = []
 
-    def decode(self, arrays: dict, vocabs: Dict[str, List[str]], out: list) -> None:
-        """Append the events of one delta to ``out``.  ``arrays`` maps
-        the capture array names to the delta's arrays; ``vocabs`` maps
-        each vocabulary name to its new entries."""
+    def decode(self, arrays: dict, vocabs: Dict[str, List[str]]) -> EventColumns:
+        """The events of one delta as columns over the cumulative
+        tables.  ``arrays`` maps the capture array names to the delta's
+        arrays; ``vocabs`` maps each vocabulary name to its new
+        entries."""
         error = self._error
         for name in _ARRAYS:
             array = arrays.get(name)
@@ -364,59 +381,41 @@ class DeltaDecoder:
                         f"vocab_{name} entry {value!r} contains a raw-log "
                         "delimiter"
                     )
+        # Frame k of every walk carries stack index k, as in a text
+        # parse, which rejects any other numbering; frames an earlier
+        # delta sent are checked through the cumulative table.
+        frame_indices = np.concatenate((self._frame_index, frame_index))
+        positions = np.arange(len(flat)) - np.repeat(offsets[:-1], np.diff(offsets))
+        if (frame_indices[flat] != positions).any():
+            raise error("frame_index disagrees with the frame's walk position")
 
-        # The hot path: C-driven loops over Python ints and interned
-        # objects.  Pause generational GC as in the block-level text
-        # parser — the transient containers otherwise trigger rescans
-        # costing more than the reconstruction itself.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
-            for name, entries in vocabs.items():
-                tables[name].extend(entries)
-            modules, functions = tables["module"], tables["function"]
-            frames.extend(
-                intern_frame(index, modules[module], functions[function], address)
-                for index, module, function, address in zip(
-                    frame_index.tolist(),
-                    module_ids.tolist(),
-                    function_ids.tolist(),
-                    addresses.tolist(),
-                )
+        for name, entries in vocabs.items():
+            tables[name].extend(entries)
+        modules, functions = tables["module"], tables["function"]
+        frames.extend(
+            intern_frame(index, modules[module], functions[function], address)
+            for index, module, function, address in zip(
+                frame_index.tolist(),
+                module_ids.tolist(),
+                function_ids.tolist(),
+                addresses.tolist(),
             )
-            walk_frames = list(map(frames.__getitem__, flat.tolist()))
-            bounds = offsets.tolist()
-            walks.extend(
-                tuple(walk_frames[start:stop])
-                for start, stop in zip(bounds, bounds[1:])
-            )
-            processes = tables["process"]
-            categories = tables["category"]
-            names = tables["name"]
-            append = out.append
-            new = EventRecord.__new__
-            # Vocab strings are validated delimiter-free above and
-            # integer fields are exact int64 round-trips, so __init__
-            # can be bypassed exactly as in the block-level text parser.
-            for (
-                eid, timestamp, pid, tid, opcode,
-                process, category, name, walk,
-            ) in zip(*[column.tolist() for column in columns]):
-                record = new(EventRecord)
-                record.eid = eid
-                record.timestamp = timestamp
-                record.pid = pid
-                record.process = processes[process]
-                record.tid = tid
-                record.category = categories[category]
-                record.opcode = opcode
-                record.name = names[name]
-                record.frames = walks[walk]
-                append(record)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        )
+        self._frame_index = frame_indices
+        walk_frames = list(map(frames.__getitem__, flat.tolist()))
+        bounds = offsets.tolist()
+        walks.extend(
+            tuple(walk_frames[start:stop])
+            for start, stop in zip(bounds, bounds[1:])
+        )
+        cols = EventColumns()
+        cols.n_events = n_events
+        for name, column in zip(_EVENT_COLUMNS, columns):
+            setattr(cols, name, column)
+        for name in _STRING_FIELDS:
+            setattr(cols, f"{name}_vocab", tables[name])
+        cols.walks = walks
+        return cols
 
 
 # -- writing ----------------------------------------------------------
@@ -579,8 +578,9 @@ def convert_log(
 
 
 def load_capture(path: Union[str, os.PathLike]) -> Capture:
-    """Load and validate a capture; returns events bit-identical to the
-    parse that was converted (same interned frames, same report)."""
+    """Load and validate a capture into columns; its ``events`` are
+    bit-identical to the parse that was converted (same interned
+    frames, same report)."""
     path = Path(os.fspath(path))
     json_path = path / JSON_NAME
     npz_path = path / NPZ_NAME
@@ -625,9 +625,8 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
         if raw.ndim or raw.dtype.kind != "U":
             raise CaptureError(f"vocab_{name} must be a string scalar")
         vocabs[name] = _split_vocab(str(raw[()]), name, CaptureError)
-    events = EventLog(report=report, source=os.fspath(path))
-    DeltaDecoder().decode(arrays, vocabs, events)
-    return Capture(events=events, report=report, meta=meta)
+    columns = DeltaDecoder().decode(arrays, vocabs)
+    return Capture(columns, report, meta, os.fspath(path))
 
 
 # -- command line ------------------------------------------------------

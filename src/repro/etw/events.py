@@ -8,8 +8,11 @@ the kernel routine that raised the event.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.etw.recovery import ParseReport
@@ -103,42 +106,81 @@ class EventRecord:
 
 
 class EventColumns:
-    """The generation fast path's sink: synthesized events as columns
-    (DESIGN.md §13), which
-    :func:`~repro.etw.capture.write_capture_columns` encodes without
-    ever building an :class:`EventRecord`.  Invariants (the generator
-    guarantees them, the capture encoder relies on them):
+    """Events as columns: the generation fast path's sink (DESIGN.md
+    §13), which :func:`~repro.etw.capture.write_capture_columns` encodes,
+    and the columnar codec's output, which a capture scan featurizes
+    (:meth:`~repro.preprocessing.features.EventFeaturizer.transform_columns`)
+    — neither builds an :class:`EventRecord`.  Invariants (producers
+    guarantee them, the encoder and the featurizer rely on them):
 
-    * every ``*_id`` column indexes its vocabulary, and vocabularies
-      list distinct values in first-appearance order over the events;
-    * ``walks`` lists the distinct walk tuples in first-appearance
-      order;
-    * the id and integer columns are exactly ``n_events`` long.
+    * the integer and id columns are int64 arrays exactly ``n_events``
+      long, and every ``*_id`` column indexes its table;
+    * table strings contain no raw-log delimiter, and ``walks`` holds
+      walk tuples of :class:`StackFrame` objects;
+    * a generator's tables list distinct values in first-appearance
+      order over the events; a decoded chunk's tables are the stream's
+      cumulative ones, so they may hold entries no event of the chunk
+      uses.
     """
 
-    __slots__ = (
-        "n_events",
+    #: the per-event int64 columns, in capture storage order
+    COLUMNS = (
         "eid", "timestamp", "pid", "tid", "opcode",
         "process_id", "category_id", "name_id", "walk_id",
-        "process_vocab", "category_vocab", "name_vocab",
-        "walks",
+    )
+    __slots__ = ("n_events",) + COLUMNS + (
+        "process_vocab", "category_vocab", "name_vocab", "walks",
     )
 
     def __init__(self):
         self.n_events = 0
-        self.eid: list = []
-        self.timestamp: list = []
-        self.pid: list = []
-        self.tid: list = []
-        self.opcode: list = []
-        self.process_id: list = []
-        self.category_id: list = []
-        self.name_id: list = []
-        self.walk_id: list = []
+        for name in self.COLUMNS:
+            setattr(self, name, np.zeros(0, dtype=np.int64))
         self.process_vocab: list = []
         self.category_vocab: list = []
         self.name_vocab: list = []
         self.walks: list = []
+
+    def records(self) -> List[EventRecord]:
+        """The events as :class:`EventRecord` objects, in order; each
+        record's ``frames`` is the shared walk tuple of its table."""
+        out: List[EventRecord] = []
+        # The hot path: C-driven loops over Python ints and interned
+        # objects.  Pause generational GC as in the block-level text
+        # parser — the transient containers otherwise trigger rescans
+        # costing more than the reconstruction itself.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.disable()
+        try:
+            processes = self.process_vocab
+            categories = self.category_vocab
+            names = self.name_vocab
+            walks = self.walks
+            append = out.append
+            new = EventRecord.__new__
+            # Table strings are delimiter-free and integer fields are
+            # exact int64 values (the invariants above), so __init__ can
+            # be bypassed exactly as in the block-level text parser.
+            for (
+                eid, timestamp, pid, tid, opcode,
+                process, category, name, walk,
+            ) in zip(*[getattr(self, column).tolist() for column in self.COLUMNS]):
+                record = new(EventRecord)
+                record.eid = eid
+                record.timestamp = timestamp
+                record.pid = pid
+                record.process = processes[process]
+                record.tid = tid
+                record.category = categories[category]
+                record.opcode = opcode
+                record.name = names[name]
+                record.frames = walks[walk]
+                append(record)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return out
 
 
 class EventLog(list):

@@ -7,7 +7,8 @@ slides the window by ``stride`` events.  Trailing events that do not
 fill a whole window are dropped.
 
 Two coalescers share one geometry: :class:`WindowCoalescer` gathers a
-whole log's windows at once (training and the batch scan), and
+whole log's windows at once (training and the batch scan, which takes
+them as :class:`WindowArrays` and builds no :class:`Window`), and
 :class:`PushCoalescer` carries a stream's last ``window_events`` rows
 between blocks (the incremental scan), producing the same windows.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +37,17 @@ class Window:
     vector: np.ndarray
 
 
+class WindowArrays(NamedTuple):
+    """Every window of a featurized log as parallel arrays: the index
+    and eid of its first event, the eid of its last, and the stacked
+    ``(m, 3*window)`` sample matrix."""
+
+    start_index: np.ndarray
+    start_eid: np.ndarray
+    end_eid: np.ndarray
+    matrix: np.ndarray
+
+
 class WindowCoalescer:
     def __init__(self, window_events: int = 10, stride: int = 10):
         if window_events < 1:
@@ -49,10 +61,9 @@ class WindowCoalescer:
     def dims(self) -> int:
         return 3 * self.window_events
 
-    def _starts(self, count: int) -> range:
-        if count < self.window_events:
-            return range(0)
-        return range(0, count - self.window_events + 1, self.stride)
+    def _starts(self, count: int) -> np.ndarray:
+        stop = max(count - self.window_events + 1, 0)
+        return np.arange(0, stop, self.stride, dtype=np.intp)
 
     def _gather(self, features: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """All window vectors in one fancy-indexed gather — one numpy
@@ -60,7 +71,22 @@ class WindowCoalescer:
         bit-identical to the per-window construction."""
         offsets = np.arange(self.window_events)
         rows = np.asarray(features, dtype=float)[starts[:, None] + offsets]
-        return rows.reshape(len(starts), -1)
+        return rows.reshape(len(starts), self.dims)
+
+    def coalesce_arrays(
+        self, features: np.ndarray, eids: np.ndarray
+    ) -> WindowArrays:
+        """Every window of a featurized log whose events carry ``eids``:
+        window starts from one ``arange``, the matrix from one gather."""
+        if len(features) != len(eids):
+            raise ValueError("features/events length mismatch")
+        starts = self._starts(len(eids))
+        return WindowArrays(
+            starts,
+            eids[starts],
+            eids[starts + (self.window_events - 1)],
+            self._gather(features, starts),
+        )
 
     def coalesce_with_matrix(
         self, features: np.ndarray, events: Sequence[EventRecord]
@@ -70,9 +96,7 @@ class WindowCoalescer:
         ``Window.vector`` is a row view of the returned matrix."""
         if len(features) != len(events):
             raise ValueError("features/events length mismatch")
-        starts = np.asarray(self._starts(len(events)), dtype=np.intp)
-        if not len(starts):
-            return [], np.zeros((0, self.dims))
+        starts = self._starts(len(events))
         matrix = self._gather(features, starts)
         last = self.window_events - 1
         windows = [
@@ -93,10 +117,7 @@ class WindowCoalescer:
 
     def coalesce_matrix(self, features: np.ndarray) -> np.ndarray:
         """Window vectors only, stacked into an ``(m, 3*window)`` matrix."""
-        starts = np.asarray(self._starts(len(features)), dtype=np.intp)
-        if not len(starts):
-            return np.zeros((0, self.dims))
-        return self._gather(features, starts)
+        return self._gather(features, self._starts(len(features)))
 
     def window_weights(
         self, event_weights: np.ndarray, aggregate: str = "mean"

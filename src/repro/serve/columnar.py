@@ -296,7 +296,7 @@ class CaptureChunkDecoder:
             raise ChunkError(
                 f"{cursor.end - cursor.offset} trailing bytes in events chunk"
             )
-        self._decoder.decode(arrays, vocabs, out)
+        out.extend(self._decoder.decode(arrays, vocabs).records())
 
 
 def encode_event_stream(

@@ -77,11 +77,14 @@ GENERATED_EVENTS = {"train_events": 1500, "scan_events": 1500}
 @pytest.fixture(scope="session")
 def generated_row(tmp_path_factory) -> Path:
     """One catalog row, generated once per session: a directory holding
-    ``benign.log``, ``mixed.log`` and ``malicious.log``."""
+    ``benign.log``, ``mixed.log`` and ``malicious.log`` and each log's
+    ``.leapscap`` capture."""
     from repro.datasets import generate_dataset
 
     root = tmp_path_factory.mktemp("generated-row") / GENERATED_ROW
-    return generate_dataset(GENERATED_ROW, root, seed=0, **GENERATED_EVENTS).root
+    return generate_dataset(
+        GENERATED_ROW, root, seed=0, format="both", **GENERATED_EVENTS
+    ).root
 
 
 TINY_LOG = """\

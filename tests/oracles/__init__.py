@@ -13,7 +13,6 @@ Each module keeps the straightforward version of one optimized layer:
   it drained the block scanner.
 
 The equivalence suites compare production output against these bit for
-bit; ``benchmarks/bench_e2e.py`` and ``benchmarks/bench_table1.py`` time
-the capture writer and the tracer as their naive baselines.  Production
-code never imports them.
+bit; ``benchmarks/bench_table1.py`` times the tracer as its naive
+baseline.  Production code never imports them.
 """

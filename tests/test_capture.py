@@ -3,8 +3,8 @@
 The capture is only useful if it is *invisible*: loading a
 ``.leapscap`` must reproduce the exact events (and recovery
 accounting) that parsing the original text produced — property-tested
-here on synthetic logs, the fault-injection corpus, and every golden
-log head when the dataset cache is present.
+here on synthetic logs, the fault-injection corpus, and the logs of a
+generated catalog row.
 """
 
 import json
@@ -17,10 +17,12 @@ from repro.etw.capture import (
     Capture,
     CaptureError,
     CaptureVersionError,
+    captures_byte_identical,
     convert_log,
     is_capture_path,
     load_capture,
     write_capture,
+    write_capture_columns,
 )
 from repro.etw.events import EventLog
 from repro.etw.parser import (
@@ -31,7 +33,7 @@ from repro.etw.parser import (
 )
 from repro.etw.recovery import ParseReport
 
-from tests.conftest import HAS_GOLDEN_DATA, TINY_LOG
+from tests.conftest import TINY_LOG
 from tests.faults import fault_corpus
 from tests.oracles.capture import write_capture_naive
 
@@ -116,20 +118,24 @@ class TestRoundTrip:
         assert isinstance(capture, Capture)
 
 
-@pytest.mark.skipif(not HAS_GOLDEN_DATA, reason="golden cache missing")
-class TestGoldenRoundTrip:
-    def test_every_golden_head_round_trips(self, tmp_path):
-        from tests.test_golden_logs import ALL_LOGS, read_header
+#: the logs of the session's generated catalog row
+GENERATED_LOGS = ("benign", "mixed", "malicious")
 
-        for relpath in ALL_LOGS:
-            lines = [raw.rstrip("\n") for raw in read_header(relpath)]
+
+class TestGoldenRoundTrip:
+    def test_every_golden_head_round_trips(self, tmp_path, generated_row):
+        for stem in GENERATED_LOGS:
+            lines = (generated_row / f"{stem}.log").read_text().splitlines()
             capture, reference, reference_report = roundtrip(
-                tmp_path, lines, name=relpath.replace("/", "_")
+                tmp_path, lines, name=stem
             )
-            assert list(capture.events) == reference, relpath
+            assert list(capture.events) == reference, stem
             assert (
                 capture.report.to_dict() == reference_report.to_dict()
-            ), relpath
+            ), stem
+            # the generator's own capture, written from columns
+            generated = load_capture(generated_row / f"{stem}.leapscap")
+            assert list(generated.events) == reference, stem
 
 
 class TestPathAddressing:
@@ -237,6 +243,16 @@ class TestValidation:
                                  "walk_id")
                 },
                 id="2d-event-columns",
+            ),
+            # event 0's frames would carry stack indices [3, 2, 1, 3]
+            pytest.param(
+                lambda a: {"frame_index": a["frame_index"][::-1].copy()},
+                id="frame-index-not-walk-position",
+            ),
+            # [0, 8, 4, 12]: the span holds, the walks overlap
+            pytest.param(
+                lambda a: {"walk_offsets": a["walk_offsets"][[0, 2, 1, 3]]},
+                id="decreasing-walk-offsets",
             ),
         ],
     )
@@ -397,21 +413,28 @@ class TestWriterEquivalence:
                 writer(tmp_path / "x.leapscap", [huge])
 
 
-    @pytest.mark.skipif(not HAS_GOLDEN_DATA, reason="golden cache missing")
-    def test_golden_heads(self, tmp_path):
+    def test_golden_heads(self, tmp_path, generated_row):
         from repro.etw.fastparse import parse_fast
 
-        from tests.test_golden_logs import ALL_LOGS, read_header
-
-        for relpath in ALL_LOGS:
-            lines = [raw.rstrip("\n") for raw in read_header(relpath)]
+        for stem in GENERATED_LOGS:
+            lines = (generated_row / f"{stem}.log").read_text().splitlines()
             report = ParseReport()
             events = parse_fast(
                 lines, policy="drop", report=report
             )
-            scratch = tmp_path / relpath.replace("/", "_")
+            scratch = tmp_path / stem
             scratch.mkdir()
             self.write_both(scratch, events, report=report)
+            # a loaded capture's columns re-encode to the same bytes
+            original = generated_row / f"{stem}.leapscap"
+            capture = load_capture(original)
+            rewritten = write_capture_columns(
+                scratch / "columns.leapscap",
+                capture.columns,
+                report=capture.report,
+                source=capture.meta["source"],
+            )
+            assert captures_byte_identical(rewritten, original), stem
 
 
 class TestCaptureCli:

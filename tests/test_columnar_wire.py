@@ -221,6 +221,28 @@ class TestCodecValidation:
         with pytest.raises(ChunkError, match="walk_id out of range"):
             CaptureChunkDecoder().feed(bytes(blob))
 
+    def test_negative_walk_length(self):
+        blob = bytearray(self.blob())
+        # TINY_LOG: 3 events, 3 walks of 4 frames; the walk lengths sit
+        # just before the nine event columns.  Lengths 8, -4, 8 span
+        # the flat frame ids exactly with offsets [0, 8, 4, 12].
+        struct.pack_into("<3q", blob, len(blob) - 9 * 3 * 8 - 3 * 8, 8, -4, 8)
+        with pytest.raises(ChunkError, match="monotonically"):
+            CaptureChunkDecoder().feed(bytes(blob))
+
+    def test_reused_frames_out_of_walk_order(self):
+        """A later chunk's new walk that reuses frames an earlier chunk
+        sent, in an order that contradicts their stack indices."""
+        events = parse_fast(TINY_LOG.splitlines())
+        encoder = ChunkEncoder()
+        first = encoder.encode_events(events)
+        reversed_walk = events[0].with_frames(events[0].frames[::-1])
+        second = encoder.encode_events([reversed_walk])
+        decoder = CaptureChunkDecoder()
+        assert decoder.feed(first)[0] == list(events)
+        with pytest.raises(ChunkError, match="frame_index"):
+            decoder.feed(second)
+
     def test_deeply_nested_report_chunk(self):
         depth = 100_000
         body = b"[" * depth + b"]" * depth

@@ -84,7 +84,7 @@ def test_patterns_see_the_documented_names():
     names = {name for _, name in dotted_names()}
     paths = {path for _, path in script_paths()}
     assert "repro.learning.kernels.PrecomputedKernel" in names
-    assert {"bench_table1.py", "benchmarks/bench_e2e.py",
+    assert {"bench_table1.py", "benchmarks/bench_serve.py",
             "examples/quickstart.py", "tests/test_bench_smoke.py"} <= paths
     assert expand_groups("repro.core.{a, b}.c") == [
         "repro.core.a.c", "repro.core.b.c"

@@ -2,21 +2,68 @@
 
 The fast path must be invisible in the results: ``transform`` over a
 whole log equals the stacked rows of each event transformed alone bit
-for bit, ``scan_log`` equals the streaming scan, and ``scan_logs``
-returns the same detections for any worker count.
+for bit, ``transform_columns`` over a capture's columns equals
+``transform`` over its records, ``scan_log`` equals the streaming scan,
+and ``scan_logs`` returns the same detections for any worker count and
+for either storage form of a log.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import LeapsDetector, ScanResult
 from repro.core.pipeline import NotTrainedError
-from repro.etw.parser import RawLogParser
+from repro.etw.capture import load_capture
+from repro.etw.events import EventColumns
+from repro.etw.parser import RawLogParser, iter_parse
+from repro.etw.stack_partition import StackPartitionError
 from repro.preprocessing.features import EventFeaturizer
 
+from tests.conftest import TINY_LOG
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log
-from tests.test_golden_logs import ALL_LOGS, read_header
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
+
+#: the logs of the session's generated catalog row
+GENERATED_LOGS = ("benign", "mixed", "malicious")
+
+#: TINY_LOG's three walks, then two that fail to partition (reversed,
+#: each puts app frames below system frames, with different messages)
+_TINY_WALKS = [event.frames for event in iter_parse(TINY_LOG.splitlines())]
+WALKS = _TINY_WALKS + [walk[::-1] for walk in _TINY_WALKS[:2]]
+INT64_MAX = 2**63 - 1
+OPCODES = st.sampled_from([0, 3, 7, INT64_MAX, -INT64_MAX, -INT64_MAX - 1])
+#: one event as (category id, opcode, name id, walk id)
+EVENTS = st.tuples(
+    st.integers(0, 2),
+    OPCODES | st.integers(-INT64_MAX - 1, INT64_MAX),
+    st.integers(0, 2),
+    st.integers(0, len(WALKS) - 1),
+)
+
+
+def event_columns(events):
+    """Hand-built columns over fixed tables: ``events`` as above."""
+    n = len(events)
+    cols = EventColumns()
+    cols.n_events = n
+    cols.eid = np.arange(n, dtype=np.int64)
+    cols.timestamp = cols.eid * 1000
+    cols.pid = np.full(n, 1000, dtype=np.int64)
+    cols.tid = np.full(n, 4, dtype=np.int64)
+    cols.process_id = np.zeros(n, dtype=np.int64)
+    fields = list(zip(*events)) or [()] * 4
+    cols.category_id, cols.opcode, cols.name_id, cols.walk_id = (
+        np.array(field, dtype=np.int64) for field in fields
+    )
+    cols.process_vocab = ["app.exe"]
+    cols.category_vocab = ["FILE_IO_READ", "TCP_SEND", "UI_MESSAGE"]
+    cols.name_vocab = ["read_config", "send_data", "ui_get_message"]
+    cols.walks = WALKS
+    return cols
 
 
 class TestVectorizedTransform:
@@ -55,23 +102,70 @@ class TestVectorizedTransform:
         with pytest.raises(RuntimeError, match="before fit"):
             EventFeaturizer().transform([])
 
+    def test_unfitted_transform_columns_raises(self):
+        with pytest.raises(RuntimeError, match="before fit"):
+            EventFeaturizer().transform_columns(EventColumns())
 
-@pytest.mark.parametrize("relpath", ALL_LOGS)
-def test_transform_matches_event_rows_on_golden_heads(relpath):
-    """Property over every golden log head: the vectorized batch path
-    and per-event transforms produce bit-identical rows."""
-    events = RawLogParser().parse_lines(read_header(relpath))
+    @settings(max_examples=150, deadline=None)
+    @given(events=st.lists(EVENTS, max_size=40), n_fit=st.integers(0, 40))
+    # extreme opcodes, both failing walks in the table but unused
+    @example(
+        events=[(0, INT64_MAX, 0, 0), (1, -INT64_MAX, 1, 1), (1, 7, 1, 1)],
+        n_fit=2,
+    )
+    # used failing walks: the second event's fails first
+    @example(events=[(0, 3, 0, 0), (1, 3, 1, 4), (2, 3, 2, 3)], n_fit=1)
+    @example(events=[], n_fit=0)
+    def test_columns_match_records(self, events, n_fit):
+        """``transform_columns`` equals ``transform`` over the records,
+        or raises the same ``StackPartitionError`` with the same
+        message.  The featurizer is fitted on a prefix of the events'
+        partitionable records, so some attributes are unknown."""
+        cols = event_columns(events)
+        records = cols.records()
+        featurizer = EventFeaturizer().fit(
+            [r for r in records[:n_fit] if r.frames in _TINY_WALKS]
+        )
+        try:
+            want = featurizer.transform(records)
+        except StackPartitionError as error:
+            with pytest.raises(StackPartitionError) as raised:
+                featurizer.transform_columns(cols)
+            assert str(raised.value) == str(error)
+            return
+        got = featurizer.transform_columns(cols)
+        assert got.shape == (len(events), 3) and got.dtype == float
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("stem", GENERATED_LOGS)
+def test_transform_matches_event_rows_on_golden_heads(generated_row, stem):
+    """Property over every generated log: the vectorized batch path
+    and per-event transforms produce bit-identical rows, and so does
+    the log's capture through its columns."""
+    events = RawLogParser().parse_lines(
+        (generated_row / f"{stem}.log").read_text().splitlines()
+    )
     assert events
     featurizer = EventFeaturizer().fit(events)
     batch = featurizer.transform(events)
     rows = TestVectorizedTransform.event_rows(featurizer, events)
-    assert np.array_equal(batch, rows), relpath
+    assert np.array_equal(batch, rows), stem
+    capture = load_capture(generated_row / f"{stem}.leapscap")
+    assert np.array_equal(featurizer.transform_columns(capture.columns), batch)
 
 
 class TestScanLogFastPath:
     def test_scan_log_equals_stream_bit_identically(self):
         detector = tiny_detector()
         lines = make_log(SCAN_SPECS)
+        assert detector.scan_log(lines) == list(detector.scan_stream(lines))
+
+    def test_eids_past_int64_scan_as_in_the_stream(self):
+        """The text parser bounds no integer field, so a record scan's
+        eids may not fit the int64 eid array of a capture."""
+        detector = tiny_detector()
+        lines = make_log(SCAN_SPECS, start_eid=INT64_MAX - 4)
         assert detector.scan_log(lines) == list(detector.scan_stream(lines))
 
     def test_scan_log_accepts_iterator(self):
@@ -189,7 +283,9 @@ class TestFleetScan:
 
 @pytest.mark.e2e
 class TestGoldenFleetScan:
-    def test_parallel_fleet_scan_matches_serial_on_golden_logs(self, e2e_dataset):
+    def test_parallel_fleet_scan_matches_serial_on_golden_logs(
+        self, generated_row
+    ):
         from repro import LeapsConfig
 
         config = LeapsConfig(
@@ -198,17 +294,26 @@ class TestGoldenFleetScan:
         )
         detector = LeapsDetector(config)
         detector.train_from_logs(
-            (e2e_dataset / "benign.log").read_text().splitlines(),
-            (e2e_dataset / "mixed.log").read_text().splitlines(),
+            (generated_row / "benign.log").read_text().splitlines(),
+            (generated_row / "mixed.log").read_text().splitlines(),
         )
-        paths = [
-            str(e2e_dataset / log)
-            for log in ("benign.log", "mixed.log", "malicious.log")
-        ]
+        paths = [str(generated_row / f"{stem}.log") for stem in GENERATED_LOGS]
         serial = detector.scan_logs(paths)
         process = detector.scan_logs(paths, n_jobs=2)
-        assert [r.detections for r in serial] == [r.detections for r in process]
-        assert all(r.detections for r in serial)
+        want = [r.detections for r in serial]
+        assert [r.detections for r in process] == want
+        assert all(want)
+        # the captures scan from their columns, by path and (in the
+        # pool) by the path reference of a loaded capture's records
+        captures = [str(Path(path).with_suffix(".leapscap")) for path in paths]
+        loaded = [load_capture(path).events for path in captures]
+        for fleet, n_jobs in ((captures, 1), (captures, 2), (loaded, 2)):
+            results = detector.scan_logs(fleet, n_jobs=n_jobs)
+            assert [r.detections for r in results] == want
+            assert [r.source for r in results] == captures
+        for path, detections in zip(paths, want):
+            with open(path) as handle:
+                assert list(detector.scan_stream(handle)) == detections
 
 
 class TestCaptureFleetScan:
