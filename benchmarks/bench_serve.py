@@ -687,7 +687,7 @@ def main(argv=None) -> int:
                 flush=True,
             )
             for _ in range(repeats):
-                # best-of-N (as in bench_e2e): every run verifies
+                # best-of-N: every run verifies
                 # bit-identity; throughput keeps the cleanest run
                 this_round = {}
                 for mode in ("text", "columnar"):
