@@ -1,9 +1,10 @@
 """LEAPS pipeline configuration.
 
 Every stochastic choice in the pipeline (CV fold assignment, training
-subsampling, SMO tie-breaks) flows from :attr:`LeapsConfig.seed` via
-explicit ``numpy.random.Generator`` instances — no global RNG state
-(DESIGN.md §6).
+subsampling) flows from :attr:`LeapsConfig.seed` via explicit
+``numpy.random.Generator`` instances — no global RNG state
+(DESIGN.md §6).  The SMO solver itself is deterministic and draws
+nothing.
 """
 
 from __future__ import annotations
@@ -13,9 +14,15 @@ from typing import Tuple
 
 import numpy as np
 
-#: keys older bundles carry that configure nothing (the serve batching
-#: settings are now constants in ``repro.serve.workers``)
-_RETIRED = ("serve_flush_deadline_s", "serve_target_batch_windows")
+#: keys older bundles carry that configure nothing: the serve batching
+#: settings are now constants in ``repro.serve.workers``, and the SMO
+#: sweep limits have no meaning under LIBSVM's stopping rule
+_RETIRED = (
+    "serve_flush_deadline_s",
+    "serve_target_batch_windows",
+    "svm_max_passes",
+    "svm_max_sweeps",
+)
 
 
 @dataclass
@@ -45,9 +52,8 @@ class LeapsConfig:
     #: CV folds for the grid search; < 2 is only valid with a
     #: single-point grid (CV is then skipped entirely)
     cv_folds: int = 3
+    #: SMO stops once the maximal KKT violation is <= svm_tol (ε)
     svm_tol: float = 1e-3
-    svm_max_passes: int = 5
-    svm_max_sweeps: int = 200
     #: parallel workers for the CV grid search (1 = in-process serial);
     #: the GridResult is bit-identical for any worker count
     n_jobs: int = 1
@@ -75,6 +81,10 @@ class LeapsConfig:
             raise ValueError("stream_chunk_windows must be >= 1")
         if not self.lam_grid or not self.sigma2_grid:
             raise ValueError("lam_grid and sigma2_grid must be non-empty")
+        if not all(0.0 < v < np.inf for v in (*self.lam_grid, *self.sigma2_grid)):
+            raise ValueError("lam_grid and sigma2_grid must be finite and positive")
+        if not 0.0 < self.svm_tol < np.inf:
+            raise ValueError("svm_tol must be finite and positive")
         if self.cv_folds < 2 and len(self.lam_grid) * len(self.sigma2_grid) > 1:
             raise ValueError(
                 "cv_folds < 2 cannot select among multiple (λ, σ²) grid "
@@ -107,8 +117,8 @@ class LeapsConfig:
     def from_dict(cls, doc: dict) -> "LeapsConfig":
         """Inverse of :meth:`to_dict`; rejects unknown keys so a stale
         or foreign bundle fails loudly instead of silently dropping
-        settings.  The retired serve batching keys that older bundles
-        carry are the one exception: they never changed a score."""
+        settings.  The retired keys that older bundles carry (``_RETIRED``)
+        are the one exception: they no longer configure anything."""
         doc = dict(doc)
         for key in _RETIRED:
             doc.pop(key, None)

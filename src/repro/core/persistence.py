@@ -29,10 +29,12 @@ The ``schema`` field is checked on load.  Unknown versions raise
 misinterpret a bundle written by a newer trainer.  ``leaps-model/v2``
 dropped a v1 solver field that could never change the fitted model (the
 SMO partner-selection rule); v1 bundles still load, the field ignored,
-and scan bit-identically; so do bundles whose config still carries the
-two retired serve batching keys (``LeapsConfig.from_dict`` drops
+and scan bit-identically.  So do bundles that still carry Platt's SMO
+settings (``svm.max_passes``/``max_sweeps``/``seed``, which the loader
+never reads) or retired config keys (``LeapsConfig.from_dict`` drops
 them).  Any other defect — missing keys, wrong types, arrays that
-disagree with each other — raises :class:`BundleError`, never a bare
+disagree with each other, a non-finite value, a non-positive
+standardizer scale — raises :class:`BundleError`, never a bare
 ``KeyError`` or ``IndexError``.
 """
 
@@ -111,9 +113,6 @@ def _bundle_doc(pipeline) -> dict:
         "svm": {
             "b": float(model.b),
             "tol": float(model.tol),
-            "max_passes": int(model.max_passes),
-            "max_sweeps": int(model.max_sweeps),
-            "seed": int(model.seed),
             "n_train": int(len(model.alpha)),
             "n_sv": int(len(model.support_)),
             "n_sweeps": int(model.n_sweeps_),
@@ -286,18 +285,29 @@ def _restore_pipeline(doc: dict, npz_path: Path):
             f"match their coefficients or the standardizer "
             f"{scaler_mean.shape}"
         )
+    # a NaN or infinite value, or a zero scale, would load and score
+    # every window NaN (or flag every one)
+    floats = {
+        "sv_X": sv_X, "sv_coef": sv_coef, "sv_alpha": sv_alpha,
+        "scaler_mean": scaler_mean, "scaler_scale": scaler_scale,
+    }
+    for name, array in floats.items():
+        if not np.all(np.isfinite(array)):
+            raise ValueError(f"non-finite values in {name}")
+    if not np.all(scaler_scale > 0):
+        raise ValueError("scaler_scale must be positive")
+    b = float(svm["b"])
+    if not np.isfinite(b):
+        raise ValueError(f"non-finite intercept {b!r}")
     model = WeightedSVM(
         kernel=gaussian_kernel(selection["sigma2"]),
         lam=selection["lam"],
         tol=svm["tol"],
-        max_passes=svm["max_passes"],
-        max_sweeps=svm["max_sweeps"],
-        seed=svm["seed"],
     )
     alpha = np.zeros(n_train)
     alpha[support] = sv_alpha
     model.alpha = alpha
-    model.b = model._b = float(svm["b"])
+    model.b = b
     model.support_ = support
     model._sv_X = sv_X
     model._sv_coef = sv_coef

@@ -246,13 +246,7 @@ class LeapsPipeline:
         )
 
     def svm_params(self) -> dict:
-        config = self.config
-        return {
-            "tol": config.svm_tol,
-            "max_passes": config.svm_max_passes,
-            "max_sweeps": config.svm_max_sweeps,
-            "seed": config.seed,
-        }
+        return {"tol": self.config.svm_tol}
 
     def train(
         self, benign_lines: Iterable[str], mixed_lines: Iterable[str]

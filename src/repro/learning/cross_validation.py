@@ -12,10 +12,10 @@ feature rows; ``tests/oracles/grid.py`` keeps the re-kernelizing search
 that proves the result unchanged.
 
 ``n_jobs`` fans the (λ, σ², fold) cells over a process or thread pool.
-Every cell is independently seeded (each fit builds its own generator
-from ``svm_params["seed"]``) and results are reduced into the table in
-grid × fold order, so the returned :class:`GridResult` is bit-identical
-for any worker count or completion order.
+Every cell's fit is deterministic (the solver draws nothing) and results
+are reduced into the table in grid × fold order, so the returned
+:class:`GridResult` is bit-identical for any worker count or completion
+order.
 """
 
 from __future__ import annotations

@@ -46,8 +46,8 @@ def gaussian_kernel(sigma2: float) -> Kernel:
     :class:`repro.learning.svm.KernelSVM`) can recognize a Gaussian
     kernel and recover its width without re-deriving it.
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < np.inf:  # NaN fails too
+        raise ValueError("sigma2 must be finite and positive")
 
     def kernel(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.exp(-squared_distances(X, Y) / (2.0 * sigma2))
@@ -132,8 +132,8 @@ class PrecomputedKernel:
 
     def gram(self, sigma2: float) -> np.ndarray:
         """The full ``(n, n)`` Gaussian Gram for one kernel width."""
-        if sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < sigma2 < np.inf:  # NaN fails too
+            raise ValueError("sigma2 must be finite and positive")
         key = float(sigma2)
         with self._lock:
             gram = self._grams.get(key)

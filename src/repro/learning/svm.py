@@ -1,29 +1,21 @@
-"""From-scratch SMO-trained soft-margin kernel SVM.
+"""From-scratch soft-margin kernel SVM, trained by LIBSVM's SMO.
 
 Solves the C-SVC dual with *per-sample* box constraints
 
-    max  Σαᵢ − ½ ΣΣ αᵢαⱼ yᵢyⱼ K(xᵢ,xⱼ)
-    s.t. 0 ≤ αᵢ ≤ Cᵢ,   Σ αᵢyᵢ = 0
+    min  ½ αᵀQα − eᵀα,   Q = (yyᵀ)∘K
+    s.t. 0 ≤ αᵢ ≤ Cᵢ,    yᵀα = 0
 
 which is exactly the Weighted SVM dual of the paper's Eqn. (4) when
 ``Cᵢ = λ·cᵢ`` (see :mod:`repro.learning.wsvm`); the plain SVM is the
 special case of a constant ``Cᵢ``.  sklearn/LIBSVM are deliberately not
-used (DESIGN.md §1).
-
-The solver is Platt's SMO with the max-|ΔE| second-choice heuristic, a
-full decision-value cache updated incrementally after every pair step,
-and a seeded tie-break RNG so training is deterministic.
-
-Partner selection (:meth:`KernelSVM._partner_step`) evaluates every
-candidate's step guards (clip window, curvature, minimum α move) in one
-pass of array ops and jumps straight to the partner Platt's scalar walk
-would have committed: sort partners by |ΔE| and attempt ``_take_step``
-on each until one succeeds.  A failed attempt never mutates state, so a
-candidate's success is order-independent; the guard arithmetic is
-elementwise-identical and the tie-break RNG is consumed in exactly the
-same situations, so the fitted model is bit-identical to the scalar
-walk's.  That walk is kept as a test oracle (``tests/oracles/smo.py``)
-which overrides the same method.
+used (DESIGN.md §1), but the solver is LIBSVM's: second-order
+working-set selection (Fan, Chen & Lin, JMLR 6, 2005) and the stopping
+rule on the maximal KKT violation m(α) − M(α) ≤ ε (Chang & Lin, ACM
+TIST 2011), with ε = ``tol``.  The stop certifies the fit: the duality
+gap is then at most ε·ΣCᵢ for the returned intercept, which the tests
+check from a recomputed gradient and against a brute-force QP oracle
+(``tests/oracles/qp.py``).  Ties go to the lowest index, so training is
+deterministic without an RNG.
 
 ``fit``/``decision_function`` also accept a precomputed Gram matrix so
 grid searches can slice one cached kernel instead of re-kernelizing
@@ -33,7 +25,7 @@ features per CV cell (see :class:`repro.learning.kernels.PrecomputedKernel`).
 from __future__ import annotations
 
 import warnings
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,19 +36,127 @@ from repro.learning.kernels import (
     linear_kernel,
 )
 
-_EPS = 1e-8
+#: curvature that stands in for a non-positive ``Kᵢᵢ + Kⱼⱼ − 2Kᵢⱼ``
+#: (duplicate rows), as in LIBSVM
+TAU = 1e-12
+#: the pair-update cap is ``max(MIN_ITERATIONS, ITERATIONS_PER_SAMPLE·n)``;
+#: LIBSVM allows 100·n with a floor of 10⁷
+ITERATIONS_PER_SAMPLE = 100
+MIN_ITERATIONS = 10_000
 
 
 class ConvergenceWarning(UserWarning):
-    """SMO stopped at the sweep cap before reaching KKT stationarity."""
+    """SMO stopped at the iteration cap with a KKT violation above ε."""
+
+
+def _smo(
+    K: np.ndarray, y: np.ndarray, C: np.ndarray, tol: float
+) -> Tuple[np.ndarray, float, int, float]:
+    """LIBSVM's SMO with WSS2 on a full Gram ``K``.
+
+    Returns ``(alpha, b, iterations, violation)``, where ``violation``
+    is m(α) − M(α) at exit.  The solver keeps ``v = −y∘∇f(α)``, which is
+    also ``y − f₀`` for the intercept-free decision values ``f₀``; a
+    pair step updates it with one Gram row per moved variable.
+    """
+    n = len(y)
+    K_diag = K.diagonal()
+    alpha = np.zeros(n)
+    v = y.copy()
+    # membership of I_up / I_low as additive bars: v + up_bar is v on
+    # I_up and −∞ elsewhere, v + low_bar is v on I_low and +∞ elsewhere.
+    # A sample with Cᵢ = 0 is in neither, so it never moves.
+    movable = C > 0
+    up_bar = np.where(movable & (y > 0), 0.0, -np.inf)
+    low_bar = np.where(movable & (y < 0), 0.0, np.inf)
+    y_list, C_list = y.tolist(), C.tolist()
+    max_iterations = max(MIN_ITERATIONS, ITERATIONS_PER_SAMPLE * n)
+    iterations = 0
+    while True:
+        v_up = v + up_bar
+        i = int(np.argmax(v_up))
+        m = float(v_up[i])
+        v_low = v + low_bar
+        M = float(v_low.min())
+        violation = m - M
+        if violation <= tol or iterations >= max_iterations:
+            break
+        # WSS2: the j in I_low with v_j < m that maximizes (m − v_j)²/a
+        K_i = K[i]
+        quad = K_diag - 2.0 * K_i
+        quad += K_diag[i]
+        quad[quad <= 0.0] = TAU
+        gain = m - v_low  # −∞ off I_low; the clamp drops it and v_j ≥ m
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        gain /= quad
+        j = int(np.argmax(gain))
+
+        # LIBSVM's pair update, clipped to unequal bounds Cᵢ, Cⱼ
+        y_i, y_j, C_i, C_j = y_list[i], y_list[j], C_list[i], C_list[j]
+        a_i = old_i = float(alpha[i])
+        a_j = old_j = float(alpha[j])
+        if y_i != y_j:
+            delta = (y_i * float(v[i]) + y_j * float(v[j])) / float(quad[j])
+            diff = a_i - a_j
+            a_i += delta
+            a_j += delta
+            if diff > 0.0:
+                if a_j < 0.0:
+                    a_j, a_i = 0.0, diff
+            elif a_i < 0.0:
+                a_i, a_j = 0.0, -diff
+            if diff > C_i - C_j:
+                if a_i > C_i:
+                    a_i, a_j = C_i, C_i - diff
+            elif a_j > C_j:
+                a_j, a_i = C_j, C_j + diff
+        else:
+            delta = (y_j * float(v[j]) - y_i * float(v[i])) / float(quad[j])
+            total = a_i + a_j
+            a_i -= delta
+            a_j += delta
+            if total > C_i:
+                if a_i > C_i:
+                    a_i, a_j = C_i, total - C_i
+            elif a_j < 0.0:
+                a_j, a_i = 0.0, total
+            if total > C_j:
+                if a_j > C_j:
+                    a_j, a_i = C_j, total - C_j
+            elif a_i < 0.0:
+                a_i, a_j = 0.0, total
+        step = K_i * (y_i * (a_i - old_i))
+        step += K[j] * (y_j * (a_j - old_j))
+        v -= step
+        alpha[i], alpha[j] = a_i, a_j
+        for t, a_t, y_t, C_t in ((i, a_i, y_i, C_i), (j, a_j, y_j, C_j)):
+            below = 0.0 if a_t < C_t else np.inf
+            above = 0.0 if a_t > 0.0 else np.inf
+            if y_t > 0:
+                up_bar[t], low_bar[t] = -below, above
+            else:
+                up_bar[t], low_bar[t] = -above, below
+        iterations += 1
+
+    free = (up_bar == 0.0) & (low_bar == 0.0)
+    if free.any():
+        b = float(np.mean(v[free]))
+    else:
+        # LIBSVM's midpoint of the bounds on b; one side is empty when
+        # every movable sample has one label
+        ends = [end for end in (m, M) if np.isfinite(end)]
+        b = float(np.mean(ends)) if ends else 0.0
+    return alpha, b, iterations, violation
 
 
 class KernelSVM:
     """Binary kernel SVM (labels must be ±1) trained by SMO.
 
-    After :meth:`fit`, solver health is exposed as ``n_sweeps_`` (outer
-    sweeps executed) and ``converged_`` (False when the ``max_sweeps``
-    cap cut optimization short; a :class:`ConvergenceWarning` is issued).
+    After :meth:`fit`, solver health is exposed as ``n_sweeps_`` (the
+    number of pair updates made) and ``converged_`` (True only when the
+    maximal KKT violation at exit is ≤ ``tol``; hitting the iteration
+    cap instead issues a :class:`ConvergenceWarning`).
     """
 
     def __init__(
@@ -64,19 +164,12 @@ class KernelSVM:
         kernel: Optional[Kernel] = None,
         C: float = 1.0,
         tol: float = 1e-3,
-        max_passes: int = 5,
-        max_sweeps: int = 200,
-        seed: int = 0,
     ):
         self.kernel = kernel or linear_kernel
         self.C = C
         self.tol = tol
-        self.max_passes = max_passes
-        self.max_sweeps = max_sweeps
-        self.seed = seed
         self.alpha: Optional[np.ndarray] = None
         self.b: float = 0.0
-        self._b: float = 0.0
         self.n_sweeps_: int = 0
         self.converged_: bool = False
         self._sv_X: Optional[np.ndarray] = None
@@ -110,6 +203,8 @@ class KernelSVM:
                 raise ValueError("X must be (n, d) with one label per row")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must be ±1")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
         if gram is None:
             if X is None:
                 raise ValueError("fit needs X when no precomputed gram is given")
@@ -124,161 +219,35 @@ class KernelSVM:
             C_vec = np.asarray(sample_C, dtype=float).reshape(-1)
             if len(C_vec) != n:
                 raise ValueError("sample_C length mismatch")
-            if np.any(C_vec < 0):
-                raise ValueError("sample_C must be non-negative")
+        if not np.all((C_vec >= 0.0) & (C_vec < np.inf)):
+            raise ValueError("C and sample_C must be finite and non-negative")
 
-        rng = np.random.default_rng(self.seed)
-        K_diag = K.diagonal()
-        alpha = np.zeros(n)
-        self._b = 0.0
-        # decision values without the intercept: f[i] = Σ αⱼyⱼK[j, i]
-        f = np.zeros(n)
-        active = np.flatnonzero(C_vec > _EPS)
-
-        passes = 0
-        sweeps = 0
-        while passes < self.max_passes and sweeps < self.max_sweeps:
-            changed = 0
-            for i in active:
-                b = self._b
-                E_i = f[i] + b - y[i]
-                r = y[i] * E_i
-                if not (
-                    (r < -self.tol and alpha[i] < C_vec[i] - _EPS)
-                    or (r > self.tol and alpha[i] > _EPS)
-                ):
-                    continue
-                # Platt's second-choice hierarchy: partners in decreasing
-                # |E_i − E_j| order until one step succeeds — the single
-                # best j can be stuck at a bound.
-                E = f + b - y
-                gaps = np.abs(E - E_i)
-                gaps[i] = -1.0
-                gaps[C_vec <= _EPS] = -1.0
-                if self._partner_step(
-                    i, K, K_diag, y, alpha, C_vec, f, E, E_i, gaps, rng
-                ):
-                    changed += 1
-            sweeps += 1
-            passes = passes + 1 if changed == 0 else 0
-
-        b = self._b
-        # Recompute the intercept from margin support vectors when any
-        # exist — more stable than the running b1/b2 estimate.
-        margin = (alpha > _EPS) & (alpha < C_vec - _EPS)
-        if np.any(margin):
-            b = float(np.mean(y[margin] - f[margin]))
+        alpha, b, iterations, violation = _smo(K, y, C_vec, self.tol)
         self.alpha = alpha
         self.b = b
-        support = alpha > _EPS
+        support = alpha > 0.0
         self._sv_X = X[support] if X is not None else None
         self._sv_coef = alpha[support] * y[support]
         self.support_ = np.flatnonzero(support)
         self._refresh_scoring_cache()
-        self.n_sweeps_ = sweeps
-        self.converged_ = passes >= self.max_passes
+        self.n_sweeps_ = iterations
+        self.converged_ = violation <= self.tol
         if not self.converged_:
             warnings.warn(
-                f"SMO hit the max_sweeps cap ({self.max_sweeps}) before "
-                "converging; the model may be suboptimal",
+                f"SMO stopped at its iteration cap ({iterations} pair "
+                f"updates) with KKT violation {violation:.3g} > tol "
+                f"{self.tol:g}; the model may be suboptimal",
                 ConvergenceWarning,
                 stacklevel=2,
             )
         return self
-
-    def _partner_step(
-        self, i, K, K_diag, y, alpha, C_vec, f, E, E_i, gaps, rng
-    ) -> bool:
-        """Commit the pair step (i, j) for the partner the scalar walk
-        would pick; returns whether α changed.
-
-        A failed ``_take_step`` never mutates state, so whether a given j
-        succeeds is independent of attempt order; evaluating the three
-        step guards for every candidate at once and picking the best
-        survivor reproduces the walk exactly.  The tie-break shuffle
-        consumes the RNG in the same situations as the walk (top-two
-        gaps equal), keeping the random stream aligned.
-        """
-        n = len(gaps)
-        order = None
-        if n > 1:
-            j_top = int(np.argmax(gaps))
-            if np.count_nonzero(gaps == gaps[j_top]) > 1:
-                order = np.argsort(-gaps, kind="stable")
-                order = order.copy()
-                rng.shuffle(order)
-                order = order[np.argsort(-gaps[order], kind="stable")]
-        ok = gaps >= 0.0
-        if not ok.any():
-            return False
-        # Clip window [L, H] per candidate (elementwise the same
-        # arithmetic as the scalar _take_step guards).
-        same_label = y == y[i]
-        total = alpha + alpha[i]
-        gamma = alpha - alpha[i]
-        L = np.where(
-            same_label, np.maximum(0.0, total - C_vec[i]), np.maximum(0.0, gamma)
-        )
-        H = np.where(
-            same_label, np.minimum(C_vec, total), np.minimum(C_vec, gamma + C_vec[i])
-        )
-        ok &= L < H - _EPS
-        eta = 2.0 * K[i] - K[i, i] - K_diag
-        ok &= eta < -_EPS
-        if not ok.any():
-            return False
-        safe_eta = np.where(ok, eta, -1.0)
-        a_new = np.clip(alpha - y * (E_i - E) / safe_eta, L, H)
-        ok &= np.abs(a_new - alpha) >= _EPS
-        candidates = np.flatnonzero(ok)
-        if not len(candidates):
-            return False
-        if order is None:
-            # stable descending gap order ⇒ largest gap, lowest index
-            j = int(candidates[np.argmax(gaps[candidates])])
-        else:
-            j = int(order[np.flatnonzero(ok[order])[0]])
-        return self._take_step(i, j, K, y, alpha, C_vec, f, E_i, E[j])
-
-    def _take_step(self, i, j, K, y, alpha, C_vec, f, E_i, E_j) -> bool:
-        if i == j:
-            return False
-        a_i, a_j = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            gamma = a_j - a_i
-            L, H = max(0.0, gamma), min(C_vec[j], gamma + C_vec[i])
-        else:
-            total = a_i + a_j
-            L, H = max(0.0, total - C_vec[i]), min(C_vec[j], total)
-        if L >= H - _EPS:
-            return False
-        eta = 2.0 * K[i, j] - K[i, i] - K[j, j]
-        if eta >= -_EPS:
-            return False
-        a_j_new = np.clip(a_j - y[j] * (E_i - E_j) / eta, L, H)
-        if abs(a_j_new - a_j) < _EPS:
-            return False
-        a_i_new = a_i + y[i] * y[j] * (a_j - a_j_new)
-        d_i, d_j = a_i_new - a_i, a_j_new - a_j
-        b = self._b
-        b1 = b - E_i - y[i] * d_i * K[i, i] - y[j] * d_j * K[i, j]
-        b2 = b - E_j - y[i] * d_i * K[i, j] - y[j] * d_j * K[j, j]
-        if _EPS < a_i_new < C_vec[i] - _EPS:
-            self._b = b1
-        elif _EPS < a_j_new < C_vec[j] - _EPS:
-            self._b = b2
-        else:
-            self._b = (b1 + b2) / 2.0
-        f += y[i] * d_i * K[i] + y[j] * d_j * K[j]
-        alpha[i], alpha[j] = a_i_new, a_j_new
-        return True
 
     # -- inference -----------------------------------------------------
     def _refresh_scoring_cache(self) -> None:
         """(Re)build the no-Gram scoring fast path from the fitted SVs.
 
         Compacts away coefficients that are exactly zero (the solver
-        never produces them — support requires ``α > ε`` — but loaded or
+        never produces them — support requires ``α > 0`` — but loaded or
         hand-built models may) and caches the SV row norms so
         ``decision_function`` can use the ‖x‖²+‖y‖²−2x·y expansion
         without recomputing ``Σ svᵢ²`` for every scoring chunk.  Called

@@ -25,18 +25,8 @@ class WeightedSVM(KernelSVM):
         kernel: Optional[Kernel] = None,
         lam: float = 1.0,
         tol: float = 1e-3,
-        max_passes: int = 5,
-        max_sweeps: int = 200,
-        seed: int = 0,
     ):
-        super().__init__(
-            kernel=kernel,
-            C=lam,
-            tol=tol,
-            max_passes=max_passes,
-            max_sweeps=max_sweeps,
-            seed=seed,
-        )
+        super().__init__(kernel=kernel, C=lam, tol=tol)
         self.lam = lam
 
     def fit(
@@ -53,7 +43,8 @@ class WeightedSVM(KernelSVM):
         c = np.asarray(c, dtype=float).reshape(-1)
         if len(c) != n:
             raise ValueError("c length mismatch")
-        if np.any(c < 0) or np.any(c > 1 + 1e-12):
+        # NaN fails both comparisons
+        if not np.all((c >= 0) & (c <= 1 + 1e-12)):
             raise ValueError("importances must lie in [0, 1]")
         super().fit(X, y, sample_C=self.lam * c, gram=gram)
         return self

@@ -2,7 +2,8 @@
 
 Each module keeps the straightforward version of one optimized layer:
 
-* :mod:`tests.oracles.smo` — Platt's scalar SMO partner walk;
+* :mod:`tests.oracles.qp` — a brute-force active-set solve of the SVM
+  dual, which certifies the SMO solver's optimum on small problems;
 * :mod:`tests.oracles.grid` — the grid search that re-kernelizes every
   (λ, σ², fold) cell;
 * :mod:`tests.oracles.capture` — the per-event capture writer;
@@ -13,6 +14,7 @@ Each module keeps the straightforward version of one optimized layer:
   it drained the block scanner.
 
 The equivalence suites compare production output against these bit for
-bit; ``benchmarks/bench_table1.py`` times the tracer as its naive
+bit, except the QP oracle, which the solver must match within a stated
+tolerance; ``benchmarks/bench_table1.py`` times the tracer as its naive
 baseline.  Production code never imports them.
 """

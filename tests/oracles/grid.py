@@ -2,8 +2,8 @@
 :func:`repro.learning.cross_validation.grid_search_wsvm`.
 
 Serial, and every (λ, σ², fold) cell re-kernelizes its fold's feature
-rows and trains with the scalar SMO partner walk, where production
-slices one cached distance matrix and selects partners in bulk.  Fold
+rows and fits the production :class:`~repro.learning.wsvm.WeightedSVM`
+on them, where production slices one cached distance matrix.  Fold
 assignment and the reduction follow the production contract: folds
 from :func:`~repro.learning.cross_validation.kfold_indices` on the same
 ``rng``, mean fold accuracy per grid point, ties to the earlier point.
@@ -20,8 +20,7 @@ import numpy as np
 from repro.learning.cross_validation import GridResult, kfold_indices
 from repro.learning.kernels import gaussian_kernel
 from repro.learning.metrics import accuracy
-
-from tests.oracles.smo import ReferenceWeightedSVM
+from repro.learning.wsvm import WeightedSVM
 
 
 def grid_search_naive(
@@ -44,7 +43,7 @@ def grid_search_naive(
     for lam, sigma2 in product(lam_grid, sigma2_grid):
         scores = []
         for train, test in pairs:
-            model = ReferenceWeightedSVM(
+            model = WeightedSVM(
                 kernel=gaussian_kernel(sigma2), lam=lam, **svm_params
             )
             model.fit(X[train], y[train], None if c is None else c[train])

@@ -42,6 +42,15 @@ class TestConfigValidation:
             {"cv_folds": 1, "lam_grid": (1.0,)},
             # folds < 2 cannot pick among multiple grid points
             {"cv_folds": 0, "lam_grid": (1.0, 2.0)},
+            # the solver's inputs must be finite and positive
+            {"lam_grid": (float("nan"),)},
+            {"lam_grid": (-1.0, 1.0)},
+            {"lam_grid": (float("inf"), 1.0)},
+            {"sigma2_grid": (0.0,)},
+            {"sigma2_grid": (float("nan"), 10.0)},
+            {"svm_tol": 0.0},
+            {"svm_tol": -1.0},
+            {"svm_tol": float("nan")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -155,6 +155,10 @@ MALFORMED_DOCS = {
     "n-train-below-n-sv": lambda doc: set_in(doc, "svm", "n_train", 1),
     "non-numeric-intercept": lambda doc: set_in(doc, "svm", "b", "zero"),
     "bad-sigma2": lambda doc: set_in(doc, "selection", "sigma2", -1.0),
+    "nan-sigma2": lambda doc: set_in(doc, "selection", "sigma2", float("nan")),
+    "inf-sigma2": lambda doc: set_in(doc, "selection", "sigma2", float("inf")),
+    "nan-intercept": lambda doc: set_in(doc, "svm", "b", float("nan")),
+    "inf-intercept": lambda doc: set_in(doc, "svm", "b", float("-inf")),
     "invalid-config-value": lambda doc: set_in(doc, "config", "stride", 0),
     "mistyped-config": lambda doc: set_in(doc, "config", "window_events", "2"),
     "short-vocab-entry": lambda doc: set_in(doc, "vocab", "etype", [["x", 1]]),
@@ -165,6 +169,12 @@ def shift_support(arrays, offset):
     arrays["support"] = arrays["support"] + offset
 
 
+def set_entry(arrays, name, value):
+    array = arrays[name].copy()
+    array.flat[0] = value
+    arrays[name] = array
+
+
 MALFORMED_ARRAYS = {
     "support-past-n-train": lambda a: shift_support(a, 10**6),
     "negative-support": lambda a: shift_support(a, -(10**6)),
@@ -173,6 +183,11 @@ MALFORMED_ARRAYS = {
     "missing-member": lambda a: a.pop("scaler_scale"),
     "3d-support-vectors": lambda a: a.update(sv_X=a["sv_X"][..., None]),
     "scaler-width": lambda a: a.update(scaler_mean=a["scaler_mean"][:-1]),
+    "nan-support-vector": lambda a: set_entry(a, "sv_X", np.nan),
+    "inf-dual-coefficient": lambda a: set_entry(a, "sv_coef", np.inf),
+    "nan-scaler-mean": lambda a: set_entry(a, "scaler_mean", np.nan),
+    "zero-scaler-scale": lambda a: set_entry(a, "scaler_scale", 0.0),
+    "negative-scaler-scale": lambda a: set_entry(a, "scaler_scale", -1.0),
 }
 
 
@@ -225,15 +240,15 @@ class TestSchemaVersions:
         lines = make_log(SCAN_SPECS)
         assert LeapsDetector.load(bundle).scan_log(lines) == trained.scan_log(lines)
 
-    def test_retired_serve_keys_scan_bit_identically(self, trained, bundle):
-        """A bundle saved while ``LeapsConfig`` still carried the serve
-        batching fields loads with those two keys ignored and scans
-        bit-identically; any other unknown key still raises
-        (``test_unknown_config_key_rejected``)."""
+    @staticmethod
+    def assert_retired_keys_ignored(trained, bundle, config_keys, svm_keys=None):
+        """A bundle written before the given keys were retired loads
+        with them ignored and scans bit-identically; any other unknown
+        key still raises (``test_unknown_config_key_rejected``)."""
 
         def with_retired_keys(doc):
-            doc["config"]["serve_flush_deadline_s"] = 0.05
-            doc["config"]["serve_target_batch_windows"] = 1024
+            doc["config"].update(config_keys)
+            doc["svm"].update(svm_keys or {})
             return doc
 
         rewrite_doc(bundle, with_retired_keys)
@@ -242,6 +257,24 @@ class TestSchemaVersions:
         assert loaded.config == trained.config
         assert loaded.scan_log(lines) == trained.scan_log(lines)
         assert list(loaded.scan_stream(lines)) == trained.scan_log(lines)
+
+    def test_retired_serve_keys_scan_bit_identically(self, trained, bundle):
+        """The serve batching fields ``LeapsConfig`` once carried."""
+        self.assert_retired_keys_ignored(
+            trained, bundle,
+            {"serve_flush_deadline_s": 0.05, "serve_target_batch_windows": 1024},
+        )
+
+    def test_retired_solver_keys_scan_bit_identically(self, trained, bundle):
+        """The Platt SMO settings: two config fields and three ``svm``
+        keys that new bundles no longer write."""
+        doc = json.loads((bundle / JSON_NAME).read_text())
+        assert not {"max_passes", "max_sweeps", "seed"} & set(doc["svm"])
+        self.assert_retired_keys_ignored(
+            trained, bundle,
+            {"svm_max_passes": 5, "svm_max_sweeps": 200},
+            {"max_passes": 5, "max_sweeps": 200, "seed": 0},
+        )
 
 
 def test_save_bundle_is_detector_save(trained, tmp_path):
