@@ -43,8 +43,8 @@ from repro.core.persistence import (
 )
 from repro.core.pipeline import LeapsPipeline, TrainingReport
 from repro.etw.capture import Capture, is_capture_path, load_capture
-from repro.etw.events import EventLog
-from repro.etw.fastparse import parse_fast
+from repro.etw.events import EventColumns, EventLog
+from repro.etw.fastparse import parse_columns
 from repro.etw.recovery import ParseReport
 
 
@@ -143,7 +143,7 @@ class LeapsDetector:
     @staticmethod
     def _log_lines(
         item: Union[str, os.PathLike, Iterable[str]],
-    ) -> Union[bytes, Iterable[str]]:
+    ) -> Union[bytes, EventColumns, Iterable[str]]:
         """Resolve one fleet item to parse-ready input.
 
         Text paths resolve to the file's raw bytes, which
@@ -153,11 +153,11 @@ class LeapsDetector:
         from streaming the same file) and passes undecodable lines
         through as ``bytes`` for policy-controlled ``BAD_ENCODING``
         classification instead of a bare ``UnicodeDecodeError``.
-        ``.leapscap`` capture paths load as already-parsed events.
+        ``.leapscap`` capture paths load as their columns.
         """
         if isinstance(item, (str, os.PathLike)):
             if is_capture_path(item):
-                return load_capture(item).events
+                return load_capture(item).columns
             return Path(os.fspath(item)).read_bytes()
         return item
 
@@ -211,9 +211,9 @@ class LeapsDetector:
         with_reports: bool,
     ) -> ScanResult:
         """Scan one log (a path when ``lines`` is None, else the given
-        lines) through the batch fast path.  A capture — by path or by
-        :class:`_CaptureRef` — scans from its columns; every other
-        input scans records."""
+        lines) through the batch fast path, from columns: a capture's —
+        by path or by :class:`_CaptureRef` — or the text's, parsed by
+        :func:`~repro.etw.fastparse.parse_columns`."""
         if lines is None:
             assert source is not None
             lines = (
@@ -239,7 +239,7 @@ class LeapsDetector:
                 source = lines.source
             events = lines.columns if isinstance(lines, Capture) else lines
         else:
-            events = parse_fast(
+            events = parse_columns(
                 lines,
                 policy=policy or self.pipeline.parser.policy,
                 report=report,

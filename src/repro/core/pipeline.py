@@ -14,7 +14,8 @@ drawn across captures), per-log CFGs are inferred and merged in input
 order by ``CFGInferencer.infer_many`` (the merge preserves edge kinds),
 and the per-log window blocks are stacked in input order.  The single-log
 :meth:`LeapsPipeline.train` is the one-log special case of the same
-code path.
+code path.  Every log is prepared as columns, one stack partition per
+distinct walk (:meth:`LeapsPipeline.prepare_training_many`).
 
 The grid search runs on the fast path: one
 :class:`~repro.learning.kernels.PrecomputedKernel` distance cache is
@@ -28,10 +29,10 @@ Scanning:  featurize a production log with the *training* vocabularies
 and score each window; negative decision values are malicious windows.
 Two paths, bit-identical to each other:
 
-* batch — :meth:`LeapsPipeline.score_events` over a parsed log or a
-  capture's columns (the detector's ``scan_log``/``scan_logs``): one
-  array core coalesces, standardizes and scores, and builds no
-  per-window object;
+* batch — :meth:`LeapsPipeline.score_events` over a log's columns
+  (the detector's ``scan_log``/``scan_logs``): one array core
+  featurizes, coalesces, standardizes and scores, and builds no
+  per-event or per-window object;
 * incremental — :meth:`LeapsPipeline.score_stream` over a raw line
   iterator, draining the :mod:`repro.core.streaming` scanner that the
   serve shards also run: block parse, block featurize, block coalesce,
@@ -53,8 +54,9 @@ from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.streaming import StreamScanner, scan_lines
 from repro.core.weights import WeightAssessor
-from repro.etw.events import EventColumns, EventRecord
-from repro.etw.parser import RawLogParser
+from repro.etw.events import EventColumns, EventLog, EventRecord
+from repro.etw.fastparse import parse_columns
+from repro.etw.parser import LogLine, RawLogParser
 from repro.etw.recovery import ParseReport
 from repro.etw.stack_partition import StackPartitioner
 from repro.learning.cross_validation import GridResult, grid_search_wsvm
@@ -105,6 +107,10 @@ class NotTrainedError(RuntimeError):
     pass
 
 
+#: One training log: raw text, bytes or lines, parsed records, or columns.
+TrainingLog = Union[str, bytes, Iterable[LogLine], EventLog, EventColumns]
+
+
 class LeapsPipeline:
     """Stateful trainer/scanner shared by the public detector API."""
 
@@ -124,80 +130,89 @@ class LeapsPipeline:
         self.report: Optional[TrainingReport] = None
 
     # -- training phase ------------------------------------------------
-    def prepare_training(
+    def _columns(self, log: TrainingLog) -> EventColumns:
+        """One training log as columns: text parses with
+        :func:`~repro.etw.fastparse.parse_columns`, an
+        :class:`~repro.etw.events.EventLog` converts, columns pass."""
+        if isinstance(log, EventColumns):
+            return log
+        if isinstance(log, EventLog):
+            return EventColumns.from_records(log)
+        return parse_columns(log, policy=self.parser.policy)
+
+    def prepare_training_many(
         self,
-        benign_lines: Iterable[str],
-        mixed_lines: Iterable[str],
+        benign_logs: Sequence[TrainingLog],
+        mixed_logs: Sequence[TrainingLog],
         rng: Optional[np.random.Generator] = None,
     ) -> PreparedTraining:
         """Run every stage up to (but not including) model selection:
         parse → partition → CFGs → weights →
-        featurize/coalesce/subsample/scale."""
-        return self.prepare_training_many([benign_lines], [mixed_lines], rng=rng)
+        featurize/coalesce/subsample/scale.  Each item is one log's raw
+        text or lines, its parsed events or its columns.  Logs are
+        parsed, partitioned, CFG-inferred, and window-coalesced
+        independently (no implicit edges or windows across captures),
+        then stacked in input order.
 
-    def prepare_training_many(
-        self,
-        benign_logs: Sequence[Iterable[str]],
-        mixed_logs: Sequence[Iterable[str]],
-        rng: Optional[np.random.Generator] = None,
-    ) -> PreparedTraining:
-        """Multi-log :meth:`prepare_training`: each item is one log's
-        raw lines.  Logs are parsed, partitioned, CFG-inferred, and
-        window-coalesced independently (no implicit edges or windows
-        across captures), then stacked in input order."""
+        Every stage runs on columns: each log's used walks are
+        partitioned once into an
+        :class:`~repro.preprocessing.features.AttributeTable`, whose
+        per-walk app paths feed Algorithm 1 (gathered per event) and
+        Algorithm 2 (assessed per walk, gathered per event), and whose
+        distinct keys fit the vocabularies."""
         config = self.config
         rng = config.rng() if rng is None else rng
         timings: List[Tuple[str, float]] = []
         clock = time.perf_counter
 
         started = clock()
-        benign_event_logs = [self.parser.parse_lines(lines) for lines in benign_logs]
-        mixed_event_logs = [self.parser.parse_lines(lines) for lines in mixed_logs]
-        if not benign_event_logs or not mixed_event_logs or any(
-            not events for events in benign_event_logs + mixed_event_logs
+        benign_cols = [self._columns(log) for log in benign_logs]
+        mixed_cols = [self._columns(log) for log in mixed_logs]
+        if not benign_cols or not mixed_cols or any(
+            not cols.n_events for cols in benign_cols + mixed_cols
         ):
             raise ValueError("training needs non-empty benign and mixed logs")
         timings.append(("parse", clock() - started))
 
         started = clock()
-        benign_path_logs = [
-            [self.partitioner.app_path(e) for e in events]
-            for events in benign_event_logs
-        ]
-        mixed_path_logs = [
-            [self.partitioner.app_path(e) for e in events]
-            for events in mixed_event_logs
-        ]
+        featurizer = EventFeaturizer(self.partitioner)
+        benign_tables = [featurizer.attribute_table(cols) for cols in benign_cols]
+        mixed_tables = [featurizer.attribute_table(cols) for cols in mixed_cols]
         timings.append(("partition", clock() - started))
 
         # Algorithm 1 per log, merged per class; Algorithm 2 against the
         # merged benign CFG.
         started = clock()
-        self.benign_cfg = self.inferencer.infer_many(benign_path_logs)
-        self.mixed_cfg = self.inferencer.infer_many(mixed_path_logs)
+        self.benign_cfg = self.inferencer.infer_many(
+            table.app_paths() for table in benign_tables
+        )
+        self.mixed_cfg = self.inferencer.infer_many(
+            table.app_paths() for table in mixed_tables
+        )
         timings.append(("cfg_inference", clock() - started))
 
         started = clock()
         if config.weighted:
             assessor = WeightAssessor(self.benign_cfg)
-            weight_logs = [assessor.assess(paths) for paths in mixed_path_logs]
+            weight_logs = [
+                assessor.assess(table.apps).take(table.walk_of)
+                for table in mixed_tables
+            ]
         else:
-            weight_logs = [np.ones(len(events)) for events in mixed_event_logs]
+            weight_logs = [np.ones(cols.n_events) for cols in mixed_cols]
         timings.append(("weights", clock() - started))
 
         # 3-tuple features and window coalescing (per log: windows never
         # span a log boundary).
         started = clock()
-        self.featurizer = EventFeaturizer(self.partitioner).fit(
-            *benign_event_logs, *mixed_event_logs
-        )
+        self.featurizer = featurizer.fit(*benign_tables, *mixed_tables)
         benign_blocks = [
-            self.coalescer.coalesce_matrix(self.featurizer.transform(events))
-            for events in benign_event_logs
+            self.coalescer.coalesce_matrix(featurizer.transform_columns(table))
+            for table in benign_tables
         ]
         mixed_blocks = [
-            self.coalescer.coalesce_matrix(self.featurizer.transform(events))
-            for events in mixed_event_logs
+            self.coalescer.coalesce_matrix(featurizer.transform_columns(table))
+            for table in mixed_tables
         ]
         n_benign_windows = sum(len(block) for block in benign_blocks)
         n_mixed_windows = sum(len(block) for block in mixed_blocks)
@@ -237,8 +252,8 @@ class LeapsPipeline:
             y=y,
             c=c,
             importances=c if config.weighted else None,
-            n_benign_events=sum(len(events) for events in benign_event_logs),
-            n_mixed_events=sum(len(events) for events in mixed_event_logs),
+            n_benign_events=sum(cols.n_events for cols in benign_cols),
+            n_mixed_events=sum(cols.n_events for cols in mixed_cols),
             n_benign_windows=n_benign_windows,
             n_mixed_windows=n_mixed_windows,
             mean_mixed_weight=float(np.mean(mixed_c)),
@@ -249,18 +264,18 @@ class LeapsPipeline:
         return {"tol": self.config.svm_tol}
 
     def train(
-        self, benign_lines: Iterable[str], mixed_lines: Iterable[str]
+        self, benign_lines: TrainingLog, mixed_lines: TrainingLog
     ) -> TrainingReport:
         return self.train_many([benign_lines], [mixed_lines])
 
     def train_many(
         self,
-        benign_logs: Sequence[Iterable[str]],
-        mixed_logs: Sequence[Iterable[str]],
+        benign_logs: Sequence[TrainingLog],
+        mixed_logs: Sequence[TrainingLog],
     ) -> TrainingReport:
-        """Train from fleets of benign and mixed logs (one iterable of
-        raw lines per log); identical to :meth:`train` when each class
-        has exactly one log."""
+        """Train from fleets of benign and mixed logs (each item as in
+        :meth:`prepare_training_many`); identical to :meth:`train` when
+        each class has exactly one log."""
         config = self.config
         rng = config.rng()
         prepared = self.prepare_training_many(benign_logs, mixed_logs, rng=rng)
@@ -319,24 +334,21 @@ class LeapsPipeline:
     def score_events(
         self, events: Union[Sequence[EventRecord], EventColumns]
     ) -> Tuple[WindowArrays, np.ndarray]:
-        """Score a parsed log — records, or a loaded capture's columns —
-        on the batch scan path: every window and its decision value.
+        """Score a parsed log — its columns, or records, which convert
+        with :meth:`~repro.etw.events.EventColumns.from_records` — on
+        the batch scan path: every window and its decision value.
 
-        Records featurize through the vocabulary memo, columns through
-        :meth:`~EventFeaturizer.transform_columns`; then one gather
-        coalesces every window, standardization runs once, and the
-        kernel scores ``stream_chunk_windows``-sized slices.  The slices
-        match :meth:`score_stream`'s chunks, so the decision values are
-        bit-identical to the streaming path.
+        :meth:`~EventFeaturizer.transform_columns` featurizes, one
+        gather coalesces every window, standardization runs once, and
+        the kernel scores ``stream_chunk_windows``-sized slices.  The
+        slices match :meth:`score_stream`'s chunks, so the decision
+        values are bit-identical to the streaming path.
         """
         self._check_trained()
-        if isinstance(events, EventColumns):
-            rows = self.featurizer.transform_columns(events)
-            eids = events.eid
-        else:
-            rows = self.featurizer.transform(events)
-            eids = np.array([event.eid for event in events], dtype=object)
-        windows = self.coalescer.coalesce_arrays(rows, eids)
+        if not isinstance(events, EventColumns):
+            events = EventColumns.from_records(events)
+        rows = self.featurizer.transform_columns(events)
+        windows = self.coalescer.coalesce_arrays(rows, events.eid)
         X = self.standardizer.transform(windows.matrix)
         chunk = self.config.stream_chunk_windows
         scores = np.empty(len(X))

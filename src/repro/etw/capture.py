@@ -69,13 +69,19 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
+from repro.etw.events import (
+    INT_FIELDS,
+    STRING_FIELDS,
+    EventColumns,
+    EventLog,
+    EventRecord,
+    StackFrame,
+)
 from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
@@ -96,8 +102,6 @@ _UINT64_MAX = 2**64 - 1
 _VOCAB_NAMES = ("process", "category", "name", "module", "function")
 #: the nine per-event columns, in storage order
 _EVENT_COLUMNS = EventColumns.COLUMNS
-_INT_FIELDS = _EVENT_COLUMNS[:5]
-_STRING_FIELDS = _VOCAB_NAMES[:3]
 _FRAME_COLUMNS = (
     "frame_index", "frame_module_id", "frame_function_id", "frame_address",
 )
@@ -211,32 +215,12 @@ class DeltaEncoder:
 
     def encode(self, events: Sequence[EventRecord]) -> Delta:
         """The delta of ``events``, in event order."""
-        def field(name: str) -> list:
-            return list(map(attrgetter(name), events))
-
-        return self._encode(
-            [field(name) for name in _INT_FIELDS],
-            [(field(name), None) for name in _STRING_FIELDS],
-            (field("frames"), None),
-        )
+        return self.encode_columns(EventColumns.from_records(events))
 
     def encode_columns(self, cols: EventColumns) -> Delta:
-        """The delta of the generator's :class:`EventColumns`: its
-        vocabularies and walks are interned, and its id columns are
+        """The delta of ``cols``: its vocabularies and walks are
+        interned into the cumulative tables, and its id columns are
         translated through them, without a record in sight."""
-        return self._encode(
-            [getattr(cols, name) for name in _INT_FIELDS],
-            [
-                (getattr(cols, f"{name}_vocab"), getattr(cols, f"{name}_id"))
-                for name in _STRING_FIELDS
-            ],
-            (cols.walks, cols.walk_id),
-        )
-
-    def _encode(self, ints: list, strings: list, walks: tuple) -> Delta:
-        """``strings`` and ``walks`` pair values with optional local ids:
-        without ids the values are per event, with them the values are
-        a local table that the ids index."""
         error = self._error
         new: Dict[str, List[str]] = {name: [] for name in _VOCAB_NAMES}
 
@@ -250,28 +234,21 @@ class DeltaEncoder:
                 map(table.__getitem__, values), np.int64, len(values)
             )
 
-        def gather(ids: np.ndarray, local_ids) -> np.ndarray:
-            if local_ids is None:
-                return ids
-            return ids[np.asarray(local_ids, dtype=np.int64)]
-
         arrays = {
-            name: _int64(name, values, error)
-            for name, values in zip(_INT_FIELDS, ints)
+            name: _int64(name, getattr(cols, name), error) for name in INT_FIELDS
         }
-        for name, (values, local_ids) in zip(_STRING_FIELDS, strings):
-            arrays[f"{name}_id"] = gather(intern(name, values), local_ids)
+        for name in STRING_FIELDS:
+            ids = intern(name, getattr(cols, f"{name}_vocab"))
+            arrays[f"{name}_id"] = ids[getattr(cols, f"{name}_id")]
 
-        # Identity pre-pass: interned walks collapse by id() before any
-        # tuple is hashed; equal but distinct tuples still meet in the
-        # equality-keyed walk table.
-        walk_values, walk_local = walks
+        # One pass per table walk; equal but distinct walk tuples meet
+        # in the equality-keyed walk table.
         frame_table, walk_table = self._frames, self._walks
         new_frames: List[StackFrame] = []
         flat: List[int] = []
         offsets = [0]
-        by_identity = {}
-        for key, walk in dict(zip(map(id, walk_values), walk_values)).items():
+        walk_ids: List[int] = []
+        for walk in cols.walks:
             index = walk_table.get(walk)
             if index is None:
                 index = walk_table[walk] = len(walk_table)
@@ -282,13 +259,8 @@ class DeltaEncoder:
                         new_frames.append(frame)
                     flat.append(frame_id)
                 offsets.append(len(flat))
-            by_identity[key] = index
-        walk_ids = np.fromiter(
-            map(by_identity.__getitem__, map(id, walk_values)),
-            np.int64,
-            len(walk_values),
-        )
-        arrays["walk_id"] = gather(walk_ids, walk_local)
+            walk_ids.append(index)
+        arrays["walk_id"] = np.array(walk_ids, dtype=np.int64)[cols.walk_id]
         arrays["frame_index"] = _int64(
             "frame_index", [frame.index for frame in new_frames], error
         )
@@ -412,7 +384,7 @@ class DeltaDecoder:
         cols.n_events = n_events
         for name, column in zip(_EVENT_COLUMNS, columns):
             setattr(cols, name, column)
-        for name in _STRING_FIELDS:
+        for name in STRING_FIELDS:
             setattr(cols, f"{name}_vocab", tables[name])
         cols.walks = walks
         return cols

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,30 +101,45 @@ class EventRecord:
     def with_frames(self, frames) -> "EventRecord":
         return replace(self, frames=tuple(frames))
 
-    def iter_nodes(self) -> Iterator[FrameNode]:
-        for frame in self.frames:
-            yield frame.node
+
+#: the integer fields of an event, in capture storage order
+INT_FIELDS = ("eid", "timestamp", "pid", "tid", "opcode")
+#: the string fields of an event that columns code against a table
+STRING_FIELDS = ("process", "category", "name")
+
+
+def _codes(index: dict, values: Sequence) -> np.ndarray:
+    """``values`` coded through ``index``, as an int64 array."""
+    return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
 class EventColumns:
-    """Events as columns: the generation fast path's sink (DESIGN.md
-    §13), which :func:`~repro.etw.capture.write_capture_columns` encodes,
-    and the columnar codec's output, which a capture scan featurizes
+    """Events as columns: what the text parser
+    (:func:`~repro.etw.fastparse.parse_columns`), the columnar codec and
+    the generation fast path (DESIGN.md §13) produce, and what training,
+    the batch scan
     (:meth:`~repro.preprocessing.features.EventFeaturizer.transform_columns`)
-    — neither builds an :class:`EventRecord`.  Invariants (producers
-    guarantee them, the encoder and the featurizer rely on them):
+    and the capture encoder consume — none of them builds an
+    :class:`EventRecord`.  :meth:`from_records` is the one conversion
+    from records.  Invariants (producers guarantee them, the encoder
+    and the featurizer rely on them):
 
-    * the integer and id columns are int64 arrays exactly ``n_events``
-      long, and every ``*_id`` column indexes its table;
+    * every column is exactly ``n_events`` long, and every ``*_id``
+      column is an int64 array indexing its table;
+    * ``eid``, ``timestamp``, ``pid``, ``tid`` and ``opcode`` are int64
+      arrays, except that a column with a value outside int64 (the text
+      format bounds no integer) is an object array of Python ints; the
+      capture and chunk encoders reject such a column;
     * table strings contain no raw-log delimiter, and ``walks`` holds
       walk tuples of :class:`StackFrame` objects;
-    * a generator's tables list distinct values in first-appearance
-      order over the events; a decoded chunk's tables are the stream's
-      cumulative ones, so they may hold entries no event of the chunk
-      uses.
+    * a parsed log's, a converted record list's and a generator's
+      tables list distinct values in first-appearance order over the
+      events (walks by identity, so equal walks may appear twice); a
+      decoded chunk's tables are the stream's cumulative ones, so they
+      may hold entries no event of the chunk uses.
     """
 
-    #: the per-event int64 columns, in capture storage order
+    #: the per-event columns, in capture storage order
     COLUMNS = (
         "eid", "timestamp", "pid", "tid", "opcode",
         "process_id", "category_id", "name_id", "walk_id",
@@ -140,6 +156,55 @@ class EventColumns:
         self.category_vocab: list = []
         self.name_vocab: list = []
         self.walks: list = []
+
+    @classmethod
+    def from_fields(
+        cls,
+        ints: Sequence[Sequence[int]],
+        strings: Sequence[Sequence[str]],
+        walk_id: Sequence[int],
+        walks: list,
+    ) -> "EventColumns":
+        """Columns of per-event field lists: ``ints`` holds the
+        ``INT_FIELDS`` values and ``strings`` the ``STRING_FIELDS``
+        values, each coded against a table in first-appearance order;
+        ``walk_id`` indexes ``walks``."""
+        cols = cls()
+        cols.n_events = len(walk_id)
+        for name, values in zip(INT_FIELDS, ints):
+            try:
+                column = np.array(values, dtype=np.int64)
+            except OverflowError:  # the text format bounds no integer
+                column = np.array(values, dtype=object)
+            setattr(cols, name, column)
+        for name, values in zip(STRING_FIELDS, strings):
+            index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+            setattr(cols, f"{name}_vocab", list(index))
+            setattr(cols, f"{name}_id", _codes(index, values))
+        cols.walk_id = np.asarray(walk_id, dtype=np.int64)
+        cols.walks = walks
+        return cols
+
+    @classmethod
+    def from_records(cls, records: Iterable[EventRecord]) -> "EventColumns":
+        """The columns of ``records``, in order: tables in
+        first-appearance order, walks deduplicated by identity (events
+        of one parsed walk share one tuple)."""
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+
+        def column(name: str) -> list:
+            return list(map(attrgetter(name), records))
+
+        frames = column("frames")
+        by_identity = dict(zip(map(id, frames), frames))
+        index = {key: code for code, key in enumerate(by_identity)}
+        return cls.from_fields(
+            [column(name) for name in INT_FIELDS],
+            [column(name) for name in STRING_FIELDS],
+            _codes(index, list(map(id, frames))),
+            list(by_identity.values()),
+        )
 
     def records(self) -> List[EventRecord]:
         """The events as :class:`EventRecord` objects, in order; each
@@ -159,9 +224,9 @@ class EventColumns:
             walks = self.walks
             append = out.append
             new = EventRecord.__new__
-            # Table strings are delimiter-free and integer fields are
-            # exact int64 values (the invariants above), so __init__ can
-            # be bypassed exactly as in the block-level text parser.
+            # Table strings are delimiter-free and integer columns hold
+            # exact integers (the invariants above), so __init__ can be
+            # bypassed exactly as in the block-level text parser.
             for (
                 eid, timestamp, pid, tid, opcode,
                 process, category, name, walk,

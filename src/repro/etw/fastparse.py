@@ -7,6 +7,9 @@ same :class:`EventRecord` list, same interned frames, same
 logs a stack block at a time instead of a line at a time.  Every event
 carries its full stack walk, and walks repeat heavily: an 8000-event
 application log has ~78k lines but only a few dozen distinct walks.
+:func:`parse_columns` is the same parse emitting
+:class:`~repro.etw.events.EventColumns`, for training and the batch
+scan.
 
 Every text input takes the same path.  ``str`` is used as is,
 ``bytes`` are decoded once, and a line sequence is joined once; then
@@ -22,11 +25,19 @@ Every text input takes the same path.  ``str`` is used as is,
 3. the walk texts are memoized per parse, so each *distinct* walk is
    field-checked (four fields, integer index equal to its position,
    hex address) and interned through
-   :func:`~repro.etw.parser.intern_frame` once, and its events share
-   one frame tuple;
+   :func:`~repro.etw.parser.intern_frame` once; the memo hands out walk
+   ids, with the walk table in first-appearance order;
 4. the head lines are columnized with C-level passes (a per-head pipe
    count proves a flat ``"|".join(...).split("|")`` aligned), and their
-   numeric fields are converted with the scalar parser's own ``int()``.
+   numeric fields are converted with the scalar parser's own ``int()``;
+5. one of two finishers turns the fields and walk ids into the output:
+   :func:`parse_fast` and :class:`StreamingParser` build records whose
+   events of one walk share one frame tuple, and :func:`parse_columns`
+   builds columns (int64, or Python ints past int64; strings coded in
+   first-appearance order; ``walk_id`` from the memo).  The stream
+   keeps its own record finisher because columns and then
+   :meth:`~repro.etw.events.EventColumns.records` cost it more than
+   records built directly.
 
 Blank and whitespace-only lines fail the block proof; the parser then
 counts and drops them (the scalar parser's ``not line.strip()`` test)
@@ -45,9 +56,9 @@ scalar parser's own, not a reimplementation.
 from __future__ import annotations
 
 import gc
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.etw.events import EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventRecord, StackFrame
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
@@ -99,6 +110,8 @@ def _columns(lines: List[str], n_fields: int) -> List[List[str]]:
     n_pipes = n_fields - 1
     if any(line.count("|") != n_pipes for line in lines):
         raise _Fallback
+    if not lines:
+        return [[] for _ in range(n_fields)]
     fields = "|".join(lines).split("|")
     return [fields[start::n_fields] for start in range(n_fields)]
 
@@ -114,11 +127,11 @@ def _ints(column: Sequence[str]) -> List[int]:
 
 def _walk(text: str) -> Walk:
     """Validate and intern one stripped walk text (``"\\n0|mod|fn|0x1"``
-    per frame) — the scalar parser's STACK field checks, once per
-    distinct walk."""
+    per frame, ``""`` for no frames) — the scalar parser's STACK field
+    checks, once per distinct walk."""
     frames = []
     try:
-        for position, line in enumerate(text[1:].split("\n")):
+        for position, line in enumerate(text.split("\n")[1:]):
             fields = line.split("|")
             if len(fields) != 4:
                 raise _Fallback
@@ -133,53 +146,60 @@ def _walk(text: str) -> Walk:
     return tuple(frames)
 
 
-def _blocks(text: str) -> Tuple[List[str], List[Walk], int]:
+def _blocks(text: str) -> Tuple[List[str], List[int], List[Walk]]:
     """Cut clean text into event head lines and their walks; returns
-    ``(heads, walks, n_frames)``.  Raises :class:`_Fallback` unless
-    every line is an EVENT line or a STACK line carrying the eid text of
-    the EVENT line above it."""
+    ``(heads, walk_ids, walks)``: the distinct walks in first-appearance
+    order, and each head's index into them.  Raises :class:`_Fallback`
+    unless every line is an EVENT line or a STACK line carrying the eid
+    text of the EVENT line above it."""
     blocks = text.split(_BLOCK_SEP)
     first = blocks[0]
     if not first.startswith(_EVENT_TAG):
         raise _Fallback  # blank, orphan STACK or foreign first line
     blocks[0] = first[len(_EVENT_TAG):]
     heads: List[str] = []
+    walk_ids: List[int] = []
     walks: List[Walk] = []
-    add_head, add_walk = heads.append, walks.append
-    memo: dict = {}
+    add_head, add_id = heads.append, walk_ids.append
+    memo: dict = {}  # stripped walk text → walk id
     for block in blocks:
         cut = block.find("\n")
         if cut < 0:
-            add_head(block)
-            add_walk(())
-            continue
+            cut = len(block)  # no stack lines: the empty walk text
         head = block[:cut]
         add_head(head)
         rest = block[cut:]
         prefix = "\nSTACK|" + head[: head.find("|")] + "|"
         key = rest.replace(prefix, "\n")
-        walk = memo.get(key)
-        if walk is None:
+        walk_id = memo.get(key)
+        if walk_id is None:
             # every line of the block must be a STACK line of this eid
             if rest.count(prefix) != rest.count("\n"):
                 raise _Fallback
-            walk = memo[key] = _walk(key)
-        elif len(rest) - len(key) != len(walk) * (len(prefix) - 1):
+            walk_id = memo[key] = len(walks)
+            walks.append(_walk(key))
+        elif len(rest) - len(key) != len(walks[walk_id]) * (len(prefix) - 1):
             # A validated key has one line per frame, and each prefix
             # replaced shrinks the text by len(prefix) - 1: the same
             # proof without rescanning the block.
             raise _Fallback
-        add_walk(walk)
-    return heads, walks, sum(map(len, walks))
+        add_id(walk_id)
+    return heads, walk_ids, walks
+
+
+#: The block path's finisher: ``(ints, strings, walk_ids, walks)`` —
+#: the ``INT_FIELDS`` and ``STRING_FIELDS`` per event, each event's walk
+#: id and the walk table — to the parse output.
+Finisher = Callable[[list, list, List[int], List[Walk]], object]
 
 
 def _parse_body(
-    body: str, check_tail: bool = True
-) -> Tuple[List[EventRecord], int, int]:
+    body: str, finish: Finisher, check_tail: bool = True
+) -> Tuple[object, int, int, int]:
     """The block path proper over ``body`` — the lines joined by
     ``"\\n"``, ``\\r``-free, no trailing-newline convention.  Returns
-    ``(events, n_lines, n_blank)``; raises :class:`_Fallback` on
-    anything the scalar parser would classify.
+    ``(finish(...), n_events, n_lines, n_blank)``; raises
+    :class:`_Fallback` on anything the scalar parser would classify.
 
     ``check_tail=False`` skips the truncated-tail heuristic — only valid
     when the caller *knows* the final block is complete, i.e. for a
@@ -187,37 +207,38 @@ def _parse_body(
     (:class:`StreamingParser`); end-of-input always checks."""
     n_blank = 0
     try:
-        heads, walks, n_frames = _blocks(body)
+        heads, walk_ids, walks = _blocks(body)
     except _Fallback:
         lines = body.split("\n")
         kept = [line for line in lines if line.strip()]
         n_blank = len(lines) - len(kept)
         if not n_blank:
             raise
-        if not kept:
-            return [], n_blank, n_blank
-        heads, walks, n_frames = _blocks("\n".join(kept))
-    n_lines = len(heads) + n_frames + n_blank
+        heads, walk_ids, walks = _blocks("\n".join(kept)) if kept else ([], [], [])
+    depths = list(map(len, walks))
+    n_lines = len(heads) + sum(map(depths.__getitem__, walk_ids)) + n_blank
 
     ecols = _columns(heads, _HEAD_FIELDS)
-    eids = _ints(ecols[0])
-    timestamps = _ints(ecols[1])
-    pids = _ints(ecols[2])
-    tids = _ints(ecols[4])
-    opcodes = _ints(ecols[6])
+    # INT_FIELDS and STRING_FIELDS order of the EVENT line's fields
+    ints = [_ints(ecols[field]) for field in (0, 1, 2, 4, 6)]
+    strings = [ecols[3], ecols[5], ecols[7]]
     if check_tail:
-        _check_tail(ecols[5], opcodes, ecols[7], walks)
+        _check_tail(strings[1], ints[4], strings[2], walk_ids, depths)
+    return finish(ints, strings, walk_ids, walks), len(heads), n_lines, n_blank
 
-    fields = (eids, timestamps, pids, ecols[3], tids, ecols[5], opcodes,
-              ecols[7], walks)
+
+def _records(
+    ints: list, strings: list, walk_ids: List[int], walks: List[Walk]
+) -> List[EventRecord]:
+    """The record finisher of :func:`parse_fast` and the stream."""
     events: List[EventRecord] = []
     append = events.append
     new = EventRecord.__new__
     # Field values came out of a pipe split of newline-split CR-free
     # text, so the _check_field invariants hold by construction and
     # __init__ can be bypassed.
-    for eid, timestamp, pid, process, tid, category, opcode, name, walk in (
-        zip(*fields)
+    for eid, timestamp, pid, tid, opcode, process, category, name, walk in zip(
+        *ints, *strings, map(walks.__getitem__, walk_ids)
     ):
         record = new(EventRecord)
         record.eid = eid
@@ -230,24 +251,25 @@ def _parse_body(
         record.name = name
         record.frames = walk
         append(record)
-    return events, n_lines, n_blank
+    return events
 
 
 def _check_tail(
     categories: List[str],
     opcodes: List[int],
     names: List[str],
-    walks: List[Walk],
+    walk_ids: List[int],
+    depths: List[int],
 ) -> None:
     """Raise :class:`_Fallback` when the scalar truncated-tail heuristic
     would fire: the final walk is shallower than *every* earlier walk of
     the same etype.  Suspect tails take the scalar path — it owns the
     report/raise semantics for them."""
-    last = len(walks) - 1
+    last = len(walk_ids) - 1
     if last < 1:
         return
     category, opcode, name = categories[last], opcodes[last], names[last]
-    depth = len(walks[last])
+    depth = depths[walk_ids[last]]
     suspect = False
     for position in range(last):
         if (
@@ -255,23 +277,23 @@ def _check_tail(
             and opcodes[position] == opcode
             and categories[position] == category
         ):
-            if len(walks[position]) <= depth:
+            if depths[walk_ids[position]] <= depth:
                 return  # an earlier walk at or below the tail's depth
             suspect = True
     if suspect:
         raise _Fallback  # every same-etype walk is deeper
 
 
-def _parse_guarded(body: str, check_tail: bool = True):
-    """:func:`_parse_body` with generational GC paused (the record build
-    allocates one object per event; collections rescanning them
+def _parse_guarded(body: str, finish: Finisher, check_tail: bool = True):
+    """:func:`_parse_body` with generational GC paused (the parse
+    allocates several objects per event; collections rescanning them
     mid-parse cost more than the parse) and the caller's GC state
     restored; returns ``None`` where the block path gave up."""
     gc_was_enabled = gc.isenabled()
     if gc_was_enabled:
         gc.disable()
     try:
-        return _parse_body(body, check_tail=check_tail)
+        return _parse_body(body, finish, check_tail=check_tail)
     except _Fallback:
         return None
     finally:
@@ -296,25 +318,16 @@ def _join_lines(lines: List[LogLine]) -> Optional[str]:
         return None
 
 
-def parse_fast(
+def _parse(
     source: Union[str, bytes, Iterable[LogLine]],
-    *,
-    policy: str = "strict",
-    report: Optional[ParseReport] = None,
-    require_complete_tail: bool = False,
-) -> List[EventRecord]:
-    """Parse raw log text, bytes or lines into events, fast.
-
-    Equivalent to ``list(iter_parse(lines, ...))`` for every input and
-    policy — identical events, reports, and exceptions — via the block
-    path when the log is clean and the scalar parser otherwise.
-    ``bytes`` input (a whole file's contents) mirrors
-    :func:`~repro.etw.parser.read_log_lines`: ``\\n``/``\\r\\n``
-    boundaries only, and undecodable lines reach the parser as raw
-    ``bytes`` for ``BAD_ENCODING`` classification.  Events of one
-    distinct walk share one frame tuple, which the capture encoder's
-    identity pre-pass exploits.
-    """
+    policy: str,
+    report: Optional[ParseReport],
+    require_complete_tail: bool,
+    finish: Finisher,
+):
+    """What :func:`parse_fast` and :func:`parse_columns` share: the
+    block path finished by ``finish``, or else the scalar parser's
+    record list."""
     if policy not in PARSE_POLICIES:
         raise ValueError(
             f"unknown parse policy {policy!r}; expected one of {PARSE_POLICIES}"
@@ -352,21 +365,67 @@ def parse_fast(
     # A lone \r is field content to the scalar parser (classified
     # BAD_FIELD via the EventRecord delimiter check) — scalar owns it.
     if "\r" not in body:
-        parsed = _parse_guarded(body)
-    if parsed is None or (expected is not None and parsed[1] != expected):
+        parsed = _parse_guarded(body, finish)
+    if parsed is None or (expected is not None and parsed[2] != expected):
         # A line-list item holding a newline joins into extra lines;
         # the scalar parser sees it as one line.
         if expected is None:
             lines = split_log_text(text)
         return _scalar(lines, policy, report, require_complete_tail)
 
-    events, n_lines, n_blank = parsed
+    out, n_events, n_lines, n_blank = parsed
     if report is not None:
         report.total_lines += n_lines
         report.blank_lines += n_blank
         report.consumed_lines += n_lines - n_blank
-        report.events_yielded += len(events)
-    return events
+        report.events_yielded += n_events
+    return out
+
+
+def parse_fast(
+    source: Union[str, bytes, Iterable[LogLine]],
+    *,
+    policy: str = "strict",
+    report: Optional[ParseReport] = None,
+    require_complete_tail: bool = False,
+) -> List[EventRecord]:
+    """Parse raw log text, bytes or lines into events, fast.
+
+    Equivalent to ``list(iter_parse(lines, ...))`` for every input and
+    policy — identical events, reports, and exceptions — via the block
+    path when the log is clean and the scalar parser otherwise.
+    ``bytes`` input (a whole file's contents) mirrors
+    :func:`~repro.etw.parser.read_log_lines`: ``\\n``/``\\r\\n``
+    boundaries only, and undecodable lines reach the parser as raw
+    ``bytes`` for ``BAD_ENCODING`` classification.  Events of one
+    distinct walk share one frame tuple, which
+    :meth:`~repro.etw.events.EventColumns.from_records` dedupes by
+    identity.
+    """
+    return _parse(source, policy, report, require_complete_tail, _records)
+
+
+def parse_columns(
+    source: Union[str, bytes, Iterable[LogLine]],
+    *,
+    policy: str = "strict",
+    report: Optional[ParseReport] = None,
+    require_complete_tail: bool = False,
+) -> EventColumns:
+    """:func:`parse_fast` as :class:`~repro.etw.events.EventColumns`:
+    ``parse_columns(...).records()`` equals ``parse_fast(...)``, with
+    the same report accounting and the same exceptions.  The block path
+    codes its walk memo straight into ``walk_id`` and ``walks`` and
+    builds no record; input it cannot prove clean takes the scalar
+    parser, whose records convert through
+    :meth:`~repro.etw.events.EventColumns.from_records`.
+    """
+    parsed = _parse(
+        source, policy, report, require_complete_tail, EventColumns.from_fields
+    )
+    if isinstance(parsed, list):
+        return EventColumns.from_records(parsed)
+    return parsed
 
 
 def _opens_event(line: LogLine) -> bool:
@@ -531,14 +590,14 @@ class StreamingParser:
         # Same \r gate as parse_fast; a cr_free region was already
         # proven clean by the caller's whole-buffer scan.
         if body is not None and (cr_free or "\r" not in body):
-            parsed = _parse_guarded(body, check_tail=False)
-        if parsed is None or parsed[1] != len(region):
+            parsed = _parse_guarded(body, _records, check_tail=False)
+        if parsed is None or parsed[2] != len(region):
             self._scalar_mode = True
             self._feed_scalar(region, out)
             held, self._holdback = self._holdback, []
             self._feed_scalar(held, out)
             return
-        events, n_lines, n_blank = parsed
+        events, _, n_lines, n_blank = parsed
         report = self.machine.report
         report.total_lines += n_lines
         report.blank_lines += n_blank

@@ -663,9 +663,6 @@ class RawLogParser:
             require_complete_tail=require_complete_tail,
         )
 
-    def parse_text(self, text: str, **kwargs) -> List[EventRecord]:
-        return self.parse_lines(text, **kwargs)
-
     def parse_file(self, path, **kwargs) -> List[EventRecord]:
         return self.parse_lines(Path(os.fspath(path)).read_bytes(), **kwargs)
 

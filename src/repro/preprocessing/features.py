@@ -19,24 +19,26 @@ full UPGMA clustering of the paper's Figure 2 collapses *similar* —
 rather than identical — attributes to one id; that refinement is not
 built, see ROADMAP item 2.)
 
-Scan fast path: production logs are highly repetitive — thousands of
-events collapse to a few dozen distinct ``(etype, app-path,
-system-path)`` attribute triples.  :meth:`transform` over records
-(text scans, streams, serve, training) memoizes resolved ids per raw
-event key; :meth:`transform_columns` over a capture's
-:class:`~repro.etw.events.EventColumns` resolves each used walk and
-each distinct event type once and fills the rows with ``np.take``.
-Both give the uncached lookups' values bit for bit.
+Fast paths: logs are highly repetitive — thousands of events collapse
+to a few dozen distinct walks and event types.  Training and the batch
+scan work on :class:`~repro.etw.events.EventColumns`:
+:meth:`attribute_table` partitions each used walk once, :meth:`fit`
+adds one key per distinct event type and per used walk, and
+:meth:`transform_columns` looks each up once and fills the rows with
+``np.take``.  :meth:`transform` over records serves only streams (the
+incremental scan and the serve tier), memoizing resolved ids per raw
+event key.  Both give the uncached per-event lookups' values bit for
+bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.etw.events import EventColumns, EventRecord, StackFrame
-from repro.etw.stack_partition import StackPartitioner, StackPartitionError
+from repro.etw.stack_partition import StackPartitioner
 
 #: Reserved id for attribute values never seen during training.
 UNKNOWN_ID = 0
@@ -76,6 +78,36 @@ class Vocabulary:
         return key in self._ids
 
 
+class AttributeTable(NamedTuple):
+    """A log's attribute triples, factored by table: its distinct event
+    types and the app and system signatures of each walk its events
+    use, each in first-appearance order, plus per event the index of
+    its event type and of its walk.  Built by
+    :meth:`EventFeaturizer.attribute_table`; training reads the app
+    signatures as Algorithm 1's and 2's app paths."""
+
+    etypes: List[Tuple[str, int, str]]
+    etype_of: np.ndarray
+    apps: List[tuple]
+    systems: List[tuple]
+    walk_of: np.ndarray
+
+    def app_paths(self) -> List[tuple]:
+        """Each event's app path, gathered from the per-walk table."""
+        return list(map(self.apps.__getitem__, self.walk_of.tolist()))
+
+
+def _first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``codes`` in first-appearance order: the
+    event index where each first appears, and each event's value
+    index."""
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 class EventFeaturizer:
     """Fit attribute vocabularies on training logs, then map any event
     stream to an ``(n, 3)`` feature matrix."""
@@ -112,14 +144,54 @@ class EventFeaturizer:
         system = tuple((frame.module, frame.function) for frame in frames[split:])
         return app, system
 
+    def attribute_table(self, cols: EventColumns) -> AttributeTable:
+        """``cols``' attributes by table: each walk an event uses is
+        partitioned once, in first-appearance order, so a walk that
+        fails to partition raises the error the per-event path raises —
+        the first failing walk in event order; table entries no event
+        uses are never partitioned."""
+        first_walk, walk_of = _first_appearance(cols.walk_id)
+        apps, systems = [], []
+        walks = cols.walks
+        for walk in cols.walk_id[first_walk].tolist():
+            app, system = self._signatures(walks[walk])
+            apps.append(app)
+            systems.append(system)
+
+        # Group events by event type through dense codes: each product
+        # below is of two codes smaller than n, so it cannot overflow.
+        _, etype_of = np.unique(cols.category_id, return_inverse=True)
+        for column in (cols.opcode, cols.name_id):
+            values, codes = np.unique(column, return_inverse=True)
+            etype_of = etype_of * len(values) + codes
+        first_etype, etype_of = _first_appearance(etype_of)
+        categories, names = cols.category_vocab, cols.name_vocab
+        etypes = [
+            (categories[category], opcode, names[name])
+            for category, opcode, name in zip(
+                cols.category_id[first_etype].tolist(),
+                cols.opcode[first_etype].tolist(),
+                cols.name_id[first_etype].tolist(),
+            )
+        ]
+        return AttributeTable(etypes, etype_of, apps, systems, walk_of)
+
     # -- fit / transform ----------------------------------------------
-    def fit(self, *event_streams: Iterable[EventRecord]) -> "EventFeaturizer":
+    def fit(
+        self, *logs: Union[AttributeTable, EventColumns, Sequence[EventRecord]]
+    ) -> "EventFeaturizer":
+        """Fit the vocabularies on ``logs`` in order — attribute tables,
+        columns, or records (converted with
+        :meth:`~repro.etw.events.EventColumns.from_records`).  Each
+        vocabulary sees its keys in first-appearance order over the
+        events, one key per distinct event type and per used walk."""
         self._id_cache.clear()
         self._event_cache.clear()
-        for stream in event_streams:
-            for event in stream:
-                etype, app, system = self.attributes(event)
-                self.etype_vocab.add(etype)
+        for log in logs:
+            table = self._table(log)
+            for key in table.etypes:
+                self.etype_vocab.add(key)
+            for app, system in zip(table.apps, table.systems):
                 self.app_vocab.add(app)
                 self.system_vocab.add(system)
         self.etype_vocab.freeze()
@@ -127,6 +199,13 @@ class EventFeaturizer:
         self.system_vocab.freeze()
         self.fitted = True
         return self
+
+    def _table(self, log) -> AttributeTable:
+        if isinstance(log, AttributeTable):
+            return log
+        if not isinstance(log, EventColumns):
+            log = EventColumns.from_records(log)
+        return self.attribute_table(log)
 
     def _resolve(self, attrs: AttributeTriple) -> Tuple[int, int, int]:
         """Vocabulary ids for one attribute triple, through the memo."""
@@ -151,6 +230,8 @@ class EventFeaturizer:
         return ids
 
     def transform(self, events: Sequence[EventRecord]) -> np.ndarray:
+        """Rows of a record stream, through the memo (the incremental
+        scan's path)."""
         if not self.fitted:
             raise RuntimeError("EventFeaturizer.transform before fit")
         out = np.empty((len(events), self.DIMS), dtype=float)
@@ -160,56 +241,28 @@ class EventFeaturizer:
             out[:] = rows
         return out
 
-    def transform_columns(self, cols: EventColumns) -> np.ndarray:
-        """:meth:`transform` of ``cols.records()``, bit for bit, without
-        building a record: each walk an event uses is partitioned once,
-        each distinct ``(category, opcode, name)`` is looked up once,
-        and the rows are gathered from those ids.  A walk that fails to
-        partition raises the error the record path raises — the first
-        failing walk in event order; table entries no event uses are
-        never partitioned."""
+    def transform_columns(
+        self, log: Union[AttributeTable, EventColumns]
+    ) -> np.ndarray:
+        """:meth:`transform` of the log's records, bit for bit, without
+        building one: one lookup per distinct event type and per used
+        walk of the log's :class:`AttributeTable` (built here from
+        columns), then the rows are gathered from those ids."""
         if not self.fitted:
             raise RuntimeError("EventFeaturizer.transform before fit")
-        n = len(cols.walk_id)
-        out = np.empty((n, self.DIMS), dtype=float)
-        used, walk_of = np.unique(cols.walk_id, return_inverse=True)
-        signature_ids = np.empty((len(used), 2))
-        failures = {}
-        for position, walk in enumerate(used.tolist()):
-            try:
-                app, system = self._signatures(cols.walks[walk])
-            except StackPartitionError as error:
-                failures[walk] = error
-                continue
-            signature_ids[position] = (
-                self.app_vocab.lookup(app), self.system_vocab.lookup(system)
-            )
-        if failures:
-            failing = np.isin(cols.walk_id, list(failures))
-            raise failures[int(cols.walk_id[failing.argmax()])]
-
-        # Group events by event type through dense codes: each product
-        # below is of two codes smaller than n, so it cannot overflow.
-        _, etype_of = np.unique(cols.category_id, return_inverse=True)
-        for column in (cols.opcode, cols.name_id):
-            values, codes = np.unique(column, return_inverse=True)
-            etypes, etype_of = np.unique(
-                etype_of * len(values) + codes, return_inverse=True
-            )
-        sample = np.empty(len(etypes), dtype=np.intp)
-        sample[etype_of] = np.arange(n)  # any event of each type will do
-        categories, names = cols.category_vocab, cols.name_vocab
+        table = self._table(log)
         lookup = self.etype_vocab.lookup
-        etype_ids = np.array([
-            lookup((categories[category], opcode, names[name]))
-            for category, opcode, name in zip(
-                cols.category_id[sample].tolist(),
-                cols.opcode[sample].tolist(),
-                cols.name_id[sample].tolist(),
-            )
-        ])
-        out[:, 0] = etype_ids.take(etype_of)
-        out[:, 1:] = signature_ids.take(walk_of, axis=0)
+        etype_ids = np.array([lookup(key) for key in table.etypes], dtype=float)
+        signature_ids = np.array(
+            [
+                (self.app_vocab.lookup(app), self.system_vocab.lookup(system))
+                for app, system in zip(table.apps, table.systems)
+            ],
+            dtype=float,
+        ).reshape(-1, 2)
+        out = np.empty((len(table.walk_of), self.DIMS), dtype=float)
+        out[:, 0] = etype_ids.take(table.etype_of)
+        out[:, 1:] = signature_ids.take(table.walk_of, axis=0)
         return out
 
     def fit_transform(self, events: Sequence[EventRecord]) -> np.ndarray:

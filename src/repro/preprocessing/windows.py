@@ -122,15 +122,17 @@ class WindowCoalescer:
     def window_weights(
         self, event_weights: np.ndarray, aggregate: str = "mean"
     ) -> np.ndarray:
-        """Aggregate per-event Algorithm-2 weights into per-window weights."""
+        """Aggregate per-event Algorithm-2 weights into per-window
+        weights: one gather, then a row reduction (bit-identical to
+        reducing each window's slice alone)."""
         if aggregate not in ("mean", "max"):
             raise ValueError(f"unknown aggregate {aggregate!r}")
         reduce = np.mean if aggregate == "mean" else np.max
-        values = [
-            float(reduce(event_weights[start : start + self.window_events]))
-            for start in self._starts(len(event_weights))
+        starts = self._starts(len(event_weights))
+        rows = np.asarray(event_weights, dtype=float)[
+            starts[:, None] + np.arange(self.window_events)
         ]
-        return np.asarray(values)
+        return reduce(rows, axis=1)
 
 
 class PushCoalescer:

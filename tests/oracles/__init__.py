@@ -11,7 +11,10 @@ Each module keeps the straightforward version of one optimized layer:
 * :mod:`tests.oracles.stream_scan` — the per-event streaming scan
   (scalar parse, per-event featurize and coalesce, one
   ``decision_function`` call per chunk) that ``scan_stream`` ran before
-  it drained the block scanner.
+  it drained the block scanner;
+* :mod:`tests.oracles.prepare` — the record-based training prepare
+  (per-event partition, fit and window weights) that
+  ``prepare_training_many`` ran before it worked on columns.
 
 The equivalence suites compare production output against these bit for
 bit, except the QP oracle, which the solver must match within a stated

@@ -12,54 +12,6 @@ from tests.conftest import REPO_ROOT
 
 pytestmark = pytest.mark.slow
 
-REQUIRED_PREPARE_DATASET_KEYS = {
-    "dataset", "dataset_dir", "seed", "events", "distinct_paths", "cfg",
-    "cfg_inference", "weights", "prepare", "pipeline_stage_s", "equivalence",
-}
-
-
-def test_bench_prepare_quick_emits_valid_json(data_dir, tmp_path):
-    output = tmp_path / "BENCH_prepare.json"
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    completed = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "benchmarks" / "bench_prepare.py"),
-            "--quick",
-            "--datasets", "notepad++_reverse_tcp_online",
-            "--output", str(output),
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-
-    payload = json.loads(output.read_text())
-    assert payload["schema"] == "leaps-bench-prepare/v1"
-    assert {"created_utc", "host", "config", "datasets", "summary"} <= set(payload)
-    assert payload["summary"]["datasets"] == 1
-    assert payload["summary"]["min_prepare_speedup"] > 0
-    assert payload["summary"]["all_identical"] is True
-
-    (dataset,) = payload["datasets"]
-    assert REQUIRED_PREPARE_DATASET_KEYS <= set(dataset)
-    # the harness aborts on divergence, but assert the recorded verdicts too
-    assert dataset["equivalence"]["cfgs_identical"] is True
-    assert dataset["equivalence"]["weights_bit_identical"] is True
-    assert dataset["equivalence"]["infer_many_identical"] is True
-    # prepare_training stops before model selection: no grid/final-fit stages
-    assert {"parse", "partition", "cfg_inference", "weights", "featurize"} <= set(
-        dataset["pipeline_stage_s"]
-    )
-    for section in ("cfg_inference", "weights", "prepare"):
-        assert dataset[section]["naive_s"] > 0
-        assert dataset[section]["fast_s"] > 0
-        assert dataset[section]["speedup"] > 0
-
-
 REQUIRED_TABLE1_ROW_KEYS = {
     "dataset", "app", "payload", "method", "generation", "wsvm", "svm",
     "paper", "acc_delta_vs_paper", "per_event",

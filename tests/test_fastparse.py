@@ -4,16 +4,20 @@ scalar one — events, frame interning identity, reports, and exceptions.
 ``parse_fast`` takes a bulk-split fast path on clean well-formed input
 and silently falls back to scalar ``iter_parse`` otherwise, so the
 contract is total equivalence on *every* input, not just happy paths.
-Each check runs both parsers on the same input and compares everything
-observable.
+``parse_columns`` is the same parse emitting columns, so its
+``records()`` are held to the same contract.  Each check runs the
+parsers on the same input and compares everything observable.
 """
 
 import warnings
+from collections.abc import Iterator
 
+import numpy as np
 import pytest
 
 from repro.etw import fastparse
-from repro.etw.fastparse import StreamingParser, parse_fast
+from repro.etw.events import EventColumns
+from repro.etw.fastparse import StreamingParser, parse_columns, parse_fast
 from repro.etw.parser import ParseError, ParseMachine, iter_parse, split_log_text
 from repro.etw.recovery import ParseReport
 
@@ -23,44 +27,52 @@ from tests.faults import fault_corpus
 POLICIES = ("strict", "warn", "drop")
 
 
-def run_both(source_fast, lines_scalar, policy, rct=False):
-    """Parse one input through both implementations; assert that the
-    events (with frame identity), reports, and raised errors agree.
-    Returns the parsed events (None when both raised)."""
-    fast_report, scalar_report = ParseReport(), ParseReport()
-    fast_error = scalar_error = None
-    fast_events = scalar_events = None
+def _run(parse, source, policy, rct):
+    """``(output, report, error)`` of one parse; ``error`` is the type
+    and message of a raised ``ParseError``."""
+    report = ParseReport()
+    output = error = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            fast_events = parse_fast(
-                source_fast,
-                policy=policy,
-                report=fast_report,
-                require_complete_tail=rct,
+            output = parse(
+                source, policy=policy, report=report, require_complete_tail=rct
             )
-        except ParseError as error:
-            fast_error = (type(error), str(error))
-        try:
-            scalar_events = list(
-                iter_parse(
-                    lines_scalar,
-                    policy=policy,
-                    report=scalar_report,
-                    require_complete_tail=rct,
-                )
-            )
-        except ParseError as error:
-            scalar_error = (type(error), str(error))
-    assert fast_error == scalar_error
-    assert fast_events == scalar_events
-    if fast_events is not None:
-        for mine, theirs in zip(fast_events, scalar_events):
-            for frame_a, frame_b in zip(mine.frames, theirs.frames):
-                assert frame_a is frame_b, "frames not interned identically"
-    assert fast_report.to_dict() == scalar_report.to_dict()
-    assert fast_report.lines_accounted == fast_report.total_lines
-    return fast_events
+        except ParseError as raised:
+            error = (type(raised), str(raised))
+    return output, report, error
+
+
+def _scalar(lines, **kwargs):
+    return list(iter_parse(lines, **kwargs))
+
+
+def run_both(source_fast, lines_scalar, policy, rct=False):
+    """Parse one input through the block parser, as records
+    (``parse_fast``) and as columns (``parse_columns``), and through the
+    scalar parser; assert that the events (with frame identity),
+    reports, and raised errors agree.  Returns the parsed events (None
+    when they raised)."""
+    items = list(source_fast) if isinstance(source_fast, Iterator) else None
+    scalar_events, scalar_report, scalar_error = _run(
+        _scalar, lines_scalar, policy, rct
+    )
+    for parse in (parse_fast, parse_columns):
+        source = source_fast if items is None else iter(items)
+        events, report, error = _run(parse, source, policy, rct)
+        assert error == scalar_error
+        if parse is parse_columns and events is not None:
+            assert isinstance(events, EventColumns)
+            assert events.n_events == len(events.walk_id)
+            events = events.records()
+        assert events == scalar_events
+        if events is not None:
+            for mine, theirs in zip(events, scalar_events):
+                for frame_a, frame_b in zip(mine.frames, theirs.frames):
+                    assert frame_a is frame_b, "frames not interned identically"
+        assert report.to_dict() == scalar_report.to_dict()
+        assert report.lines_accounted == report.total_lines
+    return scalar_events
 
 
 TINY_LINES = TINY_LOG.splitlines()
@@ -376,6 +388,13 @@ EDGE_CASES = {
     "whitespace_lines_around_blocks": _text(
         [" \x0c", "\x85"], _event(1, 3), ["  "], _event(2, 3), [" "]
     ),
+    # eids, timestamps and an opcode past int64: the text format bounds
+    # no integer, so columns hold them as Python ints
+    "ints_past_int64": _text(
+        _event(1, 3),
+        _edit(_event(2**63, 3), 0, "|3|read", f"|{-(2**63) - 1}|read"),
+        _event(2**64 + 5, 3),
+    ),
 }
 
 #: the edge cases that are clean logs: the block path must keep them
@@ -383,6 +402,7 @@ CLEAN_EDGE_CASES = (
     "blank_lines_in_stack_block",
     "eid_1_then_12",
     "function_named_event",
+    "ints_past_int64",
     "module_named_stack",
     "no_trailing_newline",
     "stack_and_eid_as_frame_fields",
@@ -488,12 +508,28 @@ class TestFastPathCoverage:
                 assert report.clean
                 assert report.total_lines == len(lines)
                 assert report.lines_accounted == report.total_lines
+                columns_report = ParseReport()
+                cols = parse_columns(source, report=columns_report)
+                assert cols.records() == reference
+                assert columns_report.to_dict() == report.to_dict()
 
     @pytest.mark.parametrize("name", CLEAN_EDGE_CASES)
     def test_clean_edge_cases_never_go_scalar(self, name, scalar_forbidden):
         text = EDGE_CASES[name]
         for source in (text, text.encode(), split_log_text(text)):
             assert parse_fast(source, policy="strict")
+            assert parse_columns(source, policy="strict").n_events
+
+    def test_ints_past_int64_columns_hold_python_ints(self, scalar_forbidden):
+        cols = parse_columns(EDGE_CASES["ints_past_int64"])
+        assert cols.eid.tolist() == [1, 2**63, 2**64 + 5]
+        assert cols.timestamp.tolist() == [1000, 2**63 * 1000, (2**64 + 5) * 1000]
+        assert cols.opcode.tolist() == [3, -(2**63) - 1, 3]
+        for name in ("eid", "timestamp", "opcode"):
+            column = getattr(cols, name)
+            assert column.dtype == object
+            assert all(type(value) is int for value in column)
+        assert cols.pid.dtype == cols.tid.dtype == cols.walk_id.dtype == np.int64
 
     @pytest.mark.parametrize("seed", range(3))
     def test_streaming_scalar_sees_only_the_final_block(
