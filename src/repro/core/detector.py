@@ -30,6 +30,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -42,6 +43,7 @@ from repro.core.persistence import (
     save_bundle,
 )
 from repro.core.pipeline import LeapsPipeline, TrainingReport
+from repro.core.streaming import detection_rows
 from repro.etw.capture import Capture, is_capture_path, load_capture
 from repro.etw.events import EventColumns, EventLog
 from repro.etw.fastparse import parse_columns
@@ -245,14 +247,7 @@ class LeapsDetector:
                 report=report,
             )
         windows, scores = self.pipeline.score_events(events)
-        detections = list(map(
-            WindowDetection,
-            windows.start_index.tolist(),
-            windows.start_eid.tolist(),
-            windows.end_eid.tolist(),
-            scores.tolist(),
-            (scores < 0.0).tolist(),
-        ))
+        detections = list(starmap(WindowDetection, detection_rows(windows, scores)))
         return ScanResult(source=source, detections=detections, report=report)
 
     def scan_logs(
@@ -357,16 +352,11 @@ class LeapsDetector:
         :class:`ParseReport` to account for what recovery kept, dropped,
         and classified.
         """
-        scored = self.pipeline.score_stream(lines, report=report, policy=policy)
+        chunks = self.pipeline.score_stream(lines, report=report, policy=policy)
         return (
-            WindowDetection(
-                index=window.start_index,
-                start_eid=window.start_eid,
-                end_eid=window.end_eid,
-                score=float(score),
-                malicious=bool(score < 0.0),
-            )
-            for window, score in scored
+            WindowDetection(*row)
+            for windows, scores in chunks
+            for row in detection_rows(windows, scores)
         )
 
     @staticmethod

@@ -64,7 +64,7 @@ from repro.learning.kernels import PrecomputedKernel, gaussian_kernel
 from repro.learning.scaling import Standardizer
 from repro.learning.wsvm import WeightedSVM
 from repro.preprocessing.features import EventFeaturizer
-from repro.preprocessing.windows import Window, WindowArrays, WindowCoalescer
+from repro.preprocessing.windows import WindowArrays, WindowCoalescer
 
 
 @dataclass(frozen=True)
@@ -363,9 +363,9 @@ class LeapsPipeline:
         lines: Iterable[str],
         report: Optional[ParseReport] = None,
         policy: Optional[str] = None,
-    ) -> Iterator[Tuple[Window, float]]:
-        """Stream ``(window, decision_value)`` pairs off a raw-log line
-        iterator with bounded memory.
+    ) -> Iterator[Tuple[WindowArrays, np.ndarray]]:
+        """Stream ``(windows, decision_values)`` per scoring chunk off a
+        raw-log line iterator with bounded memory.
 
         Drains one :class:`~repro.core.streaming.StreamScanner` — the
         scanner a serve shard keeps per stream — with

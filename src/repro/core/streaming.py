@@ -2,16 +2,19 @@
 
 A :class:`StreamScanner` holds one live scan's state between feeds: the
 byte fragment of a line split across reads, the block parser
-(:class:`~repro.etw.fastparse.StreamingParser`), the push-mode window
-coalescer and the open scoring chunk.  It is the only incremental scan
-path — :meth:`LeapsPipeline.score_stream` drains one with
-:func:`scan_lines`, and every serve shard keeps one per stream
+(:class:`~repro.etw.fastparse.StreamingParser`), the per-stream
+featurization tables (:class:`~repro.preprocessing.features.StreamFeatures`),
+the push-mode window coalescer and the open scoring chunk.  It is the
+only incremental scan path — :meth:`LeapsPipeline.score_stream` drains
+one with :func:`scan_lines`, and every serve shard keeps one per stream
 (``repro.serve.StreamScanner`` adds the columnar wire) — and any
 chunking of its input gives the same windows and scores: the block
 parser equals the scalar ``ParseMachine`` event for event, each block
-is featurized and coalesced whole (``PushCoalescer.push_block``), and
-chunk k always holds windows ``[k·chunk, (k+1)·chunk)`` of the stream,
-the chunks ``score_events`` scores a whole log in.
+of :class:`~repro.etw.events.EventColumns` is featurized and coalesced
+whole (``PushCoalescer.push_block``), and chunk k always holds windows
+``[k·chunk, (k+1)·chunk)`` of the stream, the chunks ``score_events``
+scores a whole log in.  No per-event record and no per-window object is
+built between bytes and scores.
 
 :func:`score_chunks` scores chunks of one stream or many in one fused
 kernel call per model, each chunk's scores bit-identical to scoring it
@@ -26,17 +29,19 @@ scored first, as in a per-event scan.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.etw.events import EventColumns
 from repro.etw.fastparse import StreamingParser
-from repro.etw.parser import LogLine, ParseError
+from repro.etw.parser import LogLine, ParseError, split_log_bytes
 from repro.etw.recovery import ParseErrorKind, ParseReport
 from repro.etw.stack_partition import StackPartitionError
-from repro.preprocessing.windows import Window
+from repro.preprocessing.features import StreamFeatures
+from repro.preprocessing.windows import WindowArrays
 
 #: raw lines per scanner feed in :func:`scan_lines`; the detections are
 #: the same at any value
@@ -50,9 +55,9 @@ class ScoreChunk:
 
     stream_id: str
     pipeline: object
-    windows: List[Window] = field(default_factory=list)
+    windows: WindowArrays
     #: per-window parse-completion timestamps (latency accounting)
-    times: List[float] = field(default_factory=list)
+    times: np.ndarray
     #: when the chunk became score-ready (flush-wait accounting)
     ready_at: float = 0.0
 
@@ -70,18 +75,27 @@ def score_chunks(chunks: Sequence[ScoreChunk]) -> List[np.ndarray]:
         by_model.setdefault(id(chunk.pipeline), []).append(position)
     for positions in by_model.values():
         pipeline = chunks[positions[0]].pipeline
-        stacks = [
-            np.stack([window.vector for window in chunks[position].windows])
-            for position in positions
-        ]
-        matrix = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+        matrices = [chunks[position].windows.matrix for position in positions]
+        matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
         matrix = pipeline.standardizer.transform(matrix)
-        ends = np.cumsum([len(stack) for stack in stacks]).tolist()
+        ends = np.cumsum([len(block) for block in matrices]).tolist()
         bounds = list(zip([0] + ends[:-1], ends))
         scores = pipeline.model.decision_function_blocked(matrix, bounds)
         for position, (start, stop) in zip(positions, bounds):
             results[position] = scores[start:stop]
     return results
+
+
+def detection_rows(windows: WindowArrays, scores: np.ndarray) -> Iterator[tuple]:
+    """``(index, start_eid, end_eid, score, malicious)`` per window —
+    the fields of a ``WindowDetection``, as Python scalars."""
+    return zip(
+        windows.start_index.tolist(),
+        windows.start_eid.tolist(),
+        windows.end_eid.tolist(),
+        scores.tolist(),
+        (scores < 0.0).tolist(),
+    )
 
 
 class StreamScanner:
@@ -103,20 +117,22 @@ class StreamScanner:
         self.policy = policy or pipeline.parser.policy
         self.parser = StreamingParser(policy=self.policy, report=report)
         self.report = self.parser.report
+        self.features = StreamFeatures(pipeline.featurizer)
         self.coalescer = pipeline.coalescer.push_coalescer()
         self.chunk_windows = int(pipeline.config.stream_chunk_windows)
         self._clock = clock
-        self._transform = pipeline.featurizer.transform
         self._fragment = b""
-        self._pending: List[Window] = []  # windows of the open chunk
-        self._pending_times: List[float] = []
+        # the open chunk: blocks of windows, their times, their count
+        self._pending: List[WindowArrays] = []
+        self._pending_times: List[np.ndarray] = []
+        self._pending_count = 0
         self._ready: List[ScoreChunk] = []
         self.events_seen = 0
         self.windows_made = 0
         self.bytes_seen = 0
         self.lines_seen = 0
-        self.decode_s = 0.0  # byte→line / chunk→event decode time
-        self.featurize_s = 0.0  # transform + coalesce + chunk time
+        self.decode_s = 0.0  # bytes → events (text decode + parse, or chunk decode)
+        self.featurize_s = 0.0  # events → score-ready chunks
         self.finished = False
         self.disconnected = False
 
@@ -125,54 +141,31 @@ class StreamScanner:
         """Ingest the next raw text payload; lines split across
         payloads are held as a fragment until their newline arrives.
 
-        The whole completed region is decoded in one pass (one
-        ``decode`` + one ``split`` instead of per-line calls); the
-        result is identical to per-piece decoding because ``\\n`` is a
-        single byte no UTF-8 sequence can span, ``\\r\\n`` collapse
-        touches exactly the bytes per-piece ``strip_cr`` would, and an
-        undecodable region falls back to the per-piece path so only
-        genuinely broken lines pass through as ``bytes``."""
+        The whole completed region splits in one
+        :func:`~repro.etw.parser.split_log_bytes` pass, which equals
+        per-line decoding because ``\\n`` is a single byte no UTF-8
+        sequence can span; only genuinely undecodable lines pass through
+        as ``bytes``."""
         self.bytes_seen += len(data)
         start = time.perf_counter()
         buffer = self._fragment + data
-        cut = buffer.rfind(b"\n")
-        if cut < 0:
-            self._fragment = buffer
-            self.decode_s += time.perf_counter() - start
-            return
-        region = buffer[: cut + 1]
-        self._fragment = buffer[cut + 1 :]
-        cr_free = False
-        try:
-            text = region.decode("utf-8")
-        except UnicodeDecodeError:
-            pieces = region.split(b"\n")
-            pieces.pop()  # region ends with the delimiter
-            lines: List[LogLine] = [
-                self._decode(piece, strip_cr=True) for piece in pieces
-            ]
-        else:
-            if "\r" in text:
-                text = text.replace("\r\n", "\n")
-            else:
-                # one C-speed scan proved the whole region \r-free, so
-                # the block parser can skip its per-line gate
-                cr_free = True
-            lines = text.split("\n")
-            lines.pop()
+        cut = buffer.rfind(b"\n") + 1
+        self._fragment = buffer[cut:]
+        lines = split_log_bytes(buffer[:cut])
         self.decode_s += time.perf_counter() - start
-        self.feed_lines(lines, cr_free=cr_free)
+        if lines:
+            self.feed_lines(lines)
 
-    def feed_events(self, events: Sequence) -> None:
-        """Ingest already-parsed events (a ``.leapscap`` capture) — the
-        same featurize/coalesce/chunk path, no parse."""
+    def feed_events(self, events: EventColumns) -> None:
+        """Ingest already-parsed events (a ``.leapscap`` capture's or a
+        decoded chunk's columns) — the same featurize/coalesce/chunk
+        path, no parse."""
         self._ingest(events)
 
-    def feed_lines(self, lines: Sequence[LogLine], cr_free: bool = False) -> None:
-        """Ingest newline-free lines (``cr_free`` as in
-        :meth:`StreamingParser.feed_lines`)."""
+    def feed_lines(self, lines: Sequence[LogLine]) -> None:
+        """Ingest newline-free lines."""
         self.lines_seen += len(lines)
-        self._parse(self.parser.feed_lines, lines, cr_free)
+        self._parse(self.parser.feed_lines, lines)
 
     def finish(self, disconnected: bool = False) -> None:
         """End of stream: flush the fragment, run the parser's real
@@ -190,9 +183,8 @@ class StreamScanner:
         if self._fragment:
             # final unterminated line; a trailing \r is content here,
             # exactly as in a batch read of the whole file
-            tail = self._decode(self._fragment, strip_cr=False)
-            self._fragment = b""
-            self._parse(self.parser.feed_lines, [tail])
+            tail, self._fragment = split_log_bytes(self._fragment), b""
+            self._parse(self.parser.feed_lines, tail)
         self._parse(self.parser.finish)
         if disconnected and not self.report.truncated_tail:
             self.report.truncated_tail = True
@@ -201,8 +193,8 @@ class StreamScanner:
                 max(self.parser.machine.lineno, 1),
                 "stream disconnected before END",
             )
-        if self._pending:
-            self._close_chunk()
+        if self._pending_count:
+            self._close_chunk(self._pending_count)
         self.finished = True
 
     # -- scoring handoff -----------------------------------------------
@@ -210,12 +202,12 @@ class StreamScanner:
     def unscored_windows(self) -> int:
         """Windows parsed but not yet handed to a scoring call — the
         backpressure watermark input."""
-        return len(self._pending) + self.ready_window_count
+        return self._pending_count + self.ready_window_count
 
     @property
     def ready_window_count(self) -> int:
         """Windows sitting in completed (score-ready) chunks."""
-        return sum(len(chunk.windows) for chunk in self._ready)
+        return sum(len(chunk.times) for chunk in self._ready)
 
     def take_ready(self) -> List[ScoreChunk]:
         """Claim the completed chunks (the scoring call's input)."""
@@ -223,72 +215,71 @@ class StreamScanner:
         return ready
 
     # -- internals -----------------------------------------------------
-    @staticmethod
-    def _decode(piece: bytes, strip_cr: bool) -> LogLine:
-        if strip_cr and piece.endswith(b"\r"):
-            piece = piece[:-1]
-        try:
-            return piece.decode("utf-8")
-        except UnicodeDecodeError:
-            return piece
-
     def _parse(self, call, *args) -> None:
         """Ingest the events one parser call completed.  A strict
         ``ParseError`` kills the stream — the machine finalized the
         report before raising — once the events the call completed
         before the failing line are ingested."""
+        start = time.perf_counter()
         try:
             events = call(*args)
         except ParseError as error:
+            self.decode_s += time.perf_counter() - start
             self.finished = True
             self._ingest(error.events)
             raise
+        self.decode_s += time.perf_counter() - start
         self._ingest(events)
 
-    def _ingest(self, events: Sequence) -> None:
-        if not events:
+    def _ingest(self, events: EventColumns) -> None:
+        """Featurize, coalesce and chunk one block.  A walk that does
+        not partition kills the stream once the events before its first
+        event are coalesced: their windows stand."""
+        if not events.n_events:
             return
         start = time.perf_counter()
         now = self._clock()
-        try:
-            rows = self._transform(events)
-        except StackPartitionError:
-            # kill the stream, but coalesce the events before the first
-            # walk that does not partition: their windows stand
-            self.finished = True
-            for stop, event in enumerate(events):
-                try:
-                    self._transform([event])
-                except StackPartitionError:
-                    break
-            self._ingest(events[:stop])
-            raise
-        for window in self.coalescer.push_block(events, rows):
-            self._pending.append(window)
-            self._pending_times.append(now)
-            if len(self._pending) == self.chunk_windows:
-                self._close_chunk()
-        self.events_seen += len(events)
+        rows, error = self.features.transform(events)
+        windows = self.coalescer.push_block(events.eid[: len(rows)], rows)
+        made = len(windows.start_index)
+        if made:
+            self._pending.append(windows)
+            self._pending_times.append(np.full(made, now))
+            self._pending_count += made
+        while self._pending_count >= self.chunk_windows:
+            self._close_chunk(self.chunk_windows)
+        self.events_seen += len(rows)
         self.featurize_s += time.perf_counter() - start
+        if error is not None:
+            self.finished = True
+            raise error
 
-    def _close_chunk(self) -> None:
-        self._ready.append(
-            ScoreChunk(
-                self.stream_id, self.pipeline, self._pending,
-                self._pending_times, ready_at=self._clock(),
-            )
-        )
-        self.windows_made += len(self._pending)
-        self._pending = []
-        self._pending_times = []
+    def _close_chunk(self, stop: int) -> None:
+        """Move the open chunk's first ``stop`` windows to a ready chunk;
+        its blocks are joined here, once per chunk."""
+        if len(self._pending) > 1:
+            self._pending = [WindowArrays(*map(np.concatenate, zip(*self._pending)))]
+            self._pending_times = [np.concatenate(self._pending_times)]
+        (windows,), (times,) = self._pending, self._pending_times
+        self._ready.append(ScoreChunk(
+            self.stream_id,
+            self.pipeline,
+            WindowArrays(*(column[:stop] for column in windows)),
+            times[:stop],
+            ready_at=self._clock(),
+        ))
+        self._pending = [WindowArrays(*(column[stop:] for column in windows))]
+        self._pending_times = [times[stop:]]
+        self._pending_count -= stop
+        self.windows_made += stop
 
 
 def scan_lines(
     scanner: StreamScanner, lines: Iterable[LogLine]
-) -> Iterator[Tuple[Window, float]]:
+) -> Iterator[Tuple[WindowArrays, np.ndarray]]:
     """Drain a raw-line iterator through ``scanner``: feed it
-    :data:`FEED_LINES` lines at a time and yield ``(window, score)`` for
-    the chunks each feed completed.
+    :data:`FEED_LINES` lines at a time and yield ``(windows, scores)``
+    for each chunk the feeds completed.
 
     The trailing newlines file iteration leaves on ``str`` lines are
     stripped first, as the scalar parser strips them per line (the block
@@ -317,6 +308,8 @@ def scan_lines(
     yield from _scored(scanner.take_ready())
 
 
-def _scored(chunks: List[ScoreChunk]) -> Iterator[Tuple[Window, float]]:
+def _scored(
+    chunks: List[ScoreChunk],
+) -> Iterator[Tuple[WindowArrays, np.ndarray]]:
     for chunk, scores in zip(chunks, score_chunks(chunks)):
-        yield from zip(chunk.windows, scores)
+        yield chunk.windows, scores

@@ -81,6 +81,7 @@ from repro.etw.events import (
     EventLog,
     EventRecord,
     StackFrame,
+    intern_codes,
 )
 from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
@@ -209,7 +210,7 @@ class DeltaEncoder:
 
     def __init__(self, error: type = CaptureError):
         self._error = error
-        self._vocabs: Dict[str, dict] = {name: {} for name in _VOCAB_NAMES}
+        self._vocabs = {name: ({}, []) for name in _VOCAB_NAMES}
         self._frames: dict = {}
         self._walks: dict = {}
 
@@ -225,14 +226,11 @@ class DeltaEncoder:
         new: Dict[str, List[str]] = {name: [] for name in _VOCAB_NAMES}
 
         def intern(name: str, values: list) -> np.ndarray:
-            table = self._vocabs[name]
-            for value in dict.fromkeys(values):
-                if value not in table:
-                    table[value] = len(table)
-                    new[name].append(value)
-            return np.fromiter(
-                map(table.__getitem__, values), np.int64, len(values)
-            )
+            index, table = self._vocabs[name]
+            known = len(table)
+            codes = intern_codes(index, table, values)
+            new[name] = table[known:]
+            return codes
 
         arrays = {
             name: _int64(name, getattr(cols, name), error) for name in INT_FIELDS

@@ -54,18 +54,15 @@ class StackFrame:
     def __post_init__(self):
         _check_field("StackFrame", "module", self.module)
         _check_field("StackFrame", "function", self.function)
-        # Frames are the unit of the featurization memo (hashed inside
-        # every ``event.frames`` cache key, once per event); the
-        # dataclass-generated hash rebuilds a field tuple per call, so
-        # compute it once here instead.
-        object.__setattr__(
-            self,
-            "_hash",
-            hash((self.index, self.module, self.function, self.address)),
-        )
+        # walks are hashed by value (scalar-mode stream walks): hash once
+        fields = (self.index, self.module, self.function, self.address)
+        object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __reduce__(self):  # unpickling rehashes: str hashes are salted per process
+        return StackFrame, (self.index, self.module, self.function, self.address)
 
     @property
     def node(self) -> FrameNode:
@@ -113,13 +110,28 @@ def _codes(index: dict, values: Sequence) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
 
+def intern_codes(index: dict, table: list, values: Sequence) -> np.ndarray:
+    """``values`` coded as positions in ``table``, after appending the
+    values new to ``index`` (value → position) in first-appearance
+    order."""
+    try:  # a stream's tables soon hold every value it sends
+        return _codes(index, values)
+    except KeyError:
+        pass
+    new = [value for value in dict.fromkeys(values) if value not in index]
+    index.update(zip(new, range(len(table), len(table) + len(new))))
+    table.extend(new)
+    return _codes(index, values)
+
+
 class EventColumns:
-    """Events as columns: what the text parser
-    (:func:`~repro.etw.fastparse.parse_columns`), the columnar codec and
-    the generation fast path (DESIGN.md §13) produce, and what training,
-    the batch scan
-    (:meth:`~repro.preprocessing.features.EventFeaturizer.transform_columns`)
-    and the capture encoder consume — none of them builds an
+    """Events as columns: what the text parsers
+    (:func:`~repro.etw.fastparse.parse_columns` and the streaming
+    parser), the columnar codec and the generation fast path (DESIGN.md
+    §13) produce, and what training, the batch and stream scans
+    (:meth:`~repro.preprocessing.features.EventFeaturizer.transform_columns`,
+    :class:`~repro.preprocessing.features.StreamFeatures`) and the
+    capture encoder consume — none of them builds an
     :class:`EventRecord`.  :meth:`from_records` is the one conversion
     from records.  Invariants (producers guarantee them, the encoder
     and the featurizer rely on them):
@@ -134,9 +146,10 @@ class EventColumns:
       walk tuples of :class:`StackFrame` objects;
     * a parsed log's, a converted record list's and a generator's
       tables list distinct values in first-appearance order over the
-      events (walks by identity, so equal walks may appear twice); a
-      decoded chunk's tables are the stream's cumulative ones, so they
-      may hold entries no event of the chunk uses.
+      events (walks by identity, so equal walks may appear twice); the
+      tables of a decoded chunk and of a streaming parser's block are
+      the stream's cumulative ones, so they may hold entries no event
+      of the block uses.
     """
 
     #: the per-event columns, in capture storage order
@@ -164,12 +177,15 @@ class EventColumns:
         strings: Sequence[Sequence[str]],
         walk_id: Sequence[int],
         walks: list,
+        tables: Optional[Sequence[Tuple[dict, list]]] = None,
     ) -> "EventColumns":
         """Columns of per-event field lists: ``ints`` holds the
         ``INT_FIELDS`` values and ``strings`` the ``STRING_FIELDS``
-        values, each coded against a table in first-appearance order;
+        values, each coded by :func:`intern_codes` against its ``tables``
+        entry — fresh by default, a stream's cumulative ones
+        (:class:`~repro.etw.fastparse.StreamingParser`) otherwise;
         ``walk_id`` indexes ``walks``."""
-        cols = cls()
+        cols = cls.__new__(cls)  # every slot is set below
         cols.n_events = len(walk_id)
         for name, values in zip(INT_FIELDS, ints):
             try:
@@ -177,10 +193,11 @@ class EventColumns:
             except OverflowError:  # the text format bounds no integer
                 column = np.array(values, dtype=object)
             setattr(cols, name, column)
-        for name, values in zip(STRING_FIELDS, strings):
-            index = {value: code for code, value in enumerate(dict.fromkeys(values))}
-            setattr(cols, f"{name}_vocab", list(index))
-            setattr(cols, f"{name}_id", _codes(index, values))
+        if tables is None:
+            tables = [({}, []) for _ in STRING_FIELDS]
+        for name, values, (index, vocab) in zip(STRING_FIELDS, strings, tables):
+            setattr(cols, f"{name}_vocab", vocab)
+            setattr(cols, f"{name}_id", intern_codes(index, vocab, values))
         cols.walk_id = np.asarray(walk_id, dtype=np.int64)
         cols.walks = walks
         return cols

@@ -9,7 +9,8 @@ carries its full stack walk, and walks repeat heavily: an 8000-event
 application log has ~78k lines but only a few dozen distinct walks.
 :func:`parse_columns` is the same parse emitting
 :class:`~repro.etw.events.EventColumns`, for training and the batch
-scan.
+scan, and :class:`StreamingParser` emits it a region at a time, for the
+stream scan.
 
 Every text input takes the same path.  ``str`` is used as is,
 ``bytes`` are decoded once, and a line sequence is joined once; then
@@ -22,22 +23,21 @@ Every text input takes the same path.  ``str`` is used as is,
    occurrence starts at a line start, and the trailing ``|`` keeps eid
    ``1`` from matching ``12``).  Stripping that prefix leaves an
    eid-free walk text;
-3. the walk texts are memoized per parse, so each *distinct* walk is
-   field-checked (four fields, integer index equal to its position,
-   hex address) and interned through
+3. the walk texts are memoized — per parse, or for a stream's life —
+   so each *distinct* walk is field-checked (four fields, integer index
+   equal to its position, hex address) and interned through
    :func:`~repro.etw.parser.intern_frame` once; the memo hands out walk
    ids, with the walk table in first-appearance order;
 4. the head lines are columnized with C-level passes (a per-head pipe
    count proves a flat ``"|".join(...).split("|")`` aligned), and their
    numeric fields are converted with the scalar parser's own ``int()``;
 5. one of two finishers turns the fields and walk ids into the output:
-   :func:`parse_fast` and :class:`StreamingParser` build records whose
-   events of one walk share one frame tuple, and :func:`parse_columns`
-   builds columns (int64, or Python ints past int64; strings coded in
-   first-appearance order; ``walk_id`` from the memo).  The stream
-   keeps its own record finisher because columns and then
-   :meth:`~repro.etw.events.EventColumns.records` cost it more than
-   records built directly.
+   :func:`parse_fast` builds records whose events of one walk share one
+   frame tuple, and :func:`parse_columns` and :class:`StreamingParser`
+   build columns (int64, or Python ints past int64; ``walk_id`` from
+   the memo; strings coded in first-appearance order against tables
+   the caller gives: fresh ones per parse, the stream's cumulative
+   ones).
 
 Blank and whitespace-only lines fail the block proof; the parser then
 counts and drops them (the scalar parser's ``not line.strip()`` test)
@@ -56,9 +56,17 @@ scalar parser's own, not a reimplementation.
 from __future__ import annotations
 
 import gc
+from operator import attrgetter
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.etw.events import EventColumns, EventRecord, StackFrame
+from repro.etw.events import (
+    INT_FIELDS,
+    STRING_FIELDS,
+    EventColumns,
+    EventRecord,
+    StackFrame,
+    intern_codes,
+)
 from repro.etw.parser import (
     PARSE_POLICIES,
     LogLine,
@@ -146,12 +154,14 @@ def _walk(text: str) -> Walk:
     return tuple(frames)
 
 
-def _blocks(text: str) -> Tuple[List[str], List[int], List[Walk]]:
+def _blocks(text: str, memo: dict, walks: List[Walk]) -> Tuple[List[str], List[int]]:
     """Cut clean text into event head lines and their walks; returns
-    ``(heads, walk_ids, walks)``: the distinct walks in first-appearance
-    order, and each head's index into them.  Raises :class:`_Fallback`
-    unless every line is an EVENT line or a STACK line carrying the eid
-    text of the EVENT line above it."""
+    ``(heads, walk_ids)``, each head's index into ``walks``.  ``memo``
+    maps each validated stripped walk text to its id; a walk new to it
+    is validated, interned and appended to ``walks``, so the caller
+    chooses how long a walk stays validated (one parse, or a stream's
+    life).  Raises :class:`_Fallback` unless every line is an EVENT line
+    or a STACK line carrying the eid text of the EVENT line above it."""
     blocks = text.split(_BLOCK_SEP)
     first = blocks[0]
     if not first.startswith(_EVENT_TAG):
@@ -159,9 +169,7 @@ def _blocks(text: str) -> Tuple[List[str], List[int], List[Walk]]:
     blocks[0] = first[len(_EVENT_TAG):]
     heads: List[str] = []
     walk_ids: List[int] = []
-    walks: List[Walk] = []
     add_head, add_id = heads.append, walk_ids.append
-    memo: dict = {}  # stripped walk text → walk id
     for block in blocks:
         cut = block.find("\n")
         if cut < 0:
@@ -176,15 +184,16 @@ def _blocks(text: str) -> Tuple[List[str], List[int], List[Walk]]:
             # every line of the block must be a STACK line of this eid
             if rest.count(prefix) != rest.count("\n"):
                 raise _Fallback
+            walk = _walk(key)
             walk_id = memo[key] = len(walks)
-            walks.append(_walk(key))
+            walks.append(walk)
         elif len(rest) - len(key) != len(walks[walk_id]) * (len(prefix) - 1):
             # A validated key has one line per frame, and each prefix
             # replaced shrinks the text by len(prefix) - 1: the same
             # proof without rescanning the block.
             raise _Fallback
         add_id(walk_id)
-    return heads, walk_ids, walks
+    return heads, walk_ids
 
 
 #: The block path's finisher: ``(ints, strings, walk_ids, walks)`` —
@@ -194,12 +203,16 @@ Finisher = Callable[[list, list, List[int], List[Walk]], object]
 
 
 def _parse_body(
-    body: str, finish: Finisher, check_tail: bool = True
+    body: str, finish: Finisher, memo: dict, walks: List[Walk],
+    check_tail: bool = True, expected: Optional[int] = None,
 ) -> Tuple[object, int, int, int]:
     """The block path proper over ``body`` — the lines joined by
-    ``"\\n"``, ``\\r``-free, no trailing-newline convention.  Returns
+    ``"\\n"``, ``\\r``-free, no trailing-newline convention — with the
+    walk ``memo`` and table ``walks`` (see :func:`_blocks`).  Returns
     ``(finish(...), n_events, n_lines, n_blank)``; raises
-    :class:`_Fallback` on anything the scalar parser would classify.
+    :class:`_Fallback` on anything the scalar parser would classify, and
+    before finishing when ``body`` does not hold ``expected`` lines
+    (a joined line-list item held a newline).
 
     ``check_tail=False`` skips the truncated-tail heuristic — only valid
     when the caller *knows* the final block is complete, i.e. for a
@@ -207,30 +220,32 @@ def _parse_body(
     (:class:`StreamingParser`); end-of-input always checks."""
     n_blank = 0
     try:
-        heads, walk_ids, walks = _blocks(body)
+        heads, walk_ids = _blocks(body, memo, walks)
     except _Fallback:
         lines = body.split("\n")
         kept = [line for line in lines if line.strip()]
         n_blank = len(lines) - len(kept)
         if not n_blank:
             raise
-        heads, walk_ids, walks = _blocks("\n".join(kept)) if kept else ([], [], [])
-    depths = list(map(len, walks))
-    n_lines = len(heads) + sum(map(depths.__getitem__, walk_ids)) + n_blank
+        heads, walk_ids = _blocks("\n".join(kept), memo, walks) if kept else ([], [])
+    depths = list(map(len, map(walks.__getitem__, walk_ids)))
+    n_lines = len(heads) + sum(depths) + n_blank
+    if expected is not None and n_lines != expected:
+        raise _Fallback
 
     ecols = _columns(heads, _HEAD_FIELDS)
     # INT_FIELDS and STRING_FIELDS order of the EVENT line's fields
     ints = [_ints(ecols[field]) for field in (0, 1, 2, 4, 6)]
     strings = [ecols[3], ecols[5], ecols[7]]
     if check_tail:
-        _check_tail(strings[1], ints[4], strings[2], walk_ids, depths)
+        _check_tail(strings[1], ints[4], strings[2], depths)
     return finish(ints, strings, walk_ids, walks), len(heads), n_lines, n_blank
 
 
 def _records(
     ints: list, strings: list, walk_ids: List[int], walks: List[Walk]
 ) -> List[EventRecord]:
-    """The record finisher of :func:`parse_fast` and the stream."""
+    """The record finisher of :func:`parse_fast`."""
     events: List[EventRecord] = []
     append = events.append
     new = EventRecord.__new__
@@ -258,18 +273,17 @@ def _check_tail(
     categories: List[str],
     opcodes: List[int],
     names: List[str],
-    walk_ids: List[int],
     depths: List[int],
 ) -> None:
     """Raise :class:`_Fallback` when the scalar truncated-tail heuristic
-    would fire: the final walk is shallower than *every* earlier walk of
-    the same etype.  Suspect tails take the scalar path — it owns the
-    report/raise semantics for them."""
-    last = len(walk_ids) - 1
+    would fire: the final walk (``depths`` per event) is shallower than
+    *every* earlier walk of the same etype.  Suspect tails take the
+    scalar path — it owns the report/raise semantics for them."""
+    last = len(depths) - 1
     if last < 1:
         return
     category, opcode, name = categories[last], opcodes[last], names[last]
-    depth = depths[walk_ids[last]]
+    depth = depths[last]
     suspect = False
     for position in range(last):
         if (
@@ -277,14 +291,16 @@ def _check_tail(
             and opcodes[position] == opcode
             and categories[position] == category
         ):
-            if depths[walk_ids[position]] <= depth:
+            if depths[position] <= depth:
                 return  # an earlier walk at or below the tail's depth
             suspect = True
     if suspect:
         raise _Fallback  # every same-etype walk is deeper
 
 
-def _parse_guarded(body: str, finish: Finisher, check_tail: bool = True):
+def _parse_guarded(
+    body: str, finish: Finisher, memo: dict, walks: List[Walk], **checks
+):
     """:func:`_parse_body` with generational GC paused (the parse
     allocates several objects per event; collections rescanning them
     mid-parse cost more than the parse) and the caller's GC state
@@ -293,7 +309,7 @@ def _parse_guarded(body: str, finish: Finisher, check_tail: bool = True):
     if gc_was_enabled:
         gc.disable()
     try:
-        return _parse_body(body, finish, check_tail=check_tail)
+        return _parse_body(body, finish, memo, walks, **checks)
     except _Fallback:
         return None
     finally:
@@ -364,11 +380,11 @@ def _parse(
     parsed = None
     # A lone \r is field content to the scalar parser (classified
     # BAD_FIELD via the EventRecord delimiter check) — scalar owns it.
+    # A line-list item holding a newline joins into extra lines, which
+    # the scalar parser sees as one line: ``expected`` catches it.
     if "\r" not in body:
-        parsed = _parse_guarded(body, finish)
-    if parsed is None or (expected is not None and parsed[2] != expected):
-        # A line-list item holding a newline joins into extra lines;
-        # the scalar parser sees it as one line.
+        parsed = _parse_guarded(body, finish, {}, [], expected=expected)
+    if parsed is None:
         if expected is None:
             lines = split_log_text(text)
         return _scalar(lines, policy, report, require_complete_tail)
@@ -445,12 +461,13 @@ def _opens_event(line: LogLine) -> bool:
 
 
 class StreamingParser:
-    """Incremental :func:`parse_fast`: feed a live stream's lines in
-    arbitrary chunks, get completed events back, bit-identically to one
+    """Incremental :func:`parse_columns`: feed a live stream's lines in
+    arbitrary chunks, get completed events back as
+    :class:`~repro.etw.events.EventColumns`, bit-identically to one
     scalar parse of the whole stream.
 
     The serving workers keep one of these per connected stream.  Clean
-    input goes through the same block path as :func:`parse_fast`, one
+    input goes through the same block path as :func:`parse_columns`, one
     *region* at a time: fed lines accumulate in a holdback list, and
     whenever a line arrives on which the scalar parser would open a new
     event (a well-formed ``EVENT`` line), the lines *before* the last
@@ -461,11 +478,18 @@ class StreamingParser:
     holdback and runs the real end-of-input tail logic via the shared
     :class:`~repro.etw.parser.ParseMachine`.
 
+    Every block the parser hands out indexes one set of cumulative
+    tables, kept for the stream's life: the walk memo and walk table
+    (each distinct walk is validated and interned once per stream), and
+    the process, category and name vocabularies.  They grow with the
+    stream's distinct walks and strings and die with the parser.
+
     The first region the block path cannot prove clean flips the stream
     permanently to scalar mode — every subsequent line goes through
     ``ParseMachine.feed`` — so strict/warn/drop recovery semantics,
     report accounting, and error line numbers are the scalar parser's
-    own.  A stream that never shows an ``EVENT`` line is bounded by
+    own; its records enter the same tables, walks keyed by value.  A
+    stream that never shows an ``EVENT`` line is bounded by
     ``backlog_limit``: past it, the stream goes scalar rather than
     buffering without bound.
     """
@@ -488,64 +512,63 @@ class StreamingParser:
         self.report = self.machine.report
         self.backlog_limit = backlog_limit
         self._holdback: List[LogLine] = []
-        #: every holdback line is known \r-free str (set by cr_free feeds)
-        self._holdback_cr_free = True
         self._scalar_mode = False
         self._finished = False
+        self._memo: dict = {}  # stripped walk text → walk id
+        self._walk_ids: dict = {}  # scalar-mode walk tuple → walk id
+        self._walks: List[Walk] = []
+        self._tables = [({}, []) for _ in STRING_FIELDS]
 
     @property
     def scalar_mode(self) -> bool:
         """True once the stream has permanently left the block path."""
         return self._scalar_mode
 
-    def feed_lines(
-        self, lines: Sequence[LogLine], cr_free: bool = False
-    ) -> List[EventRecord]:
+    def feed_lines(self, lines: Sequence[LogLine]) -> EventColumns:
         """Feed the next chunk of (already newline-split, ``\\r\\n``-
         normalized) lines; returns the events they completed.  Strict
         mode raises :class:`~repro.etw.parser.ParseError` exactly as the
         scalar parser would, with matching line numbers; the events the
-        call completed before the failing line ride on it as ``events``.
-
-        ``cr_free=True`` asserts every line is a ``str`` with no ``\\r``
-        anywhere (the byte-fed serving path proves this with one C-speed
-        scan of the decoded region), letting the block path skip its
-        own scan."""
+        call completed before the failing line ride on it as ``events``."""
         if self._finished:
             raise RuntimeError("feed_lines() after finish()")
-        out: List[EventRecord] = []
-        try:
-            self._feed(lines, cr_free, out)
-        except ParseError as error:
-            error.events = out
-            raise
-        return out
+        return self._emit(self._feed, lines)
 
-    def finish(self) -> List[EventRecord]:
+    def finish(self) -> EventColumns:
         """End of stream: drain the holdback through the scalar machine
         and run the real truncated-tail logic.  Returns the final
         events, if any (on ``ParseError.events`` if it raises)."""
         if self._finished:
-            return []
+            return self._scalar_columns([])
         self._finished = True
-        held, self._holdback = self._holdback, []
+        return self._emit(self._drain)
+
+    def _emit(self, step, *args) -> EventColumns:
+        """Run one parse step: its block region, or else the scalar
+        records it left in ``out`` as columns, also on a ``ParseError``."""
         out: List[EventRecord] = []
         try:
-            self._feed_scalar(held, out)
-            event = self.machine.finish()
+            block = step(*args, out)
         except ParseError as error:
-            error.events = out
+            error.events = self._scalar_columns(out)
             raise
+        return self._scalar_columns(out) if block is None else block
+
+    def _drain(self, out: List[EventRecord]) -> None:
+        held, self._holdback = self._holdback, []
+        self._feed_scalar(held, out)
+        event = self.machine.finish()
         if event is not None:
             out.append(event)
-        return out
 
     def _feed(
-        self, lines: Sequence[LogLine], cr_free: bool, out: List[EventRecord]
-    ) -> None:
+        self, lines: Sequence[LogLine], out: List[EventRecord]
+    ) -> Optional[EventColumns]:
+        """One feed: the block region it completed, or ``None`` with the
+        scalar parser's records in ``out``."""
         if self._scalar_mode:
             self._feed_scalar(lines, out)
-            return
+            return None
         cut = None
         for position in range(len(lines) - 1, -1, -1):
             if _opens_event(lines[position]):
@@ -553,20 +576,16 @@ class StreamingParser:
                 break
         if cut is None:
             if not lines:
-                return
+                return None
             self._holdback.extend(lines)
-            self._holdback_cr_free = self._holdback_cr_free and cr_free
             if len(self._holdback) > self.backlog_limit:
                 self._scalar_mode = True
                 held, self._holdback = self._holdback, []
                 self._feed_scalar(held, out)
-            return
+            return None
         region = self._holdback + list(lines[:cut])
-        region_cr_free = self._holdback_cr_free and cr_free
         self._holdback = list(lines[cut:])
-        self._holdback_cr_free = cr_free
-        if region:
-            self._bulk_region(region, region_cr_free, out)
+        return self._bulk_region(region, out) if region else None
 
     def _feed_scalar(
         self, lines: Sequence[LogLine], out: List[EventRecord]
@@ -578,30 +597,63 @@ class StreamingParser:
                 out.append(event)
 
     def _bulk_region(
-        self, region: List[LogLine], cr_free: bool, out: List[EventRecord]
-    ) -> None:
-        # The machine is virgin here (block mode never leaves an open
-        # event in it), so the region starts at a block boundary.
+        self, region: List[LogLine], out: List[EventRecord]
+    ) -> Optional[EventColumns]:
+        # Block mode never leaves an open event in the machine, so the
+        # region starts at a block boundary.
         parsed = None
         try:
             body = "\n".join(region)
         except TypeError:
             body = None  # undecodable bytes lines are the scalar parser's
-        # Same \r gate as parse_fast; a cr_free region was already
-        # proven clean by the caller's whole-buffer scan.
-        if body is not None and (cr_free or "\r" not in body):
-            parsed = _parse_guarded(body, _records, check_tail=False)
-        if parsed is None or parsed[2] != len(region):
+        # Same \r gate as parse_fast.
+        if body is not None and "\r" not in body:
+            parsed = _parse_guarded(
+                body, self._finish, self._memo, self._walks,
+                check_tail=False, expected=len(region),
+            )
+        if parsed is None:
             self._scalar_mode = True
             self._feed_scalar(region, out)
             held, self._holdback = self._holdback, []
             self._feed_scalar(held, out)
-            return
-        events, _, n_lines, n_blank = parsed
+            return None
+        block, n_events, n_lines, n_blank = parsed
         report = self.machine.report
         report.total_lines += n_lines
         report.blank_lines += n_blank
         report.consumed_lines += n_lines - n_blank
-        self.machine.observe_bulk_events(events)
+        report.events_yielded += n_events
         self.machine.lineno += n_lines
-        out.extend(events)
+        return block
+
+    def _finish(
+        self, ints: list, strings: list, walk_ids: List[int], walks: List[Walk]
+    ) -> EventColumns:
+        """The stream's columns finisher: the region over the stream's
+        tables, and the machine's truncated-tail depth table kept as a
+        line-by-line feed would, once per distinct (event type, walk)."""
+        depths = self.machine.depths
+        for category, opcode, name, walk_id in dict.fromkeys(
+            zip(strings[1], ints[4], strings[2], walk_ids)
+        ):
+            etype, depth = (category, opcode, name), len(walks[walk_id])
+            if depth < depths.get(etype, depth + 1):
+                depths[etype] = depth
+        return EventColumns.from_fields(
+            ints, strings, walk_ids, walks, self._tables
+        )
+
+    def _scalar_columns(self, records: List[EventRecord]) -> EventColumns:
+        """Scalar-mode records as columns over the stream's tables; their
+        walks are keyed by value, as each record has its own tuple."""
+
+        def column(name: str) -> list:
+            return list(map(attrgetter(name), records))
+
+        walk_ids = intern_codes(self._walk_ids, self._walks, column("frames"))
+        return EventColumns.from_fields(
+            [column(name) for name in INT_FIELDS],
+            [column(name) for name in STRING_FIELDS],
+            walk_ids, self._walks, self._tables,
+        )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.etw.events import EventLog, EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
 from repro.etw.recovery import (
     ParseErrorKind,
     ParseReport,
@@ -51,9 +51,10 @@ class ParseError(ValueError):
     """Raised on a structurally invalid raw-log line."""
 
     #: events an incremental parser call completed before the failing
-    #: line (:class:`~repro.etw.fastparse.StreamingParser` fills it) —
+    #: line, as :class:`~repro.etw.events.EventColumns`
+    #: (:class:`~repro.etw.fastparse.StreamingParser` fills it) —
     #: exactly what :func:`iter_parse` would have yielded before raising
-    events: Sequence[EventRecord] = ()
+    events: Optional[EventColumns] = None
 
     def __init__(
         self,
@@ -76,10 +77,10 @@ PARSE_POLICIES = ("strict", "warn", "drop")
 #: Process-wide frame intern table.  Stack walks are massively
 #: repetitive — a whole fleet of logs from one application collapses to
 #: a few hundred distinct frames — so equal frames parse to the *same*
-#: :class:`StackFrame` object even across separate parse runs.  The
-#: featurization memo keys on ``event.frames`` tuples; interning lets
-#: its tuple-equality checks short-circuit on identity instead of
-#: falling into per-field dataclass comparisons.
+#: :class:`StackFrame` object even across separate parse runs: one
+#: object per distinct frame in memory, and walk-tuple comparisons (the
+#: capture encoder's walk table, a stream's scalar-mode walks) that
+#: short-circuit on identity instead of per-field comparisons.
 #:
 #: Growth bound: one entry per distinct ``(index, module, function,
 #: address)`` tuple ever parsed in this process — for any one
@@ -220,12 +221,12 @@ def split_log_bytes(data: bytes) -> List[LogLine]:
     (``ParseErrorKind.BAD_ENCODING``) under the caller's policy rather
     than crash the whole scan with a ``UnicodeDecodeError``.
     """
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
     try:
         return split_log_text(data.decode("utf-8"))
     except UnicodeDecodeError:
         pass
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
     raw_lines = data.split(b"\n")
     if raw_lines and raw_lines[-1] == b"":
         raw_lines.pop()
@@ -329,13 +330,6 @@ class ParseMachine:
         self.depths: dict = {}
         self.lineno = 0
 
-    @property
-    def virgin(self) -> bool:
-        """True at a clean block boundary: no open event, not inside a
-        corrupt region.  The streaming fast path may bulk-parse a region
-        only from this state."""
-        return self.current is None and not self.skipping
-
     # -- bookkeeping helpers ------------------------------------------
     def _issue(self, kind: ParseErrorKind, message: str, num: int) -> None:
         self.report.record(kind, num, message)
@@ -370,24 +364,6 @@ class ParseMachine:
             self.report.discarded_lines += self.pending
             self.report.events_dropped += 1
             self.current, self.frames, self.pending = None, [], 0
-
-    def observe_bulk_events(self, events: Sequence[EventRecord]) -> None:
-        """Record complete, already-validated events that a bulk fast
-        path produced for this stream, keeping the truncated-tail
-        depth table exactly as if they had been fed line by line.
-
-        The caller owns the matching :class:`ParseReport` line
-        accounting (bulk regions are perfectly clean, so every line is
-        blank or consumed); see ``repro.etw.fastparse.StreamingParser``.
-        """
-        depths = self.depths
-        for event in events:
-            etype = event.etype
-            walk_len = len(event.frames)
-            known = depths.get(etype)
-            if known is None or walk_len < known:
-                depths[etype] = walk_len
-        self.report.events_yielded += len(events)
 
     # -- the per-line state machine -----------------------------------
     def feed(self, raw: LogLine) -> Optional[EventRecord]:

@@ -20,25 +20,24 @@ rather than identical — attributes to one id; that refinement is not
 built, see ROADMAP item 2.)
 
 Fast paths: logs are highly repetitive — thousands of events collapse
-to a few dozen distinct walks and event types.  Training and the batch
-scan work on :class:`~repro.etw.events.EventColumns`:
-:meth:`attribute_table` partitions each used walk once, :meth:`fit`
-adds one key per distinct event type and per used walk, and
-:meth:`transform_columns` looks each up once and fills the rows with
-``np.take``.  :meth:`transform` over records serves only streams (the
-incremental scan and the serve tier), memoizing resolved ids per raw
-event key.  Both give the uncached per-event lookups' values bit for
-bit.
+to a few dozen distinct walks and event types — and every scan works on
+:class:`~repro.etw.events.EventColumns`.  :meth:`attribute_table`
+partitions each used walk once, :meth:`fit` adds one key per distinct
+event type and per used walk, and :meth:`transform_columns` looks each
+up once and fills the rows with ``np.take``; :meth:`transform` over
+records converts them to columns first.  A stream's blocks go through
+:class:`StreamFeatures`, which keeps those lookups for the stream's
+life.  All give the uncached per-event lookups' values bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.etw.events import EventColumns, EventRecord, StackFrame
-from repro.etw.stack_partition import StackPartitioner
+from repro.etw.stack_partition import StackPartitionError, StackPartitioner
 
 #: Reserved id for attribute values never seen during training.
 UNKNOWN_ID = 0
@@ -120,16 +119,6 @@ class EventFeaturizer:
         self.app_vocab = Vocabulary()
         self.system_vocab = Vocabulary()
         self.fitted = False
-        # attribute triple → resolved (etype_id, app_id, system_id);
-        # valid only after the vocabularies are frozen in fit()
-        self._id_cache: Dict[AttributeTriple, Tuple[int, int, int]] = {}
-        # (category, opcode, name, frames) → resolved ids: short-circuits
-        # the attribute-triple construction itself, which is the dominant
-        # per-event cost once ids are memoized.  Keying on the raw frames
-        # tuple is sound because the attribute triple is a pure function
-        # of (etype, frames); cheap because the parser interns frames and
-        # StackFrame caches its hash.
-        self._event_cache: Dict[tuple, Tuple[int, int, int]] = {}
 
     # -- attribute extraction -----------------------------------------
     def attributes(self, event: EventRecord) -> AttributeTriple:
@@ -185,8 +174,6 @@ class EventFeaturizer:
         :meth:`~repro.etw.events.EventColumns.from_records`).  Each
         vocabulary sees its keys in first-appearance order over the
         events, one key per distinct event type and per used walk."""
-        self._id_cache.clear()
-        self._event_cache.clear()
         for log in logs:
             table = self._table(log)
             for key in table.etypes:
@@ -207,47 +194,17 @@ class EventFeaturizer:
             log = EventColumns.from_records(log)
         return self.attribute_table(log)
 
-    def _resolve(self, attrs: AttributeTriple) -> Tuple[int, int, int]:
-        """Vocabulary ids for one attribute triple, through the memo."""
-        ids = self._id_cache.get(attrs)
-        if ids is None:
-            etype, app, system = attrs
-            ids = (
-                self.etype_vocab.lookup(etype),
-                self.app_vocab.lookup(app),
-                self.system_vocab.lookup(system),
-            )
-            self._id_cache[attrs] = ids
-        return ids
-
-    def _resolve_event(self, event: EventRecord) -> Tuple[int, int, int]:
-        """Vocabulary ids for one event, through the event-level memo."""
-        key = (event.category, event.opcode, event.name, event.frames)
-        ids = self._event_cache.get(key)
-        if ids is None:
-            ids = self._resolve(self.attributes(event))
-            self._event_cache[key] = ids
-        return ids
-
     def transform(self, events: Sequence[EventRecord]) -> np.ndarray:
-        """Rows of a record stream, through the memo (the incremental
-        scan's path)."""
-        if not self.fitted:
-            raise RuntimeError("EventFeaturizer.transform before fit")
-        out = np.empty((len(events), self.DIMS), dtype=float)
-        resolve_event = self._resolve_event
-        rows = [resolve_event(event) for event in events]
-        if rows:
-            out[:] = rows
-        return out
+        """:meth:`transform_columns` of a record list."""
+        return self.transform_columns(EventColumns.from_records(events))
 
     def transform_columns(
         self, log: Union[AttributeTable, EventColumns]
     ) -> np.ndarray:
-        """:meth:`transform` of the log's records, bit for bit, without
-        building one: one lookup per distinct event type and per used
-        walk of the log's :class:`AttributeTable` (built here from
-        columns), then the rows are gathered from those ids."""
+        """The ``(n, 3)`` feature rows of a log: one lookup per distinct
+        event type and per used walk of its :class:`AttributeTable`
+        (built here from columns), then the rows are gathered from those
+        ids — the per-event lookups' values, bit for bit."""
         if not self.fitted:
             raise RuntimeError("EventFeaturizer.transform before fit")
         table = self._table(log)
@@ -268,3 +225,67 @@ class EventFeaturizer:
     def fit_transform(self, events: Sequence[EventRecord]) -> np.ndarray:
         self.fit(events)
         return self.transform(events)
+
+
+class StreamFeatures:
+    """One stream's :meth:`EventFeaturizer.transform_columns`.  The
+    stream's blocks share cumulative tables (its parser's or chunk
+    decoder's), so walk id → (app id, system id) and event-type codes →
+    etype id are kept for the stream's life and only entries new to it
+    are resolved; a block over other tables rebinds them."""
+
+    def __init__(self, featurizer: EventFeaturizer):
+        self.featurizer = featurizer
+        self._bound: tuple = (None, None, None)
+
+    def transform(
+        self, cols: EventColumns
+    ) -> Tuple[np.ndarray, Optional[StackPartitionError]]:
+        """``(rows, None)`` for ``cols``' events — or, when a walk does
+        not partition, the rows of the events before the first such walk
+        in event order, and its :class:`StackPartitionError`."""
+        tables = (cols.walks, cols.category_vocab, cols.name_vocab)
+        if any(mine is not theirs for mine, theirs in zip(tables, self._bound)):
+            self._bound, self._etype_ids = tables, {}
+            self._walk_rows = np.zeros((0, 2))  # NaN until resolved
+        stop, error = self._resolve_walks(cols.walks, cols.walk_id)
+        codes = (cols.category_id, cols.opcode, cols.name_id)
+        keys = list(zip(*(column[:stop].tolist() for column in codes)))
+        memo, lookup = self._etype_ids, self.featurizer.etype_vocab.lookup
+        for key in set(keys) - memo.keys():
+            category, opcode, name = key
+            memo[key] = lookup(
+                (cols.category_vocab[category], opcode, cols.name_vocab[name])
+            )
+        etypes = list(map(memo.__getitem__, keys))
+        out = np.empty((stop, EventFeaturizer.DIMS))
+        out[:, 0] = etypes
+        out[:, 1:] = self._walk_rows.take(cols.walk_id[:stop], axis=0)
+        return out, error
+
+    def _resolve_walks(
+        self, walks: list, walk_id: np.ndarray
+    ) -> Tuple[int, Optional[StackPartitionError]]:
+        """Resolve the walks new to the stream in first-appearance order,
+        in bulk (lists, then one array store); ``(stop, error)`` as in
+        :meth:`transform`."""
+        grow = len(walks) - len(self._walk_rows)
+        if grow > 0:  # geometrically, so growth costs O(1) per walk
+            more = np.full((max(grow, len(self._walk_rows)), 2), np.nan)
+            self._walk_rows = np.concatenate((self._walk_rows, more))
+        fresh = np.flatnonzero(np.isnan(self._walk_rows[walk_id, 0]))
+        if not len(fresh):
+            return len(walk_id), None
+        first = fresh[_first_appearance(walk_id[fresh])[0]]
+        new = walk_id[first]
+        featurizer, ids, error = self.featurizer, [], None
+        apps, systems = featurizer.app_vocab, featurizer.system_vocab
+        for walk in new.tolist():
+            try:
+                app, system = featurizer._signatures(walks[walk])
+            except StackPartitionError as caught:
+                error = caught
+                break
+            ids.append((apps.lookup(app), systems.lookup(system)))
+        self._walk_rows[new[: len(ids)]] = np.reshape(ids, (-1, 2))
+        return (len(walk_id) if error is None else int(first[len(ids)])), error

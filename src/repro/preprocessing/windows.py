@@ -6,11 +6,12 @@ into one sample — 10 events × 3 dims = the paper's 30-dim vectors — and
 slides the window by ``stride`` events.  Trailing events that do not
 fill a whole window are dropped.
 
-Two coalescers share one geometry: :class:`WindowCoalescer` gathers a
-whole log's windows at once (training and the batch scan, which takes
-them as :class:`WindowArrays` and builds no :class:`Window`), and
-:class:`PushCoalescer` carries a stream's last ``window_events`` rows
-between blocks (the incremental scan), producing the same windows.
+:class:`WindowCoalescer` gathers a whole log's windows at once into
+:class:`WindowArrays` (training and the batch scan), and
+:class:`PushCoalescer` runs the same gather over a stream's blocks,
+carrying the rows and eids of the next window between them (the
+incremental scan).  Only :meth:`WindowCoalescer.coalesce_with_matrix`
+builds :class:`Window` objects, for callers that want them.
 
 Per-window sample weights aggregate the member events' Algorithm-2
 weights (mean by default, max as the pessimistic alternative).
@@ -18,7 +19,6 @@ weights (mean by default, max as the pessimistic alternative).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import List, NamedTuple, Sequence, Tuple
 
@@ -91,29 +91,23 @@ class WindowCoalescer:
     def coalesce_with_matrix(
         self, features: np.ndarray, events: Sequence[EventRecord]
     ) -> Tuple[List[Window], np.ndarray]:
-        """Every window of a featurized log plus the stacked
-        ``(m, 3*window)`` sample matrix, built in one pass — each
+        """:meth:`coalesce_arrays` of a record list as :class:`Window`
+        objects plus the stacked ``(m, 3*window)`` sample matrix — each
         ``Window.vector`` is a row view of the returned matrix."""
-        if len(features) != len(events):
-            raise ValueError("features/events length mismatch")
-        starts = self._starts(len(events))
-        matrix = self._gather(features, starts)
-        last = self.window_events - 1
-        windows = [
-            Window(
-                start_index=int(start),
-                start_eid=events[start].eid,
-                end_eid=events[start + last].eid,
-                vector=matrix[position],
+        windows = self.coalesce_arrays(
+            features, np.array([event.eid for event in events], dtype=object)
+        )
+        return [
+            Window(*fields) for fields in zip(
+                windows.start_index.tolist(), windows.start_eid.tolist(),
+                windows.end_eid.tolist(), windows.matrix,
             )
-            for position, start in enumerate(starts)
-        ]
-        return windows, matrix
+        ], windows.matrix
 
     def push_coalescer(self) -> "PushCoalescer":
         """A fresh push-mode coalescer carrying this coalescer's geometry
         — one per incremental scan."""
-        return PushCoalescer(self.window_events, self.stride)
+        return PushCoalescer(self)
 
     def coalesce_matrix(self, features: np.ndarray) -> np.ndarray:
         """Window vectors only, stacked into an ``(m, 3*window)`` matrix."""
@@ -136,70 +130,38 @@ class WindowCoalescer:
 
 
 class PushCoalescer:
-    """Incremental coalescing: push blocks of events and their feature
-    rows, get back the windows each block completed.
+    """Incremental coalescing: push blocks of event eids and their
+    feature rows, get back the windows each block completed.
 
-    The per-stream state between blocks is a deque of at most
-    ``window_events`` pending rows plus the running event count — the
-    coalescer's share of the streaming-scan memory bound — so window
-    spans and vectors equal :meth:`WindowCoalescer.coalesce_with_matrix`'s
-    over the whole stream, however the stream was cut into blocks.
+    The per-stream state between blocks is the rows and eids from the
+    next window's start on, fewer than ``window_events`` — the
+    coalescer's share of the streaming-scan memory bound.  Each push runs
+    :meth:`WindowCoalescer.coalesce_arrays` over them, so window spans
+    and vectors equal the batch gather's over the whole stream, however
+    the stream was cut into blocks.
     """
 
-    __slots__ = ("window_events", "stride", "buffer", "count")
+    __slots__ = ("coalescer", "rows", "eids", "start", "count")
 
-    def __init__(self, window_events: int, stride: int):
-        if window_events < 1:
-            raise ValueError("window_events must be >= 1")
-        if stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.window_events = window_events
-        self.stride = stride
-        self.buffer: deque = deque(maxlen=window_events)
-        self.count = 0
+    def __init__(self, coalescer: WindowCoalescer):
+        self.coalescer = coalescer
+        self.rows = np.zeros((0, 3))
+        self.eids = np.zeros(0, dtype=np.int64)
+        self.start = 0  # stream index of the next window's first event
+        self.count = 0  # events pushed so far
 
-    def push_block(self, events, rows: np.ndarray) -> "list[Window]":
-        """Push the next block of events (any length) with their
+    def push_block(self, eids: np.ndarray, rows: np.ndarray) -> WindowArrays:
+        """Push the next block of events (any length) as their eids and
         ``(n, 3)`` feature rows; returns the windows whose last event
-        lies in this block.
-
-        A window covering rows ``[j, j+w)`` of the held+new row matrix
-        is that slice flattened — pure data movement, so its vector is
-        bit-identical to the batch gather's.
-        """
-        n = len(events)
-        if n == 0:
-            return []
-        window_events = self.window_events
-        stride = self.stride
-        base = self.count
-        held = list(self.buffer)
-        first_global = base - len(held)
-        if held:
-            combined = np.concatenate(
-                [np.stack([pair[1] for pair in held]), rows]
-            )
-            all_events = [pair[0] for pair in held]
-            all_events.extend(events)
-        else:
-            combined = np.asarray(rows)
-            all_events = list(events)
-        self.count = base + n
-        out: list = []
-        # windows whose final event lies in this block: start index in
-        # [base - w + 1, base + n - w], clamped to >= 0, on the stride
-        lo = max(0, base - window_events + 1)
-        first_start = -(-lo // stride) * stride
-        for start in range(first_start, base + n - window_events + 1, stride):
-            j = start - first_global
-            out.append(
-                Window(
-                    start_index=start,
-                    start_eid=all_events[j].eid,
-                    end_eid=all_events[j + window_events - 1].eid,
-                    vector=combined[j : j + window_events].reshape(-1),
-                )
-            )
-        for pair in zip(events[-window_events:], rows[-window_events:]):
-            self.buffer.append(pair)
-        return out
+        lies in this block."""
+        if len(eids) != len(rows):
+            raise ValueError("features/events length mismatch")
+        skip = min(max(self.start - self.count, 0), len(eids))  # between windows
+        self.count += len(eids)
+        rows = np.concatenate((self.rows, rows[skip:]))
+        eids = np.concatenate((self.eids, eids[skip:]))
+        windows = self.coalescer.coalesce_arrays(rows, eids)
+        taken = len(windows.start_index) * self.coalescer.stride
+        self.rows, self.eids = rows[taken:], eids[taken:]
+        start, self.start = self.start, self.start + taken
+        return windows._replace(start_index=windows.start_index + start)

@@ -68,7 +68,7 @@ from repro.etw.capture import (
     _join_vocab,
     _split_vocab,
 )
-from repro.etw.events import EventRecord
+from repro.etw.events import EventColumns, EventRecord
 from repro.etw.recovery import ParseReport
 
 CHUNK_MAGIC = b"LC"
@@ -193,9 +193,11 @@ class CaptureChunkDecoder:
 
     :meth:`feed` accepts byte fragments cut at *any* boundary and
     returns whatever whole chunks they complete, decoded into
-    ``(events, reports)``.  State (vocabularies, interned frames,
-    walk tuples) accumulates across chunks in the stream's
-    :class:`~repro.etw.capture.DeltaDecoder`, mirroring the encoder.
+    ``(blocks, reports)``: one :class:`~repro.etw.events.EventColumns`
+    per events chunk, over the stream's cumulative tables.  State
+    (vocabularies, interned frames, walk tuples) accumulates across
+    chunks in the stream's :class:`~repro.etw.capture.DeltaDecoder`,
+    mirroring the encoder.
     """
 
     def __init__(self):
@@ -210,10 +212,10 @@ class CaptureChunkDecoder:
 
     def feed(
         self, data: bytes
-    ) -> Tuple[List[EventRecord], List[ParseReport]]:
+    ) -> Tuple[List[EventColumns], List[ParseReport]]:
         """Buffer ``data`` and decode every now-complete chunk."""
         self._buffer.extend(data)
-        events: List[EventRecord] = []
+        blocks: List[EventColumns] = []
         reports: List[ParseReport] = []
         while len(self._buffer) >= CHUNK_HEADER_SIZE:
             magic, version, kind, body_len = _CHUNK_HEADER.unpack_from(
@@ -237,12 +239,12 @@ class CaptureChunkDecoder:
             )
             del self._buffer[: CHUNK_HEADER_SIZE + body_len]
             if kind == CHUNK_EVENTS:
-                self._decode_events(memoryview(body), events)
+                blocks.append(self._decode_events(memoryview(body)))
             elif kind == CHUNK_REPORT:
                 reports.append(self._decode_report(body))
             else:
                 raise ChunkError(f"unknown chunk kind {kind}")
-        return events, reports
+        return blocks, reports
 
     # -- internals -----------------------------------------------------
     def _decode_report(self, body: bytes) -> ParseReport:
@@ -252,7 +254,7 @@ class CaptureChunkDecoder:
         except (ValueError, RecursionError) as error:
             raise ChunkError(f"bad report chunk: {error}") from error
 
-    def _decode_events(self, view: memoryview, out: List[EventRecord]) -> None:
+    def _decode_events(self, view: memoryview) -> EventColumns:
         cursor = _Cursor(view)
         n_events = cursor.u32("event count")
         vocabs = {}
@@ -296,7 +298,7 @@ class CaptureChunkDecoder:
             raise ChunkError(
                 f"{cursor.end - cursor.offset} trailing bytes in events chunk"
             )
-        out.extend(self._decoder.decode(arrays, vocabs).records())
+        return self._decoder.decode(arrays, vocabs)
 
 
 def encode_event_stream(

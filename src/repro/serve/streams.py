@@ -42,11 +42,12 @@ class StreamScanner(streaming.StreamScanner):
         if self._decoder is None:
             self._decoder = CaptureChunkDecoder()
         start = time.perf_counter()
-        events, reports = self._decoder.feed(data)
+        blocks, reports = self._decoder.feed(data)
         self.decode_s += time.perf_counter() - start
         for report in reports:
             self.report.merge(report)
-        self.feed_events(events)
+        for block in blocks:
+            self.feed_events(block)
 
     def finish(self, disconnected: bool = False) -> None:
         """A columnar chunk cut short is fatal on a clean ``END`` and

@@ -55,7 +55,7 @@ import numpy as np
 from pathlib import Path
 
 from repro.core.persistence import BundleError
-from repro.core.streaming import ScoreChunk, score_chunks
+from repro.core.streaming import ScoreChunk, detection_rows, score_chunks
 from repro.etw.capture import CaptureError, is_capture_path, load_capture
 from repro.etw.parser import ParseError, evict_frame_intern, frame_intern_stats
 from repro.etw.stack_partition import StackPartitionError
@@ -80,19 +80,6 @@ _STREAM_ERRORS = (ParseError, ChunkError, StackPartitionError)
 def shard_for(stream_id: str, n_shards: int) -> int:
     """Stable shard assignment — same stream, same shard, always."""
     return zlib.crc32(stream_id.encode("utf-8")) % n_shards
-
-
-def _detection_rows(chunk: ScoreChunk, scores: np.ndarray) -> List[tuple]:
-    return [
-        (
-            window.start_index,
-            window.start_eid,
-            window.end_eid,
-            float(score),
-            bool(score < 0.0),
-        )
-        for window, score in zip(chunk.windows, scores)
-    ]
 
 
 class _ShardState:
@@ -242,7 +229,7 @@ def _handle(state: _ShardState, put, message) -> bool:
                 capture = load_capture(path)
                 if capture.report is not None:
                     scanner.report.merge(capture.report)
-                scanner.feed_events(list(capture.events))
+                scanner.feed_events(capture.columns)
                 scanner.bytes_seen += sum(
                     entry.stat().st_size for entry in Path(path).iterdir()
                 )
@@ -334,12 +321,12 @@ def _flush(state: _ShardState, put) -> None:
         state.flushed_chunks += len(chunks)
         state.batches += 1
         for chunk, scores in zip(chunks, results):
-            rows = _detection_rows(chunk, scores)
+            rows = list(detection_rows(chunk.windows, scores))
             state.windows_scored += len(rows)
             state.batch_windows += len(rows)
             state.detections_total += len(rows)
             state.flagged_total += sum(1 for row in rows if row[4])
-            state.latencies.extend(now - t for t in chunk.times)
+            state.latencies.extend((now - chunk.times).tolist())
             put(("detections", chunk.stream_id, rows))
     # resume streams whose unscored backlog drained
     for stream_id in sorted(state.paused):

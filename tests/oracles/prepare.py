@@ -3,7 +3,7 @@
 
 Parses every log into records, partitions every event's walk for
 Algorithms 1 and 2, fits the vocabularies one event at a time,
-featurizes through the records ``transform`` and aggregates the window
+featurizes one event at a time and aggregates the window
 weights one window at a time.  The columnar prepare must produce the
 same ``X``/``y``/``c`` bytes, the same vocabulary key order and equal
 CFGs, and raise the same errors.
@@ -15,6 +15,8 @@ from repro.core.pipeline import PreparedTraining
 from repro.core.weights import WeightAssessor
 from repro.learning.scaling import Standardizer
 from repro.preprocessing.features import EventFeaturizer
+
+from tests.oracles.features import transform_naive
 
 
 def fit_records(featurizer, *event_streams):
@@ -75,11 +77,11 @@ def prepare_training_naive(pipeline, benign_logs, mixed_logs, rng=None):
     )
     coalescer = pipeline.coalescer
     benign_blocks = [
-        coalescer.coalesce_matrix(featurizer.transform(events))
+        coalescer.coalesce_matrix(transform_naive(featurizer, events))
         for events in benign_event_logs
     ]
     mixed_blocks = [
-        coalescer.coalesce_matrix(featurizer.transform(events))
+        coalescer.coalesce_matrix(transform_naive(featurizer, events))
         for events in mixed_event_logs
     ]
     n_benign_windows = sum(len(block) for block in benign_blocks)

@@ -16,11 +16,12 @@ import numpy as np
 from repro.etw.parser import iter_parse
 from repro.preprocessing.windows import Window
 
+from tests.oracles.features import event_row
+
 
 def score_stream_naive(pipeline, lines, report=None, policy=None):
     """Yield ``(window, decision_value)`` pairs off raw lines."""
     featurizer = pipeline.featurizer
-    vocabs = (featurizer.etype_vocab, featurizer.app_vocab, featurizer.system_vocab)
     width = pipeline.coalescer.window_events
     stride = pipeline.coalescer.stride
     chunk = pipeline.config.stream_chunk_windows
@@ -28,10 +29,7 @@ def score_stream_naive(pipeline, lines, report=None, policy=None):
     held = deque(maxlen=width)
     pending = []
     for count, event in enumerate(events, start=1):
-        attributes = featurizer.attributes(event)
-        row = np.array(
-            [vocab.lookup(key) for vocab, key in zip(vocabs, attributes)], dtype=float
-        )
+        row = np.array(event_row(featurizer, event), dtype=float)
         held.append((event, row))
         start = count - width
         if start >= 0 and start % stride == 0:

@@ -58,31 +58,3 @@ def test_bench_table1_quick_emits_valid_json(tmp_path):
     # the measured-vs-paper table renders one line per row plus header
     lines = table.read_text().splitlines()
     assert len(lines) == 2 + len(payload["datasets"])
-
-
-def test_bench_ingest_emits_valid_json(data_dir, tmp_path):
-    output = tmp_path / "BENCH_ingest.json"
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
-    completed = subprocess.run(
-        [
-            sys.executable,
-            str(REPO_ROOT / "benchmarks" / "bench_ingest.py"),
-            "--repeats", "1",
-            "--output", str(output),
-        ],
-        cwd=REPO_ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert completed.returncode == 0, completed.stderr
-
-    payload = json.loads(output.read_text())
-    assert payload["schema"] == "leaps-bench-ingest/v1"
-    assert {"parse", "recovery", "scan"} <= set(payload)
-    assert payload["parse"]["strict"]["lines_per_s"] > 0
-    assert payload["parse"]["drop"]["lines_per_s"] > 0
-    # every fault-corpus mutator produced a measured recovery entry
-    assert len(payload["recovery"]) == 7
-    assert payload["scan"]["windows"] > 0

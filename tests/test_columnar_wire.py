@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
+from repro.core.streaming import detection_rows
 from repro.serve import score_chunks
 from repro.serve.columnar import (
     CHUNK_HEADER_SIZE,
@@ -46,6 +47,11 @@ def encode_blob(events, report=None, chunk_events=8192):
     return b"".join(encode_event_stream(events, report, chunk_events))
 
 
+def records_of(blocks):
+    """The events of decoded blocks as one record list."""
+    return [record for block in blocks for record in block.records()]
+
+
 def scan_columnar(detector, blob, cuts=()):
     """Feed a chunk blob through a :class:`StreamScanner` in fragments
     cut at ``cuts`` and score it; returns (detection rows, scanner)."""
@@ -57,11 +63,7 @@ def scan_columnar(detector, blob, cuts=()):
     chunks = scanner.take_ready()
     rows = []
     for chunk, scores in zip(chunks, score_chunks(chunks)):
-        for window, score in zip(chunk.windows, scores):
-            rows.append(
-                (window.start_index, window.start_eid, window.end_eid,
-                 float(score))
-            )
+        rows.extend(row[:4] for row in detection_rows(chunk.windows, scores))
     return rows, scanner
 
 
@@ -79,8 +81,10 @@ class TestCodecRoundTrip:
     def test_events_and_interning_survive_the_wire(self):
         events = parse_fast(TINY_LOG.splitlines())
         decoder = CaptureChunkDecoder()
-        got, reports = decoder.feed(encode_blob(events, chunk_events=2))
+        blocks, reports = decoder.feed(encode_blob(events, chunk_events=2))
         assert reports == []
+        assert [block.n_events for block in blocks] == [2, 1]
+        got = records_of(blocks)
         assert got == list(events)
         for mine, theirs in zip(got, events):
             for frame_a, frame_b in zip(mine.frames, theirs.frames):
@@ -96,8 +100,10 @@ class TestCodecRoundTrip:
         again = encoder.encode_events(events)
         assert len(again) < len(first)
         decoder = CaptureChunkDecoder()
-        got, _ = decoder.feed(first + again)
-        assert got == list(events) + list(events)
+        blocks, _ = decoder.feed(first + again)
+        assert records_of(blocks) == list(events) + list(events)
+        # both blocks index the decoder's one set of cumulative tables
+        assert blocks[0].walks is blocks[1].walks
 
     def test_report_chunk_round_trips(self):
         report = ParseReport()
@@ -207,11 +213,11 @@ class TestCodecValidation:
     def test_truncated_body_stays_buffered(self):
         blob = self.blob()
         decoder = CaptureChunkDecoder()
-        events, _ = decoder.feed(blob[:-1])
-        assert events == []
+        blocks, _ = decoder.feed(blob[:-1])
+        assert blocks == []
         assert decoder.buffered_bytes == len(blob) - 1
-        events, _ = decoder.feed(blob[-1:])
-        assert len(events) == len(TINY_LOG.splitlines()) // 5
+        blocks, _ = decoder.feed(blob[-1:])
+        assert len(records_of(blocks)) == len(TINY_LOG.splitlines()) // 5
         assert decoder.buffered_bytes == 0
 
     def test_id_out_of_range(self):
@@ -239,7 +245,7 @@ class TestCodecValidation:
         reversed_walk = events[0].with_frames(events[0].frames[::-1])
         second = encoder.encode_events([reversed_walk])
         decoder = CaptureChunkDecoder()
-        assert decoder.feed(first)[0] == list(events)
+        assert records_of(decoder.feed(first)[0]) == list(events)
         with pytest.raises(ChunkError, match="frame_index"):
             decoder.feed(second)
 

@@ -187,6 +187,17 @@ def _chunked(lines, seed):
     return chunks
 
 
+def stream_records(parser, block):
+    """A :class:`StreamingParser` block as records, after checking that
+    it indexes the stream's one set of cumulative tables."""
+    assert isinstance(block, EventColumns)
+    assert block.n_events == len(block.walk_id) == len(block.eid)
+    assert block.walks is parser._walks
+    for name, (_, vocab) in zip(("process", "category", "name"), parser._tables):
+        assert getattr(block, f"{name}_vocab") is vocab
+    return block.records()
+
+
 def run_streaming(lines, policy, seed, rct=False, chunks=None):
     """Feed one input through StreamingParser in seeded chunks (or the
     given ``chunks``) and the scalar parser whole; assert total
@@ -209,11 +220,11 @@ def run_streaming(lines, policy, seed, rct=False, chunks=None):
         warnings.simplefilter("ignore")
         try:
             for chunk in chunks:
-                stream_events.extend(parser.feed_lines(chunk))
-            stream_events.extend(parser.finish())
+                stream_events.extend(stream_records(parser, parser.feed_lines(chunk)))
+            stream_events.extend(stream_records(parser, parser.finish()))
         except ParseError as error:
             stream_error = error
-            stream_events.extend(error.events)
+            stream_events.extend(stream_records(parser, error.events))
         try:
             for event in iter_parse(
                 lines,
@@ -273,7 +284,7 @@ class TestStreamingParser:
         parser = StreamingParser(policy="drop", backlog_limit=8)
         parser.feed_lines(["# preamble"] * 9)  # no EVENT line in sight
         assert parser.scalar_mode
-        assert parser.finish() == []
+        assert parser.finish().n_events == 0
         assert parser.report.events_yielded == 0
 
     def test_feed_after_finish_rejected(self):
@@ -308,7 +319,7 @@ class TestStreamingParser:
         if policy == "strict":
             assert events is None
             parser = StreamingParser(policy="strict")
-            assert parser.feed_lines(lines[:6]) == []  # event 0 stays open
+            assert parser.feed_lines(lines[:6]).n_events == 0  # event 0 stays open
         else:
             assert [event.eid for event in events] == [0, 2]
 
@@ -554,9 +565,9 @@ class TestFastPathCoverage:
             parser = StreamingParser(policy="strict")
             events = []
             for chunk in _chunked(lines, seed):
-                events.extend(parser.feed_lines(chunk))
+                events.extend(stream_records(parser, parser.feed_lines(chunk)))
             assert fed == []
-            events.extend(parser.finish())
+            events.extend(stream_records(parser, parser.finish()))
             assert fed == lines[final_block:]
             assert events == reference
             assert not parser.scalar_mode

@@ -1,5 +1,10 @@
 """Raw-log parser: structure, correlation, errors, round-trip."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.etw.events import EventRecord, StackFrame
@@ -190,6 +195,29 @@ class TestRoundTrip:
         events = parser.parse_lines(tiny_log_lines)
         assert serialize_events(events) == tiny_log_lines
         assert parser.parse_lines(serialize_events(events)) == events
+
+
+    def test_unpickled_frame_hashes_in_its_own_process(self):
+        """A frame caches its hash, but a pickled frame must not carry it
+        into a process whose ``str`` hashes are salted differently."""
+        fields = (3, "kernel32.dll", "CreateFileW", 0x7FF0)
+        code = (
+            "import pickle, sys\n"
+            "from repro.etw.events import StackFrame\n"
+            "frame = pickle.loads(sys.stdin.buffer.read())\n"
+            f"print(hash(frame) == hash(StackFrame(*{fields!r})))\n"
+        )
+        env = dict(
+            os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path)
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(StackFrame(*fields)),
+            capture_output=True,
+            env=env,
+            check=True,
+        )
+        assert done.stdout.split() == [b"True"]
 
 
 class TestFrameIntern:

@@ -1,11 +1,11 @@
 """Scan fast path: vectorized featurization and the parallel fleet scan.
 
 The fast path must be invisible in the results: ``transform`` over a
-whole log equals the stacked rows of each event transformed alone bit
-for bit, ``transform_columns`` over a capture's columns equals
-``transform`` over its records, ``scan_log`` equals the streaming scan,
-and ``scan_logs`` returns the same detections for any worker count and
-for either storage form of a log.
+whole log equals the rows of each event featurized alone
+(``tests/oracles/features.py``) bit for bit, ``transform_columns`` over
+columns equals those rows of their records, ``scan_log`` equals the
+streaming scan, and ``scan_logs`` returns the same detections for any
+worker count and for either storage form of a log.
 """
 
 from pathlib import Path
@@ -24,6 +24,7 @@ from repro.etw.stack_partition import StackPartitionError
 from repro.preprocessing.features import EventFeaturizer
 
 from tests.conftest import TINY_LOG
+from tests.oracles.features import transform_naive
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
@@ -72,7 +73,7 @@ class TestVectorizedTransform:
 
     @staticmethod
     def event_rows(featurizer, events):
-        return np.concatenate([featurizer.transform([e]) for e in events])
+        return transform_naive(featurizer, events)
 
     def test_matches_stacked_transform_event_rows(self):
         events = RawLogParser().parse_lines(make_log(SCAN_SPECS))
@@ -117,7 +118,7 @@ class TestVectorizedTransform:
     @example(events=[(0, 3, 0, 0), (1, 3, 1, 4), (2, 3, 2, 3)], n_fit=1)
     @example(events=[], n_fit=0)
     def test_columns_match_records(self, events, n_fit):
-        """``transform_columns`` equals ``transform`` over the records,
+        """``transform_columns`` equals the per-event rows of the records,
         or raises the same ``StackPartitionError`` with the same
         message.  The featurizer is fitted on a prefix of the events'
         partitionable records, so some attributes are unknown."""
@@ -127,7 +128,7 @@ class TestVectorizedTransform:
             [r for r in records[:n_fit] if r.frames in _TINY_WALKS]
         )
         try:
-            want = featurizer.transform(records)
+            want = transform_naive(featurizer, records)
         except StackPartitionError as error:
             with pytest.raises(StackPartitionError) as raised:
                 featurizer.transform_columns(cols)

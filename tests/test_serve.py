@@ -28,6 +28,7 @@ from repro.serve import (
 from repro import LeapsConfig, LeapsDetector
 
 from tests.faults import fault_corpus
+from tests.oracles.stream_scan import score_stream_naive
 from tests.test_api import APP, SYS, make_log, tiny_training_logs
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
@@ -523,6 +524,43 @@ class TestColumnarWire:
             assert outcome.result["report"]["events_yielded"] == len(
                 SCAN_SPECS
             )
+        finally:
+            handle.stop()
+
+    def test_unique_walk_per_event_matches_oracle(self, detector, registry):
+        """A stream in which every event has its own walk (STACK
+        addresses unique per event), so every per-stream table grows by
+        one entry per event: ``scan_stream`` and a served columnar
+        stream in 250-event slices both equal the per-event oracle."""
+        from repro.etw.fastparse import parse_fast
+
+        lines = []
+        for line in make_log(SCAN_SPECS * 40):
+            if line.startswith("STACK|"):
+                fields = line.split("|")
+                address = int(fields[5], 16) + (int(fields[1]) << 24)
+                line = "|".join(fields[:5] + [f"0x{address:x}"])
+            lines.append(line)
+        events = parse_fast(lines)
+        assert len({event.frames for event in events}) == len(events)
+        want = [
+            (window.start_index, window.start_eid, window.end_eid,
+             float(score), bool(score < 0.0))
+            for window, score in score_stream_naive(detector.pipeline, lines)
+        ]
+        assert len(want) > detector.config.stream_chunk_windows
+        assert rows(detector.scan_stream(lines)) == want
+        handle = start_in_thread(registry, executor="thread")
+        try:
+            client = ServeClient(handle.address)
+            client.hello("unique-walks")
+            client.send_events(events, chunk_events=250)
+            outcome = client.finish()
+            assert outcome.error is None
+            assert outcome.detections == want
+            assert {tuple(map(type, row)) for row in outcome.detections} == {
+                (int, int, int, float, bool)
+            }
         finally:
             handle.stop()
 

@@ -1,7 +1,9 @@
 """Streaming scan: equivalence with the batch path, with the per-event
 oracle, and bounded memory."""
 
+import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ import pytest
 from repro import LeapsConfig, LeapsDetector, ParseReport
 from repro.core import streaming
 from repro.core.pipeline import LeapsPipeline, NotTrainedError
-from repro.etw.parser import ParseError, ParseMachine, iter_parse
+from repro.etw.fastparse import parse_columns
+from repro.etw.parser import ParseError, ParseMachine
 from repro.etw.stack_partition import StackPartitionError
-from repro.preprocessing.windows import WindowCoalescer
+from repro.preprocessing.windows import Window, WindowCoalescer
 
+from tests.oracles.features import transform_naive
 from tests.oracles.stream_scan import score_stream_naive
+from tests.test_windows import assert_same_windows
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log, tiny_training_logs
 
 
@@ -38,7 +43,7 @@ def featurize_log(pipeline, lines):
     window metadata and the scaled sample matrix."""
     events = pipeline.parser.parse_lines(lines)
     windows, matrix = pipeline.coalescer.coalesce_with_matrix(
-        pipeline.featurizer.transform(events), events
+        transform_naive(pipeline.featurizer, events), events
     )
     return windows, pipeline.standardizer.transform(matrix)
 
@@ -49,29 +54,33 @@ SCAN_SPECS = [("read", APP + SYS), ("beacon", PAYLOAD + NET)] * 8
 class TestCoalescerStream:
     @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
     def test_push_block_matches_batch(self, window, stride):
-        events = list(iter_parse(make_log(SCAN_SPECS)))
-        features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
+        events = parse_columns(make_log(SCAN_SPECS))
+        features = np.arange(events.n_events * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        batch, _ = coalescer.coalesce_with_matrix(features, events)
-        stream = coalescer.push_coalescer().push_block(events, features)
-        assert len(stream) == len(batch)
-        for got, want in zip(stream, batch):
-            assert got.start_index == want.start_index
-            assert got.start_eid == want.start_eid
-            assert got.end_eid == want.end_eid
-            assert np.array_equal(got.vector, want.vector)
+        batch = coalescer.coalesce_arrays(features, events.eid)
+        stream = coalescer.push_coalescer().push_block(events.eid, features)
+        assert len(stream.start_index) == len(batch.start_index) > 0
+        assert_same_windows(stream, batch)
 
     def test_short_stream_yields_nothing(self):
         coalescer = WindowCoalescer(window_events=10, stride=5)
-        events = list(iter_parse(make_log(SCAN_SPECS[:3])))
-        assert coalescer.push_coalescer().push_block(events, np.zeros((3, 3))) == []
+        events = parse_columns(make_log(SCAN_SPECS[:3]))
+        windows = coalescer.push_coalescer().push_block(events.eid, np.zeros((3, 3)))
+        assert len(windows.start_index) == 0
+        assert windows.matrix.shape == (0, 30)
 
 
 class TestStreamEquivalence:
     def test_scan_log_is_scan_stream(self):
         detector = tiny_detector()
         lines = make_log(SCAN_SPECS)
-        assert detector.scan_log(lines) == list(detector.scan_stream(lines))
+        streamed = list(detector.scan_stream(lines))
+        assert detector.scan_log(lines) == streamed
+        # exact Python scalars, not floats that merely compare equal
+        assert {
+            tuple(type(value) for value in astuple(detection))
+            for detection in streamed
+        } == {(int, int, int, float, bool)}
 
     def test_stream_matches_batch_reference_bit_identically(self):
         """With the whole log in one scoring chunk, the streaming path
@@ -143,6 +152,21 @@ class TestStreamIngestion:
         with pytest.raises(ValueError, match="unknown parse policy"):
             tiny_detector().scan_stream([], policy="lenient")
 
+    def test_text_parse_counts_as_decode(self, monkeypatch):
+        """``decode_s`` is bytes → events in the text wire mode too: the
+        parser's time is in it."""
+        scanner = streaming.StreamScanner("s", tiny_detector().pipeline)
+        feed = scanner.parser.feed_lines
+
+        def slow_feed(*args, **kwargs):
+            time.sleep(0.02)
+            return feed(*args, **kwargs)
+
+        monkeypatch.setattr(scanner.parser, "feed_lines", slow_feed)
+        scanner.feed_bytes(("\n".join(make_log(SCAN_SPECS)) + "\n").encode())
+        assert scanner.events_seen == len(SCAN_SPECS) - 1  # last one held
+        assert scanner.decode_s >= 0.02
+
 
 #: corrupt lines the oracle property test splices into a log: a foreign
 #: tag (the open event survives it) and a short EVENT line (it drops the
@@ -150,6 +174,20 @@ class TestStreamIngestion:
 CORRUPT_LINES = ("@@corrupt@@", "EVENT|1|2")
 #: an app frame below a system frame: parses, but does not partition
 UNPARTITIONABLE = ("read", SYS[:1] + APP)
+
+
+def window_pairs(scan):
+    """A chunk scan (``score_stream``) as the oracle's ``(window,
+    score)`` pairs."""
+    def pairs(*args, **kwargs):
+        for windows, scores in scan(*args, **kwargs):
+            yield from zip(
+                map(Window, windows.start_index.tolist(),
+                    windows.start_eid.tolist(), windows.end_eid.tolist(),
+                    windows.matrix),
+                scores,
+            )
+    return pairs
 
 
 def oracle_outcome(scan, *args, **kwargs):
@@ -183,7 +221,8 @@ class TestOracleEquivalence:
     def check(self, pipeline, lines, policy):
         report, oracle_report = ParseReport(), ParseReport()
         got, error = oracle_outcome(
-            pipeline.score_stream, lines, report=report, policy=policy
+            window_pairs(pipeline.score_stream), lines, report=report,
+            policy=policy,
         )
         want, oracle_error = oracle_outcome(
             score_stream_naive, pipeline, lines, report=oracle_report,

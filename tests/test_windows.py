@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.etw.events import EventRecord
-from repro.preprocessing.windows import WindowCoalescer
+from repro.preprocessing.windows import WindowArrays, WindowCoalescer
 
 
 def make_events(n):
@@ -80,87 +80,104 @@ class TestWindowWeights:
             WindowCoalescer(stride=0)
 
 
-def push_one(coalescer, event, row):
-    """Push a single event — the smallest block — and return the window
-    it completed, if any."""
-    windows = coalescer.push_block([event], row[None, :])
-    assert len(windows) <= 1
-    return windows[0] if windows else None
+def make_eids(n):
+    """Eids unequal to event indices, so a swapped field shows."""
+    return 100 + 3 * np.arange(n, dtype=np.int64)
+
+
+def push_one(coalescer, eid, row):
+    """Push a single event — the smallest block — and return the windows
+    it completed (at most one)."""
+    windows = coalescer.push_block(np.array([eid]), row[None, :])
+    assert len(windows.start_index) <= 1
+    return windows
+
+
+def joined(blocks):
+    """The windows of several pushes as one :class:`WindowArrays`."""
+    return WindowArrays(*(np.concatenate(column) for column in zip(*blocks)))
 
 
 def assert_same_windows(got, want):
-    assert len(got) == len(want)
-    for mine, theirs in zip(got, want):
-        assert mine.start_index == theirs.start_index
-        assert mine.start_eid == theirs.start_eid
-        assert mine.end_eid == theirs.end_eid
-        assert np.array_equal(mine.vector, theirs.vector)
+    """Two :class:`WindowArrays` hold the same windows, bit for bit."""
+    assert got.start_index.tolist() == want.start_index.tolist()
+    assert got.start_eid.tolist() == want.start_eid.tolist()
+    assert got.end_eid.tolist() == want.end_eid.tolist()
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
 
 
 class TestPushCoalescer:
     """The incremental push coalescer must reproduce the batch gather
     (and hence the batch scan) window for window."""
 
-    @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
+    @pytest.mark.parametrize(
+        "window,stride", [(2, 1), (3, 2), (4, 4), (5, 3), (2, 3), (3, 7)]
+    )
     def test_push_matches_batch(self, window, stride):
-        events = make_events(17)
-        features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
+        eids = make_eids(17)
+        features = np.arange(len(eids) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
-        batch, _ = coalescer.coalesce_with_matrix(features, events)
+        batch = coalescer.coalesce_arrays(features, eids)
         push = coalescer.push_coalescer()
-        pushed = [
-            w
-            for event, row in zip(events, features)
-            for w in [push_one(push, event, row)]
-            if w is not None
-        ]
+        pushed = joined(
+            [push_one(push, eid, row) for eid, row in zip(eids, features)]
+        )
         assert_same_windows(pushed, batch)
 
     def test_short_stream_pushes_nothing(self):
         push = WindowCoalescer(window_events=10, stride=5).push_coalescer()
-        for event in make_events(9):
-            assert push_one(push, event, np.zeros(3)) is None
+        for eid in make_eids(9):
+            assert len(push_one(push, eid, np.zeros(3)).start_index) == 0
 
     def test_fresh_push_coalescer_per_stream(self):
         coalescer = WindowCoalescer(window_events=2, stride=1)
         first, second = coalescer.push_coalescer(), coalescer.push_coalescer()
-        events = make_events(4)
-        for event in events[:3]:
-            push_one(first, event, np.zeros(3))
+        eids = make_eids(4)
+        for eid in eids[:3]:
+            push_one(first, eid, np.zeros(3))
         # a second stream's coalescer starts from scratch
-        assert push_one(second, events[0], np.zeros(3)) is None
-        assert push_one(second, events[1], np.zeros(3)) is not None
+        assert len(push_one(second, eids[0], np.zeros(3)).start_index) == 0
+        assert len(push_one(second, eids[1], np.zeros(3)).start_index) == 1
 
-    @pytest.mark.parametrize("window,stride", [(2, 1), (3, 2), (4, 4), (5, 3)])
+    @pytest.mark.parametrize(
+        "window,stride", [(2, 1), (3, 2), (4, 4), (5, 3), (2, 3), (3, 7)]
+    )
     @pytest.mark.parametrize("split", [1, 3, 6, 17])
     def test_push_block_matches_scalar_push(self, window, stride, split):
         """Block pushes in any splitting reproduce the scalar stream —
         one event per push — window for window, bit for bit."""
-        events = make_events(17)
-        features = np.arange(len(events) * 3, dtype=float).reshape(-1, 3)
+        eids = make_eids(17)
+        features = np.arange(len(eids) * 3, dtype=float).reshape(-1, 3)
         coalescer = WindowCoalescer(window_events=window, stride=stride)
         scalar = coalescer.push_coalescer()
-        want = [
-            w
-            for event, row in zip(events, features)
-            for w in [push_one(scalar, event, row)]
-            if w is not None
-        ]
+        want = joined(
+            [push_one(scalar, eid, row) for eid, row in zip(eids, features)]
+        )
         block = coalescer.push_coalescer()
-        got = []
-        for start in range(0, len(events), split):
-            got.extend(
-                block.push_block(
-                    events[start : start + split],
-                    features[start : start + split],
-                )
-            )
+        got = joined([
+            block.push_block(eids[start : start + split],
+                             features[start : start + split])
+            for start in range(0, len(eids), split)
+        ])
         assert_same_windows(got, want)
         # the two coalescers stay interchangeable mid-stream
-        extra = make_events(20)[17:]
-        for event in extra:
-            row = np.full(3, float(event.eid))
-            a, b = push_one(scalar, event, row), push_one(block, event, row)
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.array_equal(a.vector, b.vector)
+        for eid in make_eids(20)[17:]:
+            row = np.full(3, float(eid))
+            assert_same_windows(
+                push_one(block, eid, row), push_one(scalar, eid, row)
+            )
+
+    def test_eids_past_int64_join_int64_eids(self):
+        """A text stream's eids may leave int64 mid-stream (the text
+        format bounds no integer): the held int64 eids and the new
+        Python-int eids meet in one window."""
+        coalescer = WindowCoalescer(window_events=2, stride=1)
+        push = coalescer.push_coalescer()
+        first = np.array([2**63 - 2, 2**63 - 1], dtype=np.int64)
+        beyond = np.array([2**63, 2**63 + 1], dtype=object)
+        push.push_block(first, np.zeros((2, 3)))
+        windows = push.push_block(beyond, np.ones((2, 3)))
+        assert windows.start_eid.tolist() == [2**63 - 1, 2**63]
+        assert windows.end_eid.tolist() == [2**63, 2**63 + 1]
+        assert all(type(eid) is int for eid in windows.start_eid.tolist())
