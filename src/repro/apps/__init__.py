@@ -4,9 +4,7 @@
 """
 
 from repro.apps.base import AppSpec, Operation
-from repro.apps.workloads import run_workload
 from repro.apps import chrome, notepadpp, putty, vim, winscp
-from repro.apps.background import BACKGROUND_APPS, machine_log
 
 APPS = {
     spec.name: spec
@@ -19,7 +17,4 @@ __all__ = [
     "APPS",
     "AppSpec",
     "Operation",
-    "BACKGROUND_APPS",
-    "machine_log",
-    "run_workload",
 ]

@@ -1,7 +1,8 @@
 """Attack scenario models: payloads, polymorphic builds, delivery.
 
-See DESIGN.md §13 — ``msfvenom`` + ``deliver`` + ``run_attack`` is the
-whole attacker toolchain at LEAPS's observational level.
+See DESIGN.md §13 — ``msfvenom`` + ``deliver`` is the whole attacker
+toolchain at LEAPS's observational level; the generator emits the
+delivered payload's events.
 """
 
 from repro.attacks.encoder import PayloadBuild, PolymorphicEncoder
@@ -11,14 +12,7 @@ from repro.attacks.injection import (
     UNKNOWN_MODULE,
     inject_online,
 )
-from repro.attacks.metasploit import (
-    DELIVERY_METHODS,
-    deliver,
-    msfvenom,
-    run_attack,
-    run_beacon,
-    run_setup,
-)
+from repro.attacks.metasploit import DELIVERY_METHODS, deliver, msfvenom
 from repro.attacks.payloads import PAYLOADS, PayloadOp, PayloadSpec
 
 __all__ = [
@@ -35,7 +29,4 @@ __all__ = [
     "infect_offline",
     "inject_online",
     "msfvenom",
-    "run_attack",
-    "run_beacon",
-    "run_setup",
 ]

@@ -6,8 +6,9 @@ and addresses every build* while the system-event taxonomy (syscalls,
 categories, opcodes, system chains) is untouched — injected code still
 has to call the same OS.  :class:`PolymorphicEncoder.encode` is that
 transform: it maps each logical payload role to an obfuscated
-``sub_xxxxxxxx`` name drawn from the build's seed, and hands out the
-build RNG used to place those symbols in memory.  Two builds of the
+``sub_xxxxxxxx`` name drawn from the build's seed (delivery places
+those symbols in memory with its own per-build RNG,
+:func:`repro.attacks.infection.build_layout_rng`).  Two builds of the
 same payload share no role names (seeded 32-bit draws per build make a
 collision vanishingly unlikely), so signature matching on app-space
 call paths fails across builds — the property
@@ -52,13 +53,6 @@ class PolymorphicEncoder:
 
     def __init__(self, seed: str):
         self.seed = seed
-
-    def build_rng(self, spec: PayloadSpec, build_id: str) -> random.Random:
-        """The RNG that places this build's symbols in memory — handed
-        to the infection/injection step so layout is per-build too."""
-        return random.Random(
-            f"leaps-encoder:{self.seed}:{spec.name}:{build_id}:layout"
-        )
 
     def encode(self, spec: PayloadSpec, build_id: str) -> PayloadBuild:
         rng = random.Random(

@@ -1,25 +1,23 @@
-"""msfvenom/handler facade: build → deliver → run a beacon session.
+"""msfvenom facade: build → deliver.
 
 Thin orchestration over the payload/encoder/delivery modules with the
 same shape the real toolchain has: :func:`msfvenom` produces an
-encoded build, :func:`deliver` drops it via either delivery model, and
-:func:`run_attack` plays the handler side — setup ops once, then
-weighted beacon traffic — emitting fully-walked events through an
-:class:`~repro.winsys.process.EventTracer`.
+encoded build and :func:`deliver` drops it into a spawned process via
+either delivery model.  The resulting
+:class:`~repro.attacks.infection.AttackInstance` turns each payload op
+into a concrete app-space walk; the generator
+(:mod:`repro.datasets.fastgen`) emits the handler-side traffic — setup
+ops once, then weighted beacon traffic — from those walks.
 """
 
 from __future__ import annotations
-
-import random
-from typing import List
 
 from repro.apps.base import AppSpec
 from repro.attacks.encoder import PayloadBuild, PolymorphicEncoder
 from repro.attacks.infection import AttackInstance, infect_offline
 from repro.attacks.injection import inject_online
-from repro.attacks.payloads import PAYLOADS, PayloadOp
-from repro.etw.events import EventRecord
-from repro.winsys.process import EventTracer, SimulatedProcess
+from repro.attacks.payloads import PAYLOADS
+from repro.winsys.process import SimulatedProcess
 
 DELIVERY_METHODS = ("offline", "online")
 
@@ -43,51 +41,3 @@ def deliver(
     raise ValueError(
         f"unknown delivery method {method!r}; expected {DELIVERY_METHODS}"
     )
-
-
-def emit_attack(
-    tracer: EventTracer,
-    instance: AttackInstance,
-    op: PayloadOp,
-) -> EventRecord:
-    """Emit one payload op through the tracer on the payload thread."""
-    return tracer.emit(
-        op.name, op.syscall, instance.app_path(op), tid=instance.tid
-    )
-
-
-def run_setup(
-    tracer: EventTracer, instance: AttackInstance
-) -> List[EventRecord]:
-    """The one-time staging burst (runs at first payload activation)."""
-    return [
-        emit_attack(tracer, instance, op)
-        for op in instance.build.spec.setup_ops()
-    ]
-
-
-def run_beacon(
-    tracer: EventTracer,
-    instance: AttackInstance,
-    n_events: int,
-    rng: random.Random,
-) -> List[EventRecord]:
-    """``n_events`` of weighted steady-state payload traffic."""
-    ops = instance.build.spec.beacon_ops()
-    weights = [op.weight for op in ops]
-    return [
-        emit_attack(tracer, instance, op)
-        for op in rng.choices(ops, weights=weights, k=n_events)
-    ]
-
-
-def run_attack(
-    tracer: EventTracer,
-    instance: AttackInstance,
-    n_events: int,
-    rng: random.Random,
-) -> List[EventRecord]:
-    """Setup once, then beacon traffic, ``n_events`` total."""
-    setup = run_setup(tracer, instance)
-    remaining = max(0, n_events - len(setup))
-    return setup + run_beacon(tracer, instance, remaining, rng)

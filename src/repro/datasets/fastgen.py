@@ -1,9 +1,10 @@
-"""Vectorized columnar scenario synthesis — the generation fast path.
+"""Vectorized columnar scenario synthesis — the one scenario emitter.
 
-A per-event tracer (``repro.winsys.process.EventTracer``) costs
-~30µs/event: one ``EventRecord``, one stack walk, one RNG draw per
-event, then a text serialization pass.  This module synthesizes
-columns instead: every distinct *emission* a session can produce — a
+Tracing event by event (the per-event oracle in
+``tests/oracles/generation.py``) costs ~30µs/event: one
+``EventRecord``, one stack walk, one RNG draw per event, then a text
+serialization pass.  This module synthesizes columns instead: every
+distinct *emission* a session can produce — a
 (benign operation, call path) pair or a payload operation — is
 materialized **once** per session as a row of an
 :class:`EmissionTable` (walk tuple, pre-escaped bytes template, opcode,
@@ -39,14 +40,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.apps.base import AppSpec, Operation
 from repro.attacks.infection import AttackInstance
-from repro.attacks.payloads import PayloadOp
-from repro.etw.events import EventColumns, StackFrame
+from repro.etw.events import EventColumns, StackFrame, intern_codes
 from repro.winsys.process import SimulatedProcess
 from repro.winsys.syscalls import SYSCALLS
 
@@ -265,8 +265,8 @@ def build_emission_table(
     """Materialize every emission row of one session.
 
     Walks are resolved through the live (possibly trojaned/injected)
-    process exactly as the per-event tracer would resolve them, but once
-    per row instead of once per event.
+    process exactly as the per-event oracle resolves them, but once per
+    row instead of once per event.
     """
     names: List[str] = []
     categories: List[str] = []
@@ -483,54 +483,30 @@ def to_event_columns(
     order over the events (the writer's invariant); since every event
     of one emission type is identical up to eid/timestamp, first
     appearance over events equals first appearance over emission types
-    ordered by their first event.
+    ordered by their first event.  Walks dedupe by value.
     """
     n = len(type_ids)
-    cols = EventColumns()
+    uniq, first = np.unique(type_ids, return_index=True)
+    order = uniq[np.argsort(first)]
+    cols = EventColumns.__new__(EventColumns)  # every slot is set below
     cols.n_events = n
     cols.eid = np.arange(n, dtype=np.int64)
     cols.timestamp = np.asarray(timestamps, dtype=np.int64)
     cols.pid = np.full(n, table.pid, dtype=np.int64)
     cols.tid = table.tids[type_ids]
     cols.opcode = table.opcodes[type_ids]
-    cols.process_vocab = [table.process]
     cols.process_id = np.zeros(n, dtype=np.int64)
-
-    uniq, first = np.unique(type_ids, return_index=True)
-    order = uniq[np.argsort(first)]
-
-    n_types = len(table.names)
-    category_map = np.zeros(n_types, dtype=np.int64)
-    name_map = np.zeros(n_types, dtype=np.int64)
-    walk_map = np.zeros(n_types, dtype=np.int64)
-    category_vocab: Dict[str, int] = {}
-    name_vocab: Dict[str, int] = {}
-    walk_table: Dict[Tuple[StackFrame, ...], int] = {}
-    walks: List[Tuple[StackFrame, ...]] = []
-    for type_id in order.tolist():
-        category = table.categories[type_id]
-        index = category_vocab.get(category)
-        if index is None:
-            index = len(category_vocab)
-            category_vocab[category] = index
-        category_map[type_id] = index
-        name = table.names[type_id]
-        index = name_vocab.get(name)
-        if index is None:
-            index = len(name_vocab)
-            name_vocab[name] = index
-        name_map[type_id] = index
-        walk = table.walks[type_id]
-        index = walk_table.get(walk)
-        if index is None:
-            index = len(walks)
-            walk_table[walk] = index
-            walks.append(walk)
-        walk_map[type_id] = index
-    cols.category_id = category_map[type_ids]
-    cols.name_id = name_map[type_ids]
-    cols.walk_id = walk_map[type_ids]
-    cols.category_vocab = list(category_vocab)
-    cols.name_vocab = list(name_vocab)
-    cols.walks = walks
+    cols.process_vocab = [table.process]
+    for id_column, table_slot, values in (
+        ("category_id", "category_vocab", table.categories),
+        ("name_id", "name_vocab", table.names),
+        ("walk_id", "walks", table.walks),
+    ):
+        entries: list = []
+        codes = np.zeros(len(values), dtype=np.int64)
+        codes[order] = intern_codes(
+            {}, entries, [values[type_id] for type_id in order.tolist()]
+        )
+        setattr(cols, id_column, codes[type_ids])
+        setattr(cols, table_slot, entries)
     return cols

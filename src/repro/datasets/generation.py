@@ -58,6 +58,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.apps import APPS
 from repro.apps.base import AppSpec
+from repro.attacks.infection import AttackInstance
 from repro.attacks.metasploit import deliver, msfvenom
 from repro.datasets.catalog import CATALOG, DatasetSpec
 from repro.datasets.fastgen import (
@@ -69,7 +70,7 @@ from repro.datasets.fastgen import (
     to_event_columns,
 )
 from repro.etw.capture import CAPTURE_SUFFIX, write_capture_columns
-from repro.winsys.process import WindowsMachine
+from repro.winsys.process import SimulatedProcess, WindowsMachine
 
 #: labels.json schema identifier.
 LABELS_SCHEMA = "leaps-dataset/v1"
@@ -197,18 +198,15 @@ class ScenarioGenerator:
             n_events, n_startup, n_steady, n_shutdown, bursts, positions
         )
 
-    def _synth(self, log: str, layout: BurstLayout, instance) -> SessionSynth:
-        process = instance.process if isinstance(
-            instance, _DeliveredInstance
-        ) else instance
-        table = build_emission_table(
-            process,
-            self.app,
-            instance.instance if isinstance(instance, _DeliveredInstance)
-            else None,
-        )
+    def _synth(
+        self,
+        log: str,
+        layout: BurstLayout,
+        process: SimulatedProcess,
+        instance: Optional[AttackInstance] = None,
+    ) -> SessionSynth:
         return SessionSynth(
-            table=table,
+            table=build_emission_table(process, self.app, instance),
             layout=layout,
             clock_tag=self._tag(log, "clock"),
             op_tag=self._tag(log, "workload", "op"),
@@ -216,11 +214,13 @@ class ScenarioGenerator:
             beacon_tag=self._tag(log, "attack", "beacon"),
         )
 
-    def _deliver(self, build_id: str):
+    def _deliver(
+        self, build_id: str
+    ) -> Tuple[SimulatedProcess, AttackInstance]:
+        """A spawned process with payload ``build_id`` delivered."""
         process = self._spawn()
         build = msfvenom(self.spec.payload, self._tag("payload"), build_id)
-        instance = deliver(process, self.app, build, self.spec.method)
-        return _DeliveredInstance(process=process, instance=instance)
+        return process, deliver(process, self.app, build, self.spec.method)
 
     # -- column synthesizers -------------------------------------------
     def benign_synth(self, n_events: int) -> SessionSynth:
@@ -232,15 +232,7 @@ class ScenarioGenerator:
     ) -> SessionSynth:
         """Column synthesizer for a trojaned/injected session."""
         layout = self.session_layout(log, n_events, attack_rate)
-        return self._synth(log, layout, self._deliver(build_id))
-
-
-@dataclass
-class _DeliveredInstance:
-    """A spawned process with its payload delivered."""
-
-    process: object
-    instance: object
+        return self._synth(log, layout, *self._deliver(build_id))
 
 
 def _burst_sizes(n_attack: int, rng: random.Random) -> List[int]:

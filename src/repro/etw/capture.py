@@ -378,7 +378,7 @@ class DeltaDecoder:
             tuple(walk_frames[start:stop])
             for start, stop in zip(bounds, bounds[1:])
         )
-        cols = EventColumns()
+        cols = EventColumns.__new__(EventColumns)  # every slot is set below
         cols.n_events = n_events
         for name, column in zip(_EVENT_COLUMNS, columns):
             setattr(cols, name, column)

@@ -205,14 +205,6 @@ class KernelSVM:
             raise ValueError("labels must be ±1")
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
-        if gram is None:
-            if X is None:
-                raise ValueError("fit needs X when no precomputed gram is given")
-            K = self.kernel(X, X)
-        else:
-            K = np.asarray(gram, dtype=float)
-            if K.shape != (n, n):
-                raise ValueError(f"gram must be ({n}, {n}), got {K.shape}")
         if sample_C is None:
             C_vec = np.full(n, float(self.C))
         else:
@@ -221,6 +213,14 @@ class KernelSVM:
                 raise ValueError("sample_C length mismatch")
         if not np.all((C_vec >= 0.0) & (C_vec < np.inf)):
             raise ValueError("C and sample_C must be finite and non-negative")
+        if gram is None:
+            if X is None:
+                raise ValueError("fit needs X when no precomputed gram is given")
+            K = self.kernel(X, X)
+        else:
+            K = np.asarray(gram, dtype=float)
+            if K.shape != (n, n):
+                raise ValueError(f"gram must be ({n}, {n}), got {K.shape}")
 
         alpha, b, iterations, violation = _smo(K, y, C_vec, self.tol)
         self.alpha = alpha

@@ -46,5 +46,8 @@ class WeightedSVM(KernelSVM):
         # NaN fails both comparisons
         if not np.all((c >= 0) & (c <= 1 + 1e-12)):
             raise ValueError("importances must lie in [0, 1]")
+        # before the product: inf · 0 would be a NaN budget
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and non-negative")
         super().fit(X, y, sample_C=self.lam * c, gram=gram)
         return self

@@ -286,10 +286,6 @@ class ServeClient:
             self._done.set()
 
 
-#: the columnar-capable client under its fleet-facing name
-StreamClient = ServeClient
-
-
 def request_status(address: Address, timeout: Optional[float] = 10.0) -> dict:
     """One-shot metrics probe: connect, send ``STATUS``, return the
     decoded ``STATUS_REPLY`` payload."""

@@ -40,9 +40,6 @@ from repro.core.persistence import (
 #: registry key: (app, model_version)
 ModelKey = Tuple[str, str]
 
-DEFAULT_APP = "default"
-DEFAULT_VERSION = "v1"
-
 
 class UnknownModelError(KeyError):
     """No bundle registered under the requested (app, model_version)."""
@@ -94,10 +91,6 @@ class ModelRegistry:
             bundle = json_path.parent
             keys.append(self.register(bundle.parent.name, bundle.name, bundle))
         return keys
-
-    @property
-    def default_key(self) -> Optional[ModelKey]:
-        return self._default
 
     def keys(self) -> List[ModelKey]:
         with self._lock:

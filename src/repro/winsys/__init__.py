@@ -7,9 +7,9 @@ observational surface the detector sees: an address-space layout
 (:mod:`repro.winsys.image`), the system library / kernel-module catalog
 (:mod:`repro.winsys.libraries`), the syscall/event taxonomy with its
 user- and kernel-space call chains (:mod:`repro.winsys.syscalls`), and
-process contexts that construct full stack walks and emit
-:class:`~repro.etw.events.EventRecord` objects
-(:mod:`repro.winsys.process`).
+process contexts that construct full stack walks
+(:mod:`repro.winsys.process`).  Events themselves are synthesized as
+columns by :mod:`repro.datasets.fastgen`.
 
 Everything is driven by seeded ``random.Random`` instances — never the
 process-global RNG and never the PYTHONHASHSEED-randomized builtin

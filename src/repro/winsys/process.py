@@ -4,15 +4,16 @@ A :class:`WindowsMachine` owns the shared system image layout (DLLs,
 drivers, kernel); each :class:`SimulatedProcess` owns its private
 address space (the main executable image plus any runtime-allocated
 payload regions) and resolves ``(module, function)`` nodes to concrete
-addresses.  :class:`EventTracer` is the ETW-style tracer: it walks the
-simulated call stack at each system event and emits a fully-formed
-:class:`~repro.etw.events.EventRecord` — app frames first (outermost at
-index 0), then the syscall's user-space DLL chain, then its kernel
-chain, exactly the frame order the parser and stack partitioner expect.
+addresses.  :meth:`SimulatedProcess.walk` builds one event's stack
+walk — app frames first (outermost at index 0), then the syscall's
+user-space DLL chain, then its kernel chain, exactly the frame order the
+parser and stack partitioner expect; the generator
+(:func:`repro.datasets.fastgen.build_emission_table`) resolves each
+distinct emission through it once.
 
 Determinism: the machine seeds one ``random.Random`` per concern from
-its seed string (layout vs clock jitter), so a fixed seed reproduces
-identical worlds and identical logs in any interpreter process.
+its seed string (system layout, each app image), so a fixed seed
+reproduces identical worlds in any interpreter process.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.etw.events import EventRecord, FrameNode, StackFrame
+from repro.etw.events import FrameNode, StackFrame
 from repro.winsys.addresses import AddressSpace
 from repro.winsys.image import BinaryImage
 from repro.winsys.libraries import build_system_images
-from repro.winsys.syscalls import SYSCALLS, SyscallSpec
+from repro.winsys.syscalls import SyscallSpec
 
 
 class ResolutionError(KeyError):
@@ -144,38 +145,3 @@ class SimulatedProcess:
                 )
             )
         return tuple(frames)
-
-
-class EventTracer:
-    """ETW-style tracer for one process: sequential eids, a monotonic
-    microsecond clock with seeded jitter, and full stack walks."""
-
-    def __init__(self, process: SimulatedProcess, rng: random.Random):
-        self.process = process
-        self.rng = rng
-        self.next_eid = 0
-        self.clock = 0
-
-    def emit(
-        self,
-        name: str,
-        syscall_key: str,
-        app_path: Sequence[FrameNode],
-        *,
-        tid: Optional[int] = None,
-    ) -> EventRecord:
-        spec = SYSCALLS[syscall_key]
-        self.clock += self.rng.randrange(120, 2400)
-        event = EventRecord(
-            eid=self.next_eid,
-            timestamp=self.clock,
-            pid=self.process.pid,
-            process=self.process.name,
-            tid=self.process.main_tid if tid is None else tid,
-            category=spec.category,
-            opcode=spec.opcode,
-            name=name,
-            frames=self.process.walk(app_path, spec),
-        )
-        self.next_eid += 1
-        return event

@@ -1,4 +1,4 @@
-"""Shared fixtures: golden-data locations and tiny synthetic logs."""
+"""Shared fixtures: one generated catalog row and tiny synthetic logs."""
 
 from __future__ import annotations
 
@@ -17,59 +17,12 @@ def _fresh_frame_intern():
     clear_frame_intern()
     yield
 
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DATA_DIR = REPO_ROOT / "benchmarks" / ".data"
 
-#: The checked-in dataset used by the end-to-end tests (all three logs
-#: present).  ``vim_reverse_tcp`` from the ISSUE is not in the golden
-#: cache; this is the closest complete reverse-TCP dataset.
-E2E_DATASET = "notepad++_reverse_tcp_online-s0-733c79dbeaba"
-
-
-def dataset_path(name: str) -> Path:
-    return DATA_DIR / name
-
-
-def is_generated_cache(name: str) -> bool:
-    """Whether a ``benchmarks/.data`` entry is a benchmark-generated
-    corpus cache (``<dataset>-s<seed>-gen...``, written by bench
-    harnesses) rather than a golden dataset."""
-    return "-gen" in name
-
-
-def golden_dataset_dirs() -> "list[Path]":
-    """Golden dataset directories under ``benchmarks/.data`` —
-    generated ``-gen`` caches excluded, so a bench run that populated
-    its corpus cache cannot masquerade as the golden cache."""
-    if not DATA_DIR.is_dir():
-        return []
-    return sorted(
-        entry
-        for entry in DATA_DIR.iterdir()
-        if entry.is_dir() and not is_generated_cache(entry.name)
-    )
-
-
-HAS_GOLDEN_DATA = bool(golden_dataset_dirs())
-
-
-@pytest.fixture(scope="session")
-def data_dir() -> Path:
-    if not golden_dataset_dirs():
-        pytest.skip("golden dataset cache missing (benchmarks/.data/ is "
-                    "populated by the dataset generator, not tracked in git)")
-    return DATA_DIR
-
-
-@pytest.fixture(scope="session")
-def e2e_dataset(data_dir: Path) -> Path:
-    path = dataset_path(E2E_DATASET)
-    assert path.is_dir()
-    return path
-
-
-#: The catalog row the generated-data equivalence tests scan, and its
-#: scale (a few seconds' worth of simulated activity per log).
+#: The catalog row the golden-log, end-to-end and generated-data
+#: equivalence tests scan, and its scale (a few seconds' worth of
+#: simulated activity per log).
 GENERATED_ROW = "notepad++_reverse_tcp_online"
 GENERATED_EVENTS = {"train_events": 1500, "scan_events": 1500}
 

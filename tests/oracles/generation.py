@@ -1,20 +1,20 @@
 """The per-event scenario tracer — the oracle for the column
 synthesizer behind :func:`repro.datasets.generate_dataset`.
 
-Every event walks through :class:`~repro.winsys.process.EventTracer`,
-one operation pick, one stack walk and one clock draw at a time, reading
-the same indexed Philox word streams that
-:mod:`repro.datasets.fastgen` reads in bulk.  Session layout, machine,
-payload delivery, capture metadata and ``labels.json`` come from the
-production :class:`~repro.datasets.generation.ScenarioGenerator` and its
-helpers, so :func:`generate_dataset_naive` checks event synthesis, text
-rendering and capture assembly.
+Every event walks through :class:`EventTracer`, one operation pick,
+one stack walk and one clock draw at a time, reading the same indexed
+Philox word streams that :mod:`repro.datasets.fastgen` reads in bulk.
+Session layout, machine, payload delivery, capture metadata and
+``labels.json`` come from the production
+:class:`~repro.datasets.generation.ScenarioGenerator` and its helpers,
+so :func:`generate_dataset_naive` checks event synthesis, text rendering
+and capture assembly.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +33,47 @@ from repro.datasets.generation import (
     _write_labels,
 )
 from repro.etw.capture import CAPTURE_SUFFIX
-from repro.etw.events import EventRecord
+from repro.etw.events import EventRecord, FrameNode
 from repro.etw.parser import serialize_events
-from repro.winsys.process import EventTracer
+from repro.winsys.process import SimulatedProcess
+from repro.winsys.syscalls import SYSCALLS
 
 from tests.oracles.capture import write_capture_naive
+
+
+class EventTracer:
+    """ETW-style tracer for one process: sequential eids, a monotonic
+    microsecond clock with seeded jitter, and full stack walks."""
+
+    def __init__(self, process: SimulatedProcess, rng):
+        self.process = process
+        self.rng = rng
+        self.next_eid = 0
+        self.clock = 0
+
+    def emit(
+        self,
+        name: str,
+        syscall_key: str,
+        app_path: Sequence[FrameNode],
+        *,
+        tid: Optional[int] = None,
+    ) -> EventRecord:
+        spec = SYSCALLS[syscall_key]
+        self.clock += self.rng.randrange(120, 2400)
+        event = EventRecord(
+            eid=self.next_eid,
+            timestamp=self.clock,
+            pid=self.process.pid,
+            process=self.process.name,
+            tid=self.process.main_tid if tid is None else tid,
+            category=spec.category,
+            opcode=spec.opcode,
+            name=name,
+            frames=self.process.walk(app_path, spec),
+        )
+        self.next_eid += 1
+        return event
 
 
 class WordStream:
@@ -64,8 +100,8 @@ class WordStream:
 
 class WordClock:
     """``randrange``-shaped adapter over a word stream, accepted by
-    :class:`~repro.winsys.process.EventTracer` as its jitter source: the
-    tracer and the column synthesizer read the same words."""
+    :class:`EventTracer` as its jitter source: the tracer and the column
+    synthesizer read the same words."""
 
     __slots__ = ("_stream",)
 
@@ -168,13 +204,11 @@ def trace_session(
     """A trojaned/injected session: benign workload with attack bursts
     at ``attack_rate``, payload ``build_id``.  Returns the events and
     the eids of the attack events."""
-    delivered = generator._deliver(build_id)
+    process, instance = generator._deliver(build_id)
     layout = generator.session_layout(log, n_events, attack_rate)
-    tracer = EventTracer(
-        delivered.process, WordClock(generator._tag(log, "clock"))
-    )
+    tracer = EventTracer(process, WordClock(generator._tag(log, "clock")))
     benign_plan = _BenignPlan(generator, log, layout)
-    attack_plan = _AttackPlan(generator, log, delivered.instance)
+    attack_plan = _AttackPlan(generator, log, instance)
     events: List[EventRecord] = []
     attack_eids: List[int] = []
     benign_ordinal = 0

@@ -1,28 +1,25 @@
 """Application-model invariants: distinct CFGs, workload determinism,
 round-trip through the raw-log serializer/parser."""
 
-import random
-
 import pytest
 
-from repro.apps import APPS, machine_log, run_workload
-from repro.apps.background import BACKGROUND_APPS
+from repro.apps import APPS
 from repro.apps.base import AppSpec, Operation
+from repro.datasets import CATALOG, ScenarioGenerator
+from repro.datasets.fastgen import to_event_columns
 from repro.etw.parser import parse_with_report, serialize_events
-from repro.winsys.process import EventTracer, WindowsMachine
 
-ALL_SPECS = tuple(APPS.values()) + BACKGROUND_APPS
+ALL_SPECS = tuple(APPS.values())
 
 
 def trace(spec, n_events=300, seed="apps"):
-    machine = WindowsMachine(seed)
-    process = machine.spawn(
-        spec.exe, spec.functions, image_size=spec.image_size
-    )
-    tracer = EventTracer(process, random.Random(f"{seed}:clock"))
-    return run_workload(
-        tracer, spec, n_events, random.Random(f"{seed}:workload")
-    )
+    """A benign session of ``spec``'s first catalog row, as records."""
+    row = next(row for row in CATALOG.values() if row.app == spec.name)
+    synth = ScenarioGenerator(row, seed).benign_synth(n_events)
+    columns = synth.synthesize()
+    return to_event_columns(
+        synth.table, columns.type_ids, columns.timestamps
+    ).records()
 
 
 class TestSpecs:
@@ -108,26 +105,3 @@ class TestWorkloads:
             ]
             for edge in zip(app, app[1:]):
                 assert edge in edges
-
-
-class TestMachineLog:
-    def test_interleaves_and_renumbers(self):
-        spec = APPS["vim"]
-        machine = WindowsMachine("mix")
-        process = machine.spawn(spec.exe, spec.functions)
-        tracer = EventTracer(process, random.Random("mix:clock"))
-        foreground = run_workload(
-            tracer, spec, 120, random.Random("mix:workload")
-        )
-        merged = machine_log(
-            machine, foreground, 90, random.Random("mix:background")
-        )
-        assert len(merged) == 120 + 90 // 3 * 3
-        assert [event.eid for event in merged] == list(range(len(merged)))
-        timestamps = [event.timestamp for event in merged]
-        assert timestamps == sorted(timestamps)
-        processes = {event.process for event in merged}
-        assert spec.exe in processes
-        assert {s.exe for s in BACKGROUND_APPS} <= processes
-        parsed, report = parse_with_report(serialize_events(merged))
-        assert not report.issues and len(parsed) == len(merged)

@@ -1,8 +1,7 @@
 """Attack-model invariants: polymorphic encoding, both delivery
 models' observable consequences, and cross-build taxonomy stability."""
 
-import random
-
+import numpy as np
 import pytest
 
 from repro.apps import APPS
@@ -13,24 +12,28 @@ from repro.attacks import (
     PolymorphicEncoder,
     deliver,
     msfvenom,
-    run_attack,
 )
+from repro.datasets.fastgen import build_emission_table, to_event_columns
 from repro.etw.stack_partition import StackPartitioner
-from repro.winsys.process import EventTracer, WindowsMachine
+from repro.winsys.process import WindowsMachine
+
+
+def attack_records(process, app, instance):
+    """One record per attack emission row of the delivered process: the
+    setup ops, then the beacon ops, in payload declaration order."""
+    table = build_emission_table(process, app, instance)
+    rows = np.concatenate([table.setup_types, table.beacon_types])
+    return to_event_columns(table, rows, np.arange(len(rows))).records()
 
 
 def session(app_name, payload, method, build_id, seed="atk"):
-    """Spawn, deliver, and run a short attack; returns the events."""
+    """Spawn and deliver; returns the instance and its attack events."""
     app = APPS[app_name]
     machine = WindowsMachine(seed)
     process = machine.spawn(app.exe, app.functions)
     build = msfvenom(payload, seed, build_id)
     instance = deliver(process, app, build, method)
-    tracer = EventTracer(process, random.Random(f"{seed}:clock"))
-    events = run_attack(
-        tracer, instance, 60, random.Random(f"{seed}:beacon")
-    )
-    return instance, events
+    return instance, attack_records(process, app, instance)
 
 
 class TestEncoder:
@@ -154,10 +157,7 @@ class TestOnlineDelivery:
         build = msfvenom("reverse_tcp", "inj", "A")
         instance = deliver(process, app, build, "online")
         assert instance.tid == process.main_tid + REMOTE_THREAD_OFFSET
-        tracer = EventTracer(process, random.Random("inj:clock"))
-        events = run_attack(
-            tracer, instance, 40, random.Random("inj:beacon")
-        )
+        events = attack_records(process, app, instance)
         partitioner = StackPartitioner()
         for event in events:
             assert event.tid == instance.tid

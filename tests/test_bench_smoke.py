@@ -19,7 +19,7 @@ REQUIRED_TABLE1_ROW_KEYS = {
 
 
 def test_bench_table1_quick_emits_valid_json(tmp_path):
-    # no data_dir fixture: bench_table1 generates its corpus from scratch
+    # bench_table1 generates its corpus from scratch
     output = tmp_path / "BENCH_table1.json"
     table = tmp_path / "table1_vs_paper.txt"
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}

@@ -68,6 +68,31 @@ def script_exists(path):
     return any(REPO_ROOT.glob(where))
 
 
+def inventory_modules():
+    """The modules DESIGN §2's Modules column lists, relative to
+    ``repro.``; ``python -m repro.x`` stands for ``x.__main__``."""
+    text = (REPO_ROOT / "DESIGN.md").read_text()
+    section = text.split("\n## 2. ", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("|")]
+    modules = set()
+    for row in rows[2:]:  # past the header and its rule
+        for name in re.findall(r"`([^`]+)`", row.split("|")[2]):
+            if name.startswith("python -m repro."):
+                name = name[len("python -m repro."):] + ".__main__"
+            modules.update(expand_groups(name))
+    return modules
+
+
+def tree_modules():
+    """Every module under ``src/repro/`` but the package ``__init__``s."""
+    src = REPO_ROOT / "src" / "repro"
+    return {
+        ".".join(path.relative_to(src).with_suffix("").parts)
+        for path in src.rglob("*.py")
+        if path.name != "__init__.py"
+    }
+
+
 def test_documented_repro_names_exist():
     missing = [f"{doc}: {name}" for doc, name in dotted_names()
                if not resolves(name)]
@@ -89,3 +114,7 @@ def test_patterns_see_the_documented_names():
     assert expand_groups("repro.core.{a, b}.c") == [
         "repro.core.a.c", "repro.core.b.c"
     ]
+
+
+def test_design_inventory_lists_every_module():
+    assert inventory_modules() == tree_modules()

@@ -1,4 +1,4 @@
-"""End-to-end smoke test on a checked-in golden dataset.
+"""End-to-end smoke test on a generated catalog row.
 
 Trains from ``benign.log`` (first half) + ``mixed.log``, scans
 ``malicious.log`` and the held-out benign half, and asserts the paper's
@@ -6,15 +6,17 @@ core qualitative claim: the CFG-weighted SVM beats the unweighted SVM
 trained on the same features, because the plain SVM's boundary is
 dragged by the benign noise mislabeled as malicious in the mixed log.
 
-The ISSUE names ``vim_reverse_tcp``; that dataset is not in the golden
-cache, so the closest complete reverse-TCP dataset is used (see
-``tests.conftest.E2E_DATASET``).
+The row is the session's ``generated_row``, an online reverse-TCP
+injection (``tests.conftest.GENERATED_ROW``);
+``tests/test_e2e_generated.py`` runs the same protocol on an offline
+row at another scale.
 """
 
 import numpy as np
 import pytest
 
 from repro import LeapsConfig, LeapsDetector
+from repro.datasets import generate_dataset
 from repro.etw.parser import RawLogParser, serialize_events
 from repro.learning.metrics import ConfusionMatrix
 
@@ -35,10 +37,10 @@ def fast_config(weighted):
 
 
 @pytest.fixture(scope="module")
-def logs(e2e_dataset):
-    benign = (e2e_dataset / "benign.log").read_text().splitlines()
-    mixed = (e2e_dataset / "mixed.log").read_text().splitlines()
-    malicious = (e2e_dataset / "malicious.log").read_text().splitlines()
+def logs(generated_row):
+    benign = (generated_row / "benign.log").read_text().splitlines()
+    mixed = (generated_row / "mixed.log").read_text().splitlines()
+    malicious = (generated_row / "malicious.log").read_text().splitlines()
     # 50/50 benign split (paper's protocol): first half trains, second
     # half is the clean test traffic.  Round-trips through the serializer.
     events = RawLogParser().parse_lines(benign)
@@ -134,10 +136,13 @@ class TestScanAPI:
 
 
 @pytest.mark.slow
-def test_full_config_offline_dataset(data_dir):
-    """Default (slower) config on an offline-infection dataset: same
-    qualitative ordering.  Excluded from tier-1 via the slow marker."""
-    dataset = data_dir / "notepad++_reverse_https-s0-733c79dbeaba"
+def test_full_config_offline_dataset(tmp_path):
+    """Default (slower) config on an offline-infection row at the
+    default log sizes: same qualitative ordering.  Excluded from tier-1
+    via the slow marker."""
+    dataset = generate_dataset(
+        "notepad++_reverse_https", tmp_path / "row", seed=0
+    ).root
     benign = (dataset / "benign.log").read_text().splitlines()
     mixed = (dataset / "mixed.log").read_text().splitlines()
     malicious = (dataset / "malicious.log").read_text().splitlines()

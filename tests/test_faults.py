@@ -18,7 +18,6 @@ from repro.datasets import generate_dataset
 from repro.etw.parser import ParseError, iter_parse, parse_with_report
 from repro.etw.stack_partition import StackPartitionError
 
-from tests.conftest import DATA_DIR, is_generated_cache
 from tests.faults import (
     MUTATORS,
     fault_corpus,
@@ -201,19 +200,11 @@ class TestStreamOracle:
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize(
-    "relpath",
-    sorted(
-        str(p.relative_to(DATA_DIR))
-        for p in DATA_DIR.glob("*/*.log")
-        if not is_generated_cache(p.parent.name)
-    )
-    if DATA_DIR.is_dir()
-    else [],
-)
-def test_full_log_fault_sweep(relpath):
-    """The recovery contract over every full golden log (slow tier)."""
-    lines = (DATA_DIR / relpath).read_text(encoding="utf-8").splitlines()
+@pytest.mark.parametrize("relpath", CORPUS_LOGS)
+def test_full_log_fault_sweep(corpus_rows, relpath):
+    """The recovery contract over every whole corpus log (slow tier)."""
+    row, log = relpath.split("/")
+    lines = (corpus_rows[row] / log).read_text(encoding="utf-8").splitlines()
     truth = ground_truth_events(lines)
     for variant in fault_corpus(lines, seed=0):
         events, report = parse_with_report(variant.lines, policy="drop")

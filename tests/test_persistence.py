@@ -287,7 +287,7 @@ def test_save_bundle_is_detector_save(trained, tmp_path):
 @pytest.mark.e2e
 class TestGoldenRoundTrip:
     @pytest.fixture(scope="class")
-    def golden(self, e2e_dataset, tmp_path_factory):
+    def golden(self, generated_row, tmp_path_factory):
         config = LeapsConfig(
             lam_grid=(1.0,),
             sigma2_grid=(30.0,),
@@ -297,16 +297,16 @@ class TestGoldenRoundTrip:
         )
         detector = LeapsDetector(config)
         detector.train_from_logs(
-            (e2e_dataset / "benign.log").read_text().splitlines(),
-            (e2e_dataset / "mixed.log").read_text().splitlines(),
+            (generated_row / "benign.log").read_text().splitlines(),
+            (generated_row / "mixed.log").read_text().splitlines(),
         )
         bundle = detector.save(tmp_path_factory.mktemp("bundle") / "model")
         return detector, LeapsDetector.load(bundle)
 
     @pytest.mark.parametrize("log", ["benign.log", "mixed.log", "malicious.log"])
-    def test_loaded_scan_equals_in_memory(self, golden, e2e_dataset, log):
+    def test_loaded_scan_equals_in_memory(self, golden, generated_row, log):
         detector, loaded = golden
-        lines = (e2e_dataset / log).read_text().splitlines()
+        lines = (generated_row / log).read_text().splitlines()
         in_memory = detector.scan_log(lines)
         assert loaded.scan_log(lines) == in_memory
         assert in_memory  # non-vacuous: every golden log yields windows

@@ -3,6 +3,8 @@ every fit certified by optimality: feasibility, the maximal KKT
 violation and the duality gap, all from a recomputed gradient, plus
 agreement with the brute-force QP oracle on small problems."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,8 +217,19 @@ class TestValidation:
         [(np.nan, [1.0] * 4), (np.inf, [1.0] * 4), (np.inf, [0.0, 1.0, 1.0, 1.0])],
     )
     def test_rejects_non_finite_budget(self, lam, c):
+        # as errors, so inf · 0 cannot warn before the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                WeightedSVM(lam=lam).fit(self.X, self.Y, c=c)
+
+    @pytest.mark.parametrize("C", [np.nan, -1.0])
+    def test_rejects_bad_budget_before_the_kernel(self, C):
+        def kernel(A, B):
+            raise AssertionError("kernel evaluated before the budget check")
+
         with pytest.raises(ValueError, match="finite"):
-            WeightedSVM(lam=lam).fit(self.X, self.Y, c=c)
+            KernelSVM(kernel=kernel, C=C).fit(self.X, self.Y)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_bad_tolerance(self, tol):

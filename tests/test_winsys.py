@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from repro.datasets import CATALOG, ScenarioGenerator
+from repro.datasets.fastgen import to_event_columns
 from repro.etw.stack_partition import StackPartitioner
 from repro.winsys import AddressSpace, WindowsMachine
 from repro.winsys.addresses import (
@@ -15,7 +18,7 @@ from repro.winsys.addresses import (
     AddressSpaceError,
 )
 from repro.winsys.image import FUNCTION_ALIGN, BinaryImage, SymbolError
-from repro.winsys.process import EventTracer, ResolutionError
+from repro.winsys.process import ResolutionError
 from repro.winsys.syscalls import SYSCALLS, validate_taxonomy
 
 FUNCTIONS = ("main", "loop", "handler", "flush")
@@ -140,32 +143,33 @@ class TestWalks:
     def test_every_syscall_walk_partitions_at_the_app_boundary(self):
         machine = WindowsMachine("w0")
         process = spawn(machine)
-        tracer = EventTracer(process, random.Random("clk"))
         partitioner = StackPartitioner()
         app_path = [("app.exe", "main"), ("app.exe", "loop")]
         for key in SYSCALLS:
-            event = tracer.emit(f"op_{key}", key, app_path)
-            split = partitioner.split_index(event.frames)
+            frames = process.walk(app_path, SYSCALLS[key])
+            split = partitioner.split_index(frames)
             assert split == len(app_path)
-            assert len(event.frames) == len(app_path) + len(
+            assert len(frames) == len(app_path) + len(
                 SYSCALLS[key].system_chain
             )
-            assert [frame.index for frame in event.frames] == list(
-                range(len(event.frames))
+            assert [frame.index for frame in frames] == list(
+                range(len(frames))
             )
 
     def test_tracer_eids_and_clock_monotone(self):
-        machine = WindowsMachine("w0")
-        process = spawn(machine)
-        tracer = EventTracer(process, random.Random("clk"))
-        events = [
-            tracer.emit("pump", "ui_get_message", [("app.exe", "main")])
-            for _ in range(20)
-        ]
-        assert [event.eid for event in events] == list(range(20))
-        timestamps = [event.timestamp for event in events]
-        assert timestamps == sorted(timestamps)
-        assert len(set(timestamps)) == len(timestamps)
+        """A synthesized session numbers its events 0..n-1 on a strictly
+        increasing clock."""
+        generator = ScenarioGenerator(CATALOG["vim_reverse_tcp"], "w0")
+        synth = generator.session_synth("mixed", 200, 0.3, "A")
+        columns = synth.synthesize()
+        events = to_event_columns(
+            synth.table, columns.type_ids, columns.timestamps
+        ).records()
+        assert [event.eid for event in events] == list(range(200))
+        assert (np.diff(columns.timestamps) > 0).all()
+        assert [event.timestamp for event in events] == (
+            columns.timestamps.tolist()
+        )
 
     def test_unknown_module_raises(self):
         machine = WindowsMachine("w0")
