@@ -4,10 +4,11 @@ Run from the repo root:
 
     PYTHONPATH=src python examples/quickstart.py [dataset-dir]
 
-Defaults to the notepad++ reverse-TCP online-injection dataset under
-benchmarks/.data/ when that cache exists; on a fresh clone it
-generates the same scenario deterministically with the dataset
-generator (``repro.datasets``, DESIGN.md §13) — no cache required.
+Without an argument it generates the notepad++ reverse-TCP
+online-injection row deterministically with the dataset generator
+(``repro.datasets``, DESIGN.md §13) into a temporary directory; pass a
+directory written by ``python -m repro.datasets --out`` to use that
+row instead.
 """
 
 import sys
@@ -18,12 +19,8 @@ from repro import LeapsConfig, LeapsDetector
 from repro.datasets import generate_dataset
 from repro.etw.parser import RawLogParser, serialize_events
 
-DEFAULT_DATASET = (
-    Path(__file__).resolve().parent.parent
-    / "benchmarks"
-    / ".data"
-    / "notepad++_reverse_tcp_online-s0-733c79dbeaba"
-)
+#: the row generated when no dataset directory is given
+DATASET_NAME = "notepad++_reverse_tcp_online"
 
 
 def main() -> int:
@@ -32,15 +29,15 @@ def main() -> int:
         if not dataset.is_dir():
             print(f"dataset not found: {dataset}", file=sys.stderr)
             return 1
-    elif DEFAULT_DATASET.is_dir():
-        dataset = DEFAULT_DATASET
-    else:
-        name = "notepad++_reverse_tcp_online"
-        print(f"golden cache missing; generating {name!r} ...")
-        dataset = Path(tempfile.mkdtemp(prefix="leaps-quickstart-")) / name
-        generate_dataset(name, dataset, seed=0,
+        return quickstart(dataset)
+    with tempfile.TemporaryDirectory(prefix="leaps-quickstart-") as scratch:
+        dataset = Path(scratch) / DATASET_NAME
+        generate_dataset(DATASET_NAME, dataset, seed=0,
                          train_events=2000, scan_events=1000)
+        return quickstart(dataset)
 
+
+def quickstart(dataset: Path) -> int:
     benign = (dataset / "benign.log").read_text().splitlines()
     mixed = (dataset / "mixed.log").read_text().splitlines()
     malicious = (dataset / "malicious.log").read_text().splitlines()

@@ -44,8 +44,8 @@ from repro.core.persistence import (
 )
 from repro.core.pipeline import LeapsPipeline, TrainingReport
 from repro.core.streaming import detection_rows
-from repro.etw.capture import Capture, is_capture_path, load_capture
-from repro.etw.events import EventColumns, EventLog
+from repro.etw.capture import is_capture_path, load_capture
+from repro.etw.events import EventColumns
 from repro.etw.fastparse import parse_columns
 from repro.etw.recovery import ParseReport
 
@@ -77,18 +77,9 @@ class ScanResult:
         return sum(1 for detection in self.detections if detection.malicious)
 
 
-@dataclass(frozen=True)
-class _CaptureRef:
-    """Process-pool stand-in for an in-memory :class:`EventLog` that
-    originated from an on-disk ``.leapscap`` capture: ship the path and
-    reload the columnar file worker-side instead of pickling the whole
-    event list through the pool.  ``n_events`` guards against the
-    capture changing on disk between the caller's load and the
-    worker's."""
-
-    path: str
-    n_events: int
-
+#: One fleet item as ``(index, path, text)``: a path with no text, or an
+#: in-memory log (whole ``bytes`` or a list of lines) with no path.
+_ScanJob = Tuple[int, Optional[str], Optional[Union[bytes, List[str]]]]
 
 #: One bundle-loaded detector per worker process, installed by the pool
 #: initializer so the model deserializes once per worker, not per log.
@@ -101,7 +92,7 @@ def _init_scan_worker(bundle_path: str, policy: Optional[str], with_reports: boo
     _SCAN_WORKER["with_reports"] = with_reports
 
 
-def _scan_worker_job(job: Tuple[int, Optional[str], Optional[List[str]]]):
+def _scan_worker_job(job: _ScanJob):
     index, source, lines = job
     detector = _SCAN_WORKER["detector"]
     result = detector._scan_job(
@@ -130,12 +121,14 @@ class LeapsDetector:
     ) -> TrainingReport:
         """Train from a *fleet* of benign and mixed logs.
 
-        Each item is a log path (``str``/``os.PathLike``) or an iterable
-        of raw lines — the same addressing as :meth:`scan_logs`.  Logs
-        are parsed and coalesced independently (windows and Algorithm-1
-        implicit edges never span a capture boundary); the per-log CFGs
-        are inferred and merged in input order.  With one log per class
-        this is exactly :meth:`train_from_logs`.
+        Each item is addressed as in :meth:`scan_logs` — a log path
+        (text or ``.leapscap``), a whole log's raw ``bytes`` or an
+        iterable of raw lines — or is a log's
+        :class:`~repro.etw.events.EventColumns`.  Logs are parsed and
+        coalesced independently (windows and Algorithm-1 implicit edges
+        never span a capture boundary); the per-log CFGs are inferred
+        and merged in input order.  With one log per class this is
+        exactly :meth:`train_from_logs`.
         """
         return self.pipeline.train_many(
             [self._log_lines(item) for item in benign_logs],
@@ -149,7 +142,7 @@ class LeapsDetector:
         """Resolve one fleet item to parse-ready input.
 
         Text paths resolve to the file's raw bytes, which
-        :func:`~repro.etw.fastparse.parse_fast` parses whole: it splits
+        :func:`~repro.etw.fastparse.parse_columns` parses whole: it splits
         on ``\\n``/``\\r\\n`` only (``str.splitlines`` also breaks on
         Unicode line boundaries such as ``\\x85``, silently diverging
         from streaming the same file) and passes undecodable lines
@@ -197,8 +190,9 @@ class LeapsDetector:
         return detector
 
     # -- scanning ------------------------------------------------------
-    def scan_log(self, lines: Iterable[str]) -> List[WindowDetection]:
-        """Scan a complete log on the batch fast path.
+    def scan_log(self, lines: Union[bytes, Iterable[str]]) -> List[WindowDetection]:
+        """Scan a complete log — its raw text, bytes or lines — on the
+        batch fast path.
 
         Bit-identical to draining :meth:`scan_stream`, which remains the
         bounded-memory alternative for logs too large to materialize.
@@ -208,41 +202,25 @@ class LeapsDetector:
     def _scan_job(
         self,
         source: Optional[str],
-        lines: Optional[Iterable[str]],
+        lines: Optional[Union[bytes, Iterable[str]]],
         policy: Optional[str],
         with_reports: bool,
     ) -> ScanResult:
         """Scan one log (a path when ``lines`` is None, else the given
-        lines) through the batch fast path, from columns: a capture's —
-        by path or by :class:`_CaptureRef` — or the text's, parsed by
+        text) through the batch fast path, from columns: a capture
+        path's, or the text's, parsed by
         :func:`~repro.etw.fastparse.parse_columns`."""
-        if lines is None:
-            assert source is not None
-            lines = (
-                load_capture(source) if is_capture_path(source)
-                else self._log_lines(source)
-            )
-        elif isinstance(lines, _CaptureRef):
-            reference = lines
-            lines = load_capture(reference.path)
-            if lines.columns.n_events != reference.n_events:
-                raise RuntimeError(
-                    f"capture {reference.path} changed during the scan: "
-                    f"expected {reference.n_events} events, "
-                    f"loaded {lines.columns.n_events}"
-                )
         report = ParseReport() if with_reports else None
-        if isinstance(lines, (Capture, EventLog)):
-            # pre-parsed events: nothing to parse; surface the
-            # conversion-time recovery accounting instead
-            if report is not None and lines.report is not None:
-                report.merge(lines.report)
-            if source is None:
-                source = lines.source
-            events = lines.columns if isinstance(lines, Capture) else lines
+        if lines is None and is_capture_path(source):
+            capture = load_capture(source)
+            # nothing to parse: surface the conversion-time recovery
+            # accounting instead
+            if report is not None and capture.report is not None:
+                report.merge(capture.report)
+            events = capture.columns
         else:
             events = parse_columns(
-                lines,
+                self._log_lines(source) if lines is None else lines,
                 policy=policy or self.pipeline.parser.policy,
                 report=report,
             )
@@ -260,9 +238,10 @@ class LeapsDetector:
     ) -> List[ScanResult]:
         """Scan a fleet of logs, optionally in parallel.
 
-        Each item is a log path (``str``/``os.PathLike``) or an iterable
-        of raw lines.  Results come back in input order and are
-        identical to serial :meth:`scan_log` for any worker count.
+        Each item is a log path (``str``/``os.PathLike``, text or
+        ``.leapscap``), a whole log's raw ``bytes``, or an iterable of
+        raw lines.  Results come back in input order and are identical
+        to serial :meth:`scan_log` for any worker count.
 
         ``n_jobs`` > 1 shards whole logs across a process pool: the
         model is saved to a bundle (``bundle_path``, or a temporary
@@ -277,12 +256,13 @@ class LeapsDetector:
 
             raise NotTrainedError("pipeline has not been trained")
 
-        jobs: List[Tuple[int, Optional[str], Optional[List[str]]]] = []
+        jobs: List[_ScanJob] = []
         for index, item in enumerate(logs):
             if isinstance(item, (str, os.PathLike)):
                 jobs.append((index, os.fspath(item), None))
-            elif isinstance(item, EventLog):
-                # keep the pre-parsed marker (and its report) intact
+            elif isinstance(item, bytes):
+                # parsed whole, as scan_log does (list() would split
+                # it into ints)
                 jobs.append((index, None, item))
             else:
                 jobs.append((index, None, list(item)))
@@ -292,25 +272,6 @@ class LeapsDetector:
                 self._scan_job(source, lines, policy, with_reports)
                 for _, source, lines in jobs
             ]
-
-        # In-memory EventLogs that came off an on-disk capture reroute
-        # as path references: the worker re-reads the columnar file
-        # instead of unpickling the whole event list through the pool.
-        jobs = [
-            (
-                index,
-                source,
-                _CaptureRef(lines.source, len(lines))
-                if (
-                    isinstance(lines, EventLog)
-                    and lines.source is not None
-                    and is_capture_path(lines.source)
-                    and os.path.isdir(lines.source)
-                )
-                else lines,
-            )
-            for index, source, lines in jobs
-        ]
 
         with tempfile.TemporaryDirectory() as scratch:
             if bundle_path is None:

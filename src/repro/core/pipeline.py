@@ -54,7 +54,7 @@ from repro.core.cfg_inference import CFG, CFGInferencer
 from repro.core.config import LeapsConfig
 from repro.core.streaming import StreamScanner, scan_lines
 from repro.core.weights import WeightAssessor
-from repro.etw.events import EventColumns, EventLog, EventRecord
+from repro.etw.events import EventColumns
 from repro.etw.fastparse import parse_columns
 from repro.etw.parser import LogLine, RawLogParser
 from repro.etw.recovery import ParseReport
@@ -107,8 +107,8 @@ class NotTrainedError(RuntimeError):
     pass
 
 
-#: One training log: raw text, bytes or lines, parsed records, or columns.
-TrainingLog = Union[str, bytes, Iterable[LogLine], EventLog, EventColumns]
+#: One training log: raw text, bytes or lines, or columns.
+TrainingLog = Union[str, bytes, Iterable[LogLine], EventColumns]
 
 
 class LeapsPipeline:
@@ -131,13 +131,10 @@ class LeapsPipeline:
 
     # -- training phase ------------------------------------------------
     def _columns(self, log: TrainingLog) -> EventColumns:
-        """One training log as columns: text parses with
-        :func:`~repro.etw.fastparse.parse_columns`, an
-        :class:`~repro.etw.events.EventLog` converts, columns pass."""
+        """One training log as columns: columns pass, text parses with
+        :func:`~repro.etw.fastparse.parse_columns`."""
         if isinstance(log, EventColumns):
             return log
-        if isinstance(log, EventLog):
-            return EventColumns.from_records(log)
         return parse_columns(log, policy=self.parser.policy)
 
     def prepare_training_many(
@@ -149,7 +146,7 @@ class LeapsPipeline:
         """Run every stage up to (but not including) model selection:
         parse → partition → CFGs → weights →
         featurize/coalesce/subsample/scale.  Each item is one log's raw
-        text or lines, its parsed events or its columns.  Logs are
+        text, bytes or lines, or its columns.  Logs are
         parsed, partitioned, CFG-inferred, and window-coalesced
         independently (no implicit edges or windows across captures),
         then stacked in input order.
@@ -331,12 +328,9 @@ class LeapsPipeline:
         if self.model is None or self.featurizer is None or self.standardizer is None:
             raise NotTrainedError("pipeline has not been trained")
 
-    def score_events(
-        self, events: Union[Sequence[EventRecord], EventColumns]
-    ) -> Tuple[WindowArrays, np.ndarray]:
-        """Score a parsed log — its columns, or records, which convert
-        with :meth:`~repro.etw.events.EventColumns.from_records` — on
-        the batch scan path: every window and its decision value.
+    def score_events(self, events: EventColumns) -> Tuple[WindowArrays, np.ndarray]:
+        """Score a parsed log's columns on the batch scan path: every
+        window and its decision value.
 
         :meth:`~EventFeaturizer.transform_columns` featurizes, one
         gather coalesces every window, standardization runs once, and
@@ -345,8 +339,6 @@ class LeapsPipeline:
         values are bit-identical to the streaming path.
         """
         self._check_trained()
-        if not isinstance(events, EventColumns):
-            events = EventColumns.from_records(events)
         rows = self.featurizer.transform_columns(events)
         windows = self.coalescer.coalesce_arrays(rows, events.eid)
         X = self.standardizer.transform(windows.matrix)

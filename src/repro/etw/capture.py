@@ -55,7 +55,9 @@ vocabulary delimiters and frame numbering — and only then grows them.
 It returns the delta's events as :class:`~repro.etw.events.EventColumns`
 over those tables; records are built only on request
 (:meth:`~repro.etw.events.EventColumns.records`, which
-:attr:`Capture.events` calls on first read).  A capture is the first delta
+:attr:`Capture.events` calls).  :func:`convert_log` parses text straight
+to columns and encodes them, so no record is built on the way from a
+text log to a capture either.  A capture is the first delta
 against empty tables; the serve wire's columnar chunks
 (:mod:`repro.serve.columnar`) are the later deltas of a stream, framed
 as bytes.  Each container passes its own error type, so a capture that
@@ -68,7 +70,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -78,11 +80,11 @@ from repro.etw.events import (
     INT_FIELDS,
     STRING_FIELDS,
     EventColumns,
-    EventLog,
     EventRecord,
     StackFrame,
     intern_codes,
 )
+from repro.etw.fastparse import parse_columns
 from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
@@ -127,25 +129,18 @@ def is_capture_path(path: Union[str, os.PathLike]) -> bool:
 class Capture:
     """A loaded capture: the decoded columns, the conversion-time parse
     report (``None`` when the writer had none), the raw metadata
-    document and the capture path.  ``events`` builds the records on
-    first read; a capture scan featurizes ``columns`` and never does."""
+    document and the capture path.  A capture scan featurizes
+    ``columns``; ``events`` builds records for callers that ask."""
 
     columns: EventColumns
     report: Optional[ParseReport]
     meta: dict
     source: str
-    _events: Optional[EventLog] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
-    def events(self) -> EventLog:
-        """The records, with the report and the capture path."""
-        if self._events is None:
-            self._events = EventLog(
-                self.columns.records(), report=self.report, source=self.source
-            )
-        return self._events
+    def events(self) -> List[EventRecord]:
+        """The records, built from ``columns`` on every read."""
+        return self.columns.records()
 
 
 # -- the codec ----------------------------------------------------------
@@ -493,11 +488,14 @@ def write_capture_columns(
 ) -> Path:
     """Serialize an :class:`~repro.etw.events.EventColumns` directly.
 
-    The generation fast path's sink: column blocks go straight to the
-    capture arrays without ever materializing an ``EventRecord`` (or a
-    line of text).  Byte-identical to :func:`write_capture` over the
-    equivalent event list — ``tests/test_fastgen.py`` holds the
-    generator's captures to the per-event reference writer.
+    The sink of :func:`convert_log` and of the generation fast path:
+    column blocks go straight to the capture arrays without ever
+    materializing an ``EventRecord`` (or a line of text).
+    Byte-identical to :func:`write_capture` over the equivalent event
+    list — ``tests/test_fastgen.py`` holds the generator's captures to
+    the per-event reference writer, and ``tests/test_capture.py``
+    holds :func:`convert_log` to :func:`write_capture` over
+    :func:`~repro.etw.fastparse.parse_fast`.
     """
     return _write_delta(
         path, DeltaEncoder().encode_columns(cols), report, source
@@ -513,28 +511,28 @@ def convert_log(
 ) -> Path:
     """One-time text → columnar conversion of a raw log file.
 
-    Parses ``src`` under the given recovery ``policy`` (default
-    ``"drop"``: corrupt lines are classified and skipped, not fatal) and
-    writes the capture to ``dst`` (default: ``src`` with its suffix
-    replaced by ``.leapscap``).  The conversion's
+    Parses ``src`` to columns with
+    :func:`~repro.etw.fastparse.parse_columns` under the given recovery
+    ``policy`` (default ``"drop"``: corrupt lines are classified and
+    skipped, not fatal) and writes them with
+    :func:`write_capture_columns` to ``dst`` (default: ``src`` with its
+    suffix replaced by ``.leapscap``).  The conversion's
     :class:`~repro.etw.recovery.ParseReport` is recorded in the capture
     metadata, so nothing recovery learned about the text is lost.
     """
-    from repro.etw.fastparse import parse_fast
-
     src = Path(os.fspath(src))
     if dst is None:
         dst = src.with_suffix(CAPTURE_SUFFIX)
     report = ParseReport()
-    events = parse_fast(
+    columns = parse_columns(
         src.read_bytes(),
         policy=policy,
         report=report,
         require_complete_tail=require_complete_tail,
     )
-    return write_capture(
+    return write_capture_columns(
         dst,
-        events,
+        columns,
         report=report,
         source={
             "path": str(src),

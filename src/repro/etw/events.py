@@ -11,12 +11,9 @@ from __future__ import annotations
 import gc
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.etw.recovery import ParseReport
 
 #: Node identity used throughout CFG inference: (module, function).
 FrameNode = Tuple[str, str]
@@ -263,37 +260,3 @@ class EventColumns:
             if gc_was_enabled:
                 gc.enable()
         return out
-
-
-class EventLog(list):
-    """A list of already-parsed :class:`EventRecord` objects.
-
-    Front ends that produce events without a text parse (the columnar
-    capture reader, pre-parsed in-memory fleets) hand the pipeline an
-    ``EventLog`` where raw lines are otherwise expected; parse entry
-    points recognize the type and skip re-parsing.  ``report`` carries
-    the :class:`~repro.etw.recovery.ParseReport` of whatever parse
-    originally produced these events (``None`` when unknown), so
-    recovery accounting survives the detour through a binary format.
-    ``source`` records where the events came from (the capture
-    directory path for the columnar reader, ``None`` for hand-built
-    logs) — fleet scans use it to ship a *path* to pool workers instead
-    of pickling the whole event list.
-    """
-
-    __slots__ = ("report", "source")
-
-    def __init__(
-        self,
-        events: Iterable[EventRecord] = (),
-        report: Optional["ParseReport"] = None,
-        source: Optional[str] = None,
-    ):
-        super().__init__(events)
-        self.report = report
-        self.source = source
-
-    def __reduce__(self):
-        # list subclass with __slots__: default pickling would drop
-        # ``report``/``source``; fleet scans ship EventLogs to workers.
-        return (type(self), (list(self), self.report, self.source))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.etw.events import EventColumns, EventLog, EventRecord, StackFrame
+from repro.etw.events import EventColumns, EventRecord, StackFrame
 from repro.etw.recovery import (
     ParseErrorKind,
     ParseReport,
@@ -623,13 +623,8 @@ class RawLogParser:
         report: Optional[ParseReport] = None,
         require_complete_tail: bool = False,
     ) -> List[EventRecord]:
-        if isinstance(lines, EventLog):
-            # Already-parsed events (e.g. from a columnar capture): no
-            # text to parse.  Their original parse's accounting merges
-            # into the caller's report so recovery stats aren't lost.
-            if report is not None and lines.report is not None:
-                report.merge(lines.report)
-            return list(lines)
+        """Parse raw log text, bytes or lines into records with
+        :func:`~repro.etw.fastparse.parse_fast`."""
         from repro.etw.fastparse import parse_fast  # circular at import
 
         return parse_fast(

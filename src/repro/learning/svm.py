@@ -29,12 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.learning.kernels import (
-    Kernel,
-    gaussian_cross_kernel,
-    gaussian_cross_kernel_blocked,
-    linear_kernel,
-)
+from repro.learning.kernels import Kernel, gaussian_cross_kernel, linear_kernel
 
 #: curvature that stands in for a non-positive ``Kᵢᵢ + Kⱼⱼ − 2Kᵢⱼ``
 #: (duplicate rows), as in LIBSVM
@@ -304,7 +299,9 @@ class KernelSVM:
             # is evaluated in the same operation order (see
             # kernels.gaussian_cross_kernel), and compaction only ever
             # removes exact-zero coefficients.
-            K = gaussian_cross_kernel(X, self._score_X, self._score_norms, sigma2)
+            K = gaussian_cross_kernel(
+                X, self._score_X, self._score_norms, sigma2, ((0, len(X)),)
+            )
             return K @ self._score_coef + self.b
         return self.kernel(X, self._sv_X) @ self._sv_coef + self.b
 
@@ -320,7 +317,7 @@ class KernelSVM:
         score exactly as it would have alone (dgemm rounds
         shape-dependently), so the BLAS products run per block while the
         elementwise kernel stages are fused across the whole matrix
-        (:func:`~repro.learning.kernels.gaussian_cross_kernel_blocked`).
+        (:func:`~repro.learning.kernels.gaussian_cross_kernel`).
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
@@ -338,7 +335,7 @@ class KernelSVM:
             return np.concatenate(
                 [self.decision_function(X[start:stop]) for start, stop in bounds]
             ) if len(X) else np.zeros(0)
-        K = gaussian_cross_kernel_blocked(
+        K = gaussian_cross_kernel(
             X, self._score_X, self._score_norms, sigma2, bounds
         )
         scores = np.empty(len(X))

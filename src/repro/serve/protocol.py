@@ -230,7 +230,7 @@ class ServeClient:
         from repro.etw.capture import load_capture
 
         capture = load_capture(path)
-        self.send_events(list(capture.events), chunk_events=chunk_events)
+        self.send_events(capture.events, chunk_events=chunk_events)
         if capture.report is not None:
             self.send_report(capture.report)
 

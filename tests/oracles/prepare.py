@@ -1,7 +1,8 @@
 """The record-based training prepare — the reference for
 ``LeapsPipeline.prepare_training_many``.
 
-Parses every log into records, partitions every event's walk for
+Parses every log into records (columns convert with
+``EventColumns.records``), partitions every event's walk for
 Algorithms 1 and 2, fits the vocabularies one event at a time,
 featurizes one event at a time and aggregates the window
 weights one window at a time.  The columnar prepare must produce the
@@ -13,6 +14,7 @@ import numpy as np
 
 from repro.core.pipeline import PreparedTraining
 from repro.core.weights import WeightAssessor
+from repro.etw.events import EventColumns
 from repro.learning.scaling import Standardizer
 from repro.preprocessing.features import EventFeaturizer
 
@@ -32,6 +34,13 @@ def fit_records(featurizer, *event_streams):
     return featurizer
 
 
+def log_records(pipeline, log):
+    """One training log as records: columns convert, text parses."""
+    if isinstance(log, EventColumns):
+        return log.records()
+    return pipeline.parser.parse_lines(log)
+
+
 def window_weights(coalescer, event_weights, aggregate):
     """Per-window weights, one window slice at a time."""
     reduce = np.mean if aggregate == "mean" else np.max
@@ -48,8 +57,8 @@ def prepare_training_naive(pipeline, benign_logs, mixed_logs, rng=None):
     as the production prepare does.  ``stage_seconds`` stays empty."""
     config = pipeline.config
     rng = config.rng() if rng is None else rng
-    benign_event_logs = [pipeline.parser.parse_lines(log) for log in benign_logs]
-    mixed_event_logs = [pipeline.parser.parse_lines(log) for log in mixed_logs]
+    benign_event_logs = [log_records(pipeline, log) for log in benign_logs]
+    mixed_event_logs = [log_records(pipeline, log) for log in mixed_logs]
     if not benign_event_logs or not mixed_event_logs or any(
         not events for events in benign_event_logs + mixed_event_logs
     ):

@@ -8,6 +8,7 @@ generated catalog row.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,14 +25,14 @@ from repro.etw.capture import (
     write_capture,
     write_capture_columns,
 )
-from repro.etw.events import EventLog
+from repro.etw.fastparse import parse_fast
 from repro.etw.parser import (
     RawLogParser,
     iter_parse,
     read_log_lines,
     serialize_events,
 )
-from repro.etw.recovery import ParseReport
+from repro.etw.recovery import ParseReport, ParseWarning
 
 from tests.conftest import TINY_LOG
 from tests.faults import fault_corpus
@@ -112,9 +113,11 @@ class TestRoundTrip:
         assert list(load_capture(path).events) == events
 
     def test_loaded_capture_is_event_log_with_report(self, tmp_path):
-        capture, _, _ = roundtrip(tmp_path, TINY_LOG.splitlines())
-        assert isinstance(capture.events, EventLog)
-        assert capture.events.report is capture.report
+        capture, _, reference_report = roundtrip(tmp_path, TINY_LOG.splitlines())
+        assert type(capture.events) is list
+        assert capture.events == capture.columns.records()
+        assert capture.report.to_dict() == reference_report.to_dict()
+        assert capture.source == str(tmp_path / "log.leapscap")
         assert isinstance(capture, Capture)
 
 
@@ -149,16 +152,6 @@ class TestPathAddressing:
         src = tmp_path / "benign.log"
         src.write_text(TINY_LOG, encoding="utf-8")
         assert convert_log(src) == tmp_path / "benign.leapscap"
-
-    def test_parser_passes_event_log_through(self):
-        events = list(iter_parse(TINY_LOG.splitlines()))
-        conversion_report = ParseReport()
-        list(iter_parse(TINY_LOG.splitlines(), report=conversion_report))
-        log = EventLog(events, report=conversion_report)
-        scan_report = ParseReport()
-        parsed = RawLogParser().parse_lines(log, report=scan_report)
-        assert parsed == events
-        assert scan_report.to_dict() == conversion_report.to_dict()
 
 
 class TestValidation:
@@ -364,8 +357,6 @@ class TestWriterEquivalence:
         return vec
 
     def test_columns_sidecar_path(self, tmp_path):
-        from repro.etw.fastparse import parse_fast
-
         report = ParseReport()
         events = parse_fast(
             TINY_LOG.splitlines(), policy="drop", report=report
@@ -392,8 +383,6 @@ class TestWriterEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_fault_corpus(self, tmp_path, seed):
-        from repro.etw.fastparse import parse_fast
-
         base = TINY_LOG.splitlines() * 3
         for variant in fault_corpus(base, seed=seed):
             report = ParseReport()
@@ -414,8 +403,6 @@ class TestWriterEquivalence:
 
 
     def test_golden_heads(self, tmp_path, generated_row):
-        from repro.etw.fastparse import parse_fast
-
         for stem in GENERATED_LOGS:
             lines = (generated_row / f"{stem}.log").read_text().splitlines()
             report = ParseReport()
@@ -435,6 +422,59 @@ class TestWriterEquivalence:
                 source=capture.meta["source"],
             )
             assert captures_byte_identical(rewritten, original), stem
+
+
+@pytest.mark.parametrize("policy", ["drop", "warn"])
+class TestConvertLogOnColumns:
+    """``convert_log`` parses to columns and encodes them, building no
+    record: its capture is byte-identical to ``write_capture`` over
+    ``parse_fast``'s records with the same report and source, and it
+    warns as that parse does."""
+
+    @staticmethod
+    def assert_matches_record_writer(tmp_path, src, policy):
+        def parse_warnings(run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ParseWarning)
+                out = run()
+            return out, [str(w.message) for w in caught]
+
+        got, got_warnings = parse_warnings(
+            lambda: convert_log(src, tmp_path / "columns.leapscap", policy=policy)
+        )
+        report = ParseReport()
+        events, want_warnings = parse_warnings(
+            lambda: parse_fast(src.read_bytes(), policy=policy, report=report)
+        )
+        want = write_capture(
+            tmp_path / "records.leapscap",
+            events,
+            report=report,
+            source={
+                "path": str(src),
+                "policy": policy,
+                "require_complete_tail": False,
+            },
+        )
+        assert captures_byte_identical(got, want), src.name
+        assert got_warnings == want_warnings, src.name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_fault_corpus(self, tmp_path, policy, seed):
+        for variant in fault_corpus(TINY_LOG.splitlines(), seed=seed):
+            scratch = tmp_path / variant.name
+            scratch.mkdir()
+            src = scratch / "log.log"
+            src.write_bytes(("\n".join(variant.lines) + "\n").encode("utf-8"))
+            self.assert_matches_record_writer(scratch, src, policy)
+
+    def test_generated_row(self, tmp_path, generated_row, policy):
+        for stem in GENERATED_LOGS:
+            scratch = tmp_path / stem
+            scratch.mkdir()
+            self.assert_matches_record_writer(
+                scratch, generated_row / f"{stem}.log", policy
+            )
 
 
 class TestCaptureCli:

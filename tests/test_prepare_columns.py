@@ -14,8 +14,7 @@ from repro import LeapsConfig, LeapsDetector
 from repro.core.persistence import pipeline_fingerprint
 from repro.core.pipeline import LeapsPipeline
 from repro.etw.capture import load_capture
-from repro.etw.events import EventLog
-from repro.etw.fastparse import parse_fast
+from repro.etw.fastparse import parse_columns, parse_fast
 from repro.etw.parser import serialize_events
 from repro.etw.stack_partition import StackPartitionError
 
@@ -144,8 +143,8 @@ class TestMatchesOracle:
         benign, mixed = tiny_logs()
         assert_prepared_equal(
             LeapsConfig(**TINY),
-            [EventLog(parse_fast(benign)), benign[:20]],
-            [mixed, EventLog(parse_fast(mixed[:30]))],
+            [parse_columns(benign), benign[:20]],
+            [mixed, parse_columns(mixed[:30])],
         )
 
 
@@ -181,7 +180,7 @@ class TestPartitionErrors:
 
 
 def test_fit_logs_input_forms_train_one_model(generated_row):
-    """A text path, a line list, a capture path and an EventLog of the
+    """A text path, a line list, a capture path and the columns of the
     same logs train one model."""
     config = LeapsConfig(
         lam_grid=(1.0,), sigma2_grid=(30.0,), cv_folds=0, max_train_windows=200
@@ -192,9 +191,9 @@ def test_fit_logs_input_forms_train_one_model(generated_row):
         .read_text()
         .splitlines(),
         "capture path": lambda stem: str(generated_row / f"{stem}.leapscap"),
-        "event log": lambda stem: load_capture(
+        "columns": lambda stem: load_capture(
             generated_row / f"{stem}.leapscap"
-        ).events,
+        ).columns,
     }
     fingerprints = {}
     for form, log in forms.items():

@@ -19,6 +19,7 @@ from repro import LeapsDetector, ScanResult
 from repro.core.pipeline import NotTrainedError
 from repro.etw.capture import load_capture
 from repro.etw.events import EventColumns
+from repro.etw.fastparse import parse_columns
 from repro.etw.parser import RawLogParser, iter_parse
 from repro.etw.stack_partition import StackPartitionError
 from repro.preprocessing.features import EventFeaturizer
@@ -179,7 +180,7 @@ class TestScanLogFastPath:
         float64 noise, and identical chunk sizes are bit-identical."""
         small = tiny_detector(stream_chunk_windows=3)
         big = tiny_detector(stream_chunk_windows=1 << 20)
-        events = RawLogParser().parse_lines(make_log(SCAN_SPECS))
+        events = parse_columns(make_log(SCAN_SPECS))
         _, chunked = small.pipeline.score_events(events)
         _, whole = big.pipeline.score_events(events)
         np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
@@ -231,6 +232,17 @@ class TestFleetScan:
         results = detector.scan_logs([lines, fleet[0], iter(lines)])
         assert [r.source for r in results] == [None, fleet[0], None]
         assert results[0].detections == results[2].detections == detector.scan_log(lines)
+
+    def test_whole_log_bytes_items(self, detector):
+        """A whole log's bytes is one log, as for scan_log and fit_logs."""
+        data = ("\n".join(make_log(SCAN_SPECS)) + "\n").encode()
+        want = detector.scan_log(data)
+        assert want
+        (result,) = detector.scan_logs([data])
+        assert result.source is None
+        assert result.detections == want
+        results = detector.scan_logs([data, data], n_jobs=2)
+        assert [r.detections for r in results] == [want, want]
 
     def test_flagged_property(self, detector, fleet):
         clean, mixed, owned = detector.scan_logs(fleet)
@@ -304,75 +316,13 @@ class TestGoldenFleetScan:
         want = [r.detections for r in serial]
         assert [r.detections for r in process] == want
         assert all(want)
-        # the captures scan from their columns, by path and (in the
-        # pool) by the path reference of a loaded capture's records
+        # the captures scan from their columns, by path
         captures = [str(Path(path).with_suffix(".leapscap")) for path in paths]
-        loaded = [load_capture(path).events for path in captures]
-        for fleet, n_jobs in ((captures, 1), (captures, 2), (loaded, 2)):
-            results = detector.scan_logs(fleet, n_jobs=n_jobs)
+        for n_jobs in (1, 2):
+            results = detector.scan_logs(captures, n_jobs=n_jobs)
             assert [r.detections for r in results] == want
             assert [r.source for r in results] == captures
         for path, detections in zip(paths, want):
             with open(path) as handle:
                 assert list(detector.scan_stream(handle)) == detections
 
-
-class TestCaptureFleetScan:
-    """``.leapscap`` inputs through the fleet scan: in-memory capture
-    EventLogs reroute to the process pool as path references (the
-    worker re-reads the columnar file instead of unpickling events)."""
-
-    @pytest.fixture(scope="class")
-    def detector(self):
-        return tiny_detector()
-
-    @pytest.fixture(scope="class")
-    def capture_fixture(self, tmp_path_factory):
-        from repro.etw.capture import load_capture, write_capture
-
-        lines = make_log(SCAN_SPECS)
-        events = RawLogParser().parse_lines(lines)
-        path = write_capture(
-            tmp_path_factory.mktemp("caps") / "fleet.leapscap", events
-        )
-        return lines, str(path), load_capture(path)
-
-    def test_loaded_capture_carries_source(self, capture_fixture):
-        _, path, capture = capture_fixture
-        assert capture.events.source == path
-
-    @pytest.mark.parametrize("n_jobs", [2], ids=["process"])
-    def test_capture_eventlog_parallel_equals_serial(
-        self, detector, capture_fixture, n_jobs
-    ):
-        lines, path, capture = capture_fixture
-        want = detector.scan_log(lines)
-        results = detector.scan_logs(
-            [capture.events, path, lines], n_jobs=n_jobs
-        )
-        assert [r.detections for r in results] == [want, want, want]
-        # the rerouted EventLog keeps its capture provenance
-        assert results[0].source == path
-        assert results[1].source == path
-        assert results[2].source is None
-
-    def test_capture_ref_detects_changed_capture(
-        self, detector, capture_fixture
-    ):
-        from repro.core.detector import _CaptureRef
-
-        _, path, capture = capture_fixture
-        stale = _CaptureRef(path, n_events=len(capture.events) + 1)
-        with pytest.raises(RuntimeError, match="changed during the scan"):
-            detector._scan_job(None, stale, None, False)
-
-    def test_eventlog_pickles_with_report_and_source(self, capture_fixture):
-        import pickle
-
-        _, path, capture = capture_fixture
-        clone = pickle.loads(pickle.dumps(capture.events))
-        assert list(clone) == list(capture.events)
-        assert clone.source == path
-        assert (clone.report is None) == (capture.events.report is None)
-        if clone.report is not None:
-            assert clone.report.to_dict() == capture.events.report.to_dict()
