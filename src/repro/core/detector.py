@@ -30,9 +30,8 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.core.cfg_inference import CFG
 from repro.core.config import LeapsConfig
@@ -50,9 +49,9 @@ from repro.etw.fastparse import parse_columns
 from repro.etw.recovery import ParseReport
 
 
-@dataclass(frozen=True)
-class WindowDetection:
-    """Verdict for one coalesced event window of a scanned log."""
+class WindowDetection(NamedTuple):
+    """Verdict for one coalesced event window of a scanned log: a
+    tuple, equal to the plain tuple of its fields."""
 
     index: int
     start_eid: int
@@ -225,7 +224,7 @@ class LeapsDetector:
                 report=report,
             )
         windows, scores = self.pipeline.score_events(events)
-        detections = list(starmap(WindowDetection, detection_rows(windows, scores)))
+        detections = list(map(WindowDetection._make, detection_rows(windows, scores)))
         return ScanResult(source=source, detections=detections, report=report)
 
     def scan_logs(

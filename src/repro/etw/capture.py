@@ -4,75 +4,79 @@ A *capture* is the columnar form of a parsed raw log, written once so
 later scans skip text parsing: a ``<name>.leapscap`` directory holding
 
 ``capture.json``
-    Schema version (``leaps-capture/v1``), entity counts, provenance of
+    Schema version (``leaps-capture/v2``), entity counts, provenance of
     the conversion (source path, parse policy), and the full
     :class:`~repro.etw.recovery.ParseReport` of the parse that produced
     the events — recovery accounting survives the binary detour.
-``arrays.npz``
-    The events in columnar form, exact:
+``events.lc``
+    The events in columnar form, exact: one ``LC`` events chunk, the
+    byte form of the serve wire's columnar chunks (below), loaded with
+    one read and decoded through ``np.frombuffer`` views.
 
-    ============================  ======== =========================================
-    array                         dtype    meaning
-    ============================  ======== =========================================
-    ``eid, timestamp, pid,``      int64    per-event integer columns
-    ``tid, opcode``
-    ``process_id, category_id,``  int64    per-event index into the string vocabulary
-    ``name_id``
-    ``walk_id``                   int64    per-event index into the walk table
-    ``frame_index``               int64    per unique frame: its stack index
-    ``frame_module_id,``          int64    per unique frame: vocabulary indices
-    ``frame_function_id``
-    ``frame_address``             (u)int64 per unique frame: return address
-    ``walk_frame_ids``            int64    all walks, flattened frame indices
-    ``walk_offsets``              int64    walk *w* is ``walk_frame_ids[o[w]:o[w+1]]``
-    ``vocab_*``                   str      newline-joined unique strings (see below)
-    ============================  ======== =========================================
+Chunk layout (header big-endian like the frame protocol, body arrays
+little-endian int64 — the explicit ``<i8`` keeps the bytes independent
+of either machine)::
 
-String vocabularies (``vocab_process``, ``vocab_category``,
-``vocab_name``, ``vocab_module``, ``vocab_function``) are stored as one
-newline-joined scalar with a trailing ``"\\n"`` sentinel rather than a
-fixed-width unicode array: field values can never contain a newline
-(:func:`repro.etw.events._check_field` rejects it at construction), the
-join is therefore lossless, and it sidesteps both the quadratic memory
-of width-padded arrays and numpy's silent stripping of trailing NUL
-characters.  ``frame_address`` is written as int64 when every address
-fits, uint64 otherwise — readers just widen to Python ints.
+    +------+-----+------+-------------+----------------+
+    | "LC" | ver | kind | body_len u32| body           |
+    +------+-----+------+-------------+----------------+
 
-Stack walks are deduplicated: real fleets collapse millions of events
-onto a few hundred distinct walks, so per-event storage is nine int64
-cells regardless of stack depth, and the reader materializes each
-distinct walk tuple exactly once.  Frames come out of the parser's
-process-wide intern table, so downstream featurization memos hit on
-object identity exactly as after a text parse.
+``kind`` 1 (events) body, in order:
 
-**One codec, two containers.**  :class:`DeltaEncoder` keeps cumulative
+* ``u32 n_events``
+* five vocabulary deltas (process, category, name, module, function):
+  ``u32 n_new``, ``u32 blob_len``, then the newline-joined new entries
+  with a trailing ``"\\n"`` (absent when ``n_new == 0``);
+* frame-table delta: ``u32 n_new``, then ``int64[n]`` stack index,
+  module id, function id, one ``u8`` address-dtype flag (0 = int64,
+  1 = uint64), and the ``n`` addresses;
+* walk-table delta: ``u32 n_new_walks``, ``u32 n_flat``, then
+  ``int64[n_flat]`` flattened frame ids and ``int64[n_new_walks]``
+  per-walk lengths;
+* nine ``int64[n_events]`` event columns: eid, timestamp, pid, tid,
+  opcode, process_id, category_id, name_id, walk_id.
+
+``kind`` 2 (report) exists on the wire only (:mod:`repro.serve.columnar`).
+Every count and length is a u32, so one events chunk holds at most
+about 59M events (72 body bytes each); a longer capture raises
+:class:`CaptureError` when written.  Field values never contain a
+newline (:func:`repro.etw.events._check_field`), so the newline join is
+lossless.  Walks are deduplicated, so an event costs nine int64 cells
+whatever its stack depth, and frames come out of the parser's
+process-wide intern table, exactly as after a text parse.
+
+**One codec, one byte form.**  :class:`DeltaEncoder` keeps cumulative
 string, frame and walk tables and turns a run of events into a
 :class:`Delta`: the nine event columns plus the vocabulary entries,
-frame rows and walks the run adds to those tables.
-:class:`DeltaDecoder` keeps the same tables on the reading side, checks
-a delta against them — dtype, shape, lengths, offsets, id ranges,
-vocabulary delimiters and frame numbering — and only then grows them.
-It returns the delta's events as :class:`~repro.etw.events.EventColumns`
-over those tables; records are built only on request
-(:meth:`~repro.etw.events.EventColumns.records`, which
-:attr:`Capture.events` calls).  :func:`convert_log` parses text straight
-to columns and encodes them, so no record is built on the way from a
-text log to a capture either.  A capture is the first delta
-against empty tables; the serve wire's columnar chunks
-(:mod:`repro.serve.columnar`) are the later deltas of a stream, framed
-as bytes.  Each container passes its own error type, so a capture that
-fails validation raises :class:`CaptureError` (or
-:class:`CaptureVersionError` for a schema mismatch) — a scanner must
-never silently misinterpret a capture written by a newer converter.
+frame rows (``frame_address`` int64, or uint64 when an address needs
+it) and walks (CSR ``walk_frame_ids``/``walk_offsets``) the run adds to
+those tables.  :func:`events_chunk` frames a delta as bytes and
+:func:`events_delta` reads it back; :class:`DeltaDecoder` keeps the
+same tables on the reading side, checks a delta against them — dtype,
+shape, lengths, offsets, id ranges, vocabulary delimiters and frame
+numbering — and only then grows them, returning the delta's events as
+:class:`~repro.etw.events.EventColumns` over those tables.  Records are
+built only on request (:attr:`Capture.events`).  A capture *is* the
+first chunk of a fresh encoder; the serve wire's columnar chunks
+(:mod:`repro.serve.columnar`) are a stream's later ones.  Each
+container passes its own error type, so a capture that fails
+validation raises :class:`CaptureError` (:class:`CaptureVersionError`
+for an unknown schema): a scanner must never silently misinterpret a
+capture written by a newer converter.
+
+Schema ``leaps-capture/v1`` stored the same delta as ``arrays.npz``
+members, each vocabulary one newline-joined string scalar;
+:func:`load_capture` still reads it, and nothing writes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -89,13 +93,35 @@ from repro.etw.parser import intern_frame
 from repro.etw.recovery import ParseReport
 
 #: Capture schema identifier; bump the suffix on incompatible changes.
-SCHEMA = "leaps-capture/v1"
+SCHEMA = "leaps-capture/v2"
+#: The previous schema: read, never written.
+SCHEMA_V1 = "leaps-capture/v1"
 
 #: Directory suffix marking a path as a columnar capture.
 CAPTURE_SUFFIX = ".leapscap"
 
 JSON_NAME = "capture.json"
+EVENTS_NAME = "events.lc"
+#: a v1 capture's arrays
 NPZ_NAME = "arrays.npz"
+
+CHUNK_MAGIC = b"LC"
+CHUNK_VERSION = 1
+#: chunk kinds
+CHUNK_EVENTS = 1
+CHUNK_REPORT = 2
+
+_CHUNK_HEADER = struct.Struct(">2sBBI")
+CHUNK_HEADER_SIZE = _CHUNK_HEADER.size
+#: the longest body a chunk header can state
+_U32_MAX = 2**32 - 1
+_U32 = struct.Struct("<I")
+_U8 = struct.Struct("B")
+_I64 = np.dtype("<i8")
+_U64 = np.dtype("<u8")
+#: ``walk_offsets`` of a chunk that adds no walks (read-only, shared)
+_FIRST_OFFSET = np.zeros(1, dtype=np.int64)
+_FIRST_OFFSET.setflags(write=False)
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -208,6 +234,9 @@ class DeltaEncoder:
         self._vocabs = {name: ({}, []) for name in _VOCAB_NAMES}
         self._frames: dict = {}
         self._walks: dict = {}
+        # the last walk table met and its walks' ids: tables only grow,
+        # so a row range of the same columns translates just new walks
+        self._seen: Tuple[Optional[list], List[int]] = (None, [])
 
     def encode(self, events: Sequence[EventRecord]) -> Delta:
         """The delta of ``events``, in event order."""
@@ -240,8 +269,11 @@ class DeltaEncoder:
         new_frames: List[StackFrame] = []
         flat: List[int] = []
         offsets = [0]
-        walk_ids: List[int] = []
-        for walk in cols.walks:
+        seen, walk_ids = self._seen
+        if seen is not cols.walks:
+            walk_ids = []
+        self._seen = (cols.walks, walk_ids)
+        for walk in cols.walks[len(walk_ids):]:
             index = walk_table.get(walk)
             if index is None:
                 index = walk_table[walk] = len(walk_table)
@@ -383,27 +415,147 @@ class DeltaDecoder:
         return cols
 
 
+# -- the byte form ----------------------------------------------------
+
+
+def _little_endian(array: np.ndarray) -> np.ndarray:
+    return array.astype(_U64 if array.dtype.kind == "u" else _I64, copy=False)
+
+
+def chunk_bytes(kind: int, parts: list, error: type) -> bytes:
+    """One chunk of ``kind`` whose body is ``parts`` — bytes, or integer
+    arrays written little-endian — joined with a single copy."""
+    parts = [part if isinstance(part, bytes) else _little_endian(part) for part in parts]
+    size = sum(memoryview(part).nbytes for part in parts)
+    if size > _U32_MAX:
+        raise error(
+            f"chunk body of {size} bytes exceeds the u32 length field "
+            "(an events chunk holds at most about 59M events)"
+        )
+    return b"".join([_CHUNK_HEADER.pack(CHUNK_MAGIC, CHUNK_VERSION, kind, size), *parts])
+
+
+def events_chunk(delta: Delta, error: type = CaptureError) -> bytes:
+    """``delta`` as one events chunk, header included."""
+    arrays, vocabs = delta
+    address = arrays["frame_address"]
+    offsets = arrays["walk_offsets"]
+    try:  # a count or vocabulary blob past the u32 range
+        parts = [_U32.pack(len(arrays["eid"]))]
+        for name in _VOCAB_NAMES:
+            blob = _join_vocab(name, vocabs[name], error).encode("utf-8")
+            parts += [_U32.pack(len(vocabs[name])), _U32.pack(len(blob)), blob]
+        parts += [
+            _U32.pack(len(address)),
+            arrays["frame_index"],
+            arrays["frame_module_id"],
+            arrays["frame_function_id"],
+            _U8.pack(address.dtype.kind == "u"),
+            address,
+            _U32.pack(len(offsets) - 1),
+            _U32.pack(len(arrays["walk_frame_ids"])),
+            arrays["walk_frame_ids"],
+            np.diff(offsets),
+        ]
+    except struct.error:
+        raise error("events chunk exceeds a u32 count field") from None
+    parts += [arrays[name] for name in _EVENT_COLUMNS]
+    return chunk_bytes(CHUNK_EVENTS, parts, error)
+
+
+def chunk_header(buffer, error: type) -> Tuple[int, int]:
+    """The kind and body length of the chunk at the start of ``buffer``,
+    once its magic and version check out."""
+    magic, version, kind, body_len = _CHUNK_HEADER.unpack_from(buffer)
+    if magic != CHUNK_MAGIC:
+        raise error(f"bad chunk magic {bytes(magic)!r}")
+    if version != CHUNK_VERSION:
+        raise error(
+            f"chunk version {version} is not supported (expected {CHUNK_VERSION})"
+        )
+    return kind, body_len
+
+
+def events_delta(body: memoryview, error: type) -> Delta:
+    """The delta of an events chunk ``body``, as read-only views of it;
+    a body that breaks the layout raises ``error``."""
+    offset = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal offset
+        if len(body) - offset < n:
+            raise error(f"chunk body truncated reading {what}")
+        offset += n
+        return body[offset - n : offset]
+
+    def u32(what: str) -> int:
+        return _U32.unpack(take(4, what))[0]
+
+    def array(count: int, what: str, dtype: np.dtype = _I64) -> np.ndarray:
+        return np.frombuffer(take(count * 8, what), dtype=dtype)
+
+    n_events = u32("event count")
+    vocabs = {}
+    for name in _VOCAB_NAMES:
+        n_new = u32(f"vocab_{name} count")
+        blob = take(u32(f"vocab_{name} blob length"), f"vocab_{name} blob")
+        try:
+            text = bytes(blob).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"vocab_{name} blob is not UTF-8") from exc
+        entries = vocabs[name] = _split_vocab(text, name, error)
+        if len(entries) != n_new:
+            raise error(
+                f"vocab_{name} declares {n_new} entries, blob has {len(entries)}"
+            )
+
+    n_new_frames = u32("frame count")
+    arrays = {
+        name: array(n_new_frames, name)
+        for name in ("frame_index", "frame_module_id", "frame_function_id")
+    }
+    addr_flag = take(1, "frame address dtype")[0]
+    if addr_flag not in (0, 1):
+        raise error(f"bad frame address dtype flag {addr_flag}")
+    arrays["frame_address"] = array(
+        n_new_frames, "frame_address", _U64 if addr_flag else _I64
+    )
+    n_new_walks = u32("walk count")
+    n_flat = u32("walk flat length")
+    arrays["walk_frame_ids"] = array(n_flat, "walk frame ids")
+    lengths = array(n_new_walks, "walk lengths")
+    arrays["walk_offsets"] = (
+        np.concatenate((_FIRST_OFFSET, lengths.cumsum()))
+        if n_new_walks else _FIRST_OFFSET
+    )
+    for name in _EVENT_COLUMNS:
+        arrays[name] = array(n_events, name)
+    if offset != len(body):
+        raise error(f"{len(body) - offset} trailing bytes in events chunk")
+    return Delta(arrays, vocabs)
+
+
 # -- writing ----------------------------------------------------------
 
 
 def _finalize_capture(
     path: Path,
-    arrays: dict,
-    vocabs: dict,
-    counts: dict,
+    delta: Delta,
     report: Optional[ParseReport],
     source: Optional[dict],
 ) -> Path:
-    """Shared write tail: vocab joins, metadata document, and the two
-    on-disk members.  Every writer funnels through here (the per-event
-    reference writer in ``tests/oracles/capture.py`` too), so metadata
-    bytes cannot drift between entry points."""
-    for name, strings in vocabs.items():
-        arrays[f"vocab_{name}"] = _join_vocab(name, strings)
+    """Shared write tail: metadata document and events chunk.  Every
+    writer funnels through here (the per-event reference writer in
+    ``tests/oracles/capture.py`` too), so metadata and chunk bytes
+    cannot drift between entry points."""
+    arrays, vocabs = delta
+    events = events_chunk(delta)  # fails before anything is written
     meta = {
         "schema": SCHEMA,
         "counts": {
-            **counts,
+            "events": len(arrays["eid"]),
+            "frames": len(arrays["frame_index"]),
+            "walks": len(arrays["walk_offsets"]) - 1,
             **{
                 f"vocab_{name}": len(strings)
                 for name, strings in vocabs.items()
@@ -414,51 +566,21 @@ def _finalize_capture(
     }
     path.mkdir(parents=True, exist_ok=True)
     (path / JSON_NAME).write_text(json.dumps(meta, indent=2) + "\n")
-    np.savez(path / NPZ_NAME, **arrays)
+    (path / EVENTS_NAME).write_bytes(events)
+    # a v1 capture overwritten in place
+    (path / NPZ_NAME).unlink(missing_ok=True)
     return path
-
-
-def _write_delta(
-    path: Union[str, os.PathLike],
-    delta: Delta,
-    report: Optional[ParseReport],
-    source: Optional[dict],
-) -> Path:
-    arrays = delta.arrays
-    counts = {
-        "events": len(arrays["eid"]),
-        "frames": len(arrays["frame_index"]),
-        "walks": len(arrays["walk_offsets"]) - 1,
-    }
-    return _finalize_capture(
-        Path(os.fspath(path)), dict(arrays), delta.vocabs, counts, report,
-        source,
-    )
 
 
 def captures_byte_identical(
     a: Union[str, os.PathLike], b: Union[str, os.PathLike]
 ) -> bool:
-    """Whether two captures hold identical bytes, member by member.
-
-    ``arrays.npz`` is a zip whose entry *timestamps* vary run to run,
-    so whole-file comparison spuriously fails; metadata and every array
-    member are compared instead (the equality that actually matters).
-    """
-    import zipfile
-
+    """Whether two captures hold identical bytes, file by file."""
     a, b = Path(os.fspath(a)), Path(os.fspath(b))
-    if (a / JSON_NAME).read_bytes() != (b / JSON_NAME).read_bytes():
-        return False
-    with zipfile.ZipFile(a / NPZ_NAME) as zip_a, zipfile.ZipFile(
-        b / NPZ_NAME
-    ) as zip_b:
-        if zip_a.namelist() != zip_b.namelist():
-            return False
-        return all(
-            zip_a.read(name) == zip_b.read(name)
-            for name in zip_a.namelist()
-        )
+    return all(
+        (a / name).read_bytes() == (b / name).read_bytes()
+        for name in (JSON_NAME, EVENTS_NAME)
+    )
 
 
 def write_capture(
@@ -469,14 +591,16 @@ def write_capture(
     source: Optional[dict] = None,
 ) -> Path:
     """Serialize parsed events to a capture directory ``path``: the
-    first delta of a fresh :class:`DeltaEncoder`.
+    first chunk of a fresh :class:`DeltaEncoder`.
 
     Creates the directory (and parents) if needed; overwrites an
     existing capture in place.  Returns the capture path.  Output is
     byte-identical to the per-event reference writer
     (``tests/oracles/capture.py``) for every input.
     """
-    return _write_delta(path, DeltaEncoder().encode(events), report, source)
+    return _finalize_capture(
+        Path(os.fspath(path)), DeltaEncoder().encode(events), report, source
+    )
 
 
 def write_capture_columns(
@@ -489,7 +613,7 @@ def write_capture_columns(
     """Serialize an :class:`~repro.etw.events.EventColumns` directly.
 
     The sink of :func:`convert_log` and of the generation fast path:
-    column blocks go straight to the capture arrays without ever
+    column blocks go straight to the events chunk without ever
     materializing an ``EventRecord`` (or a line of text).
     Byte-identical to :func:`write_capture` over the equivalent event
     list — ``tests/test_fastgen.py`` holds the generator's captures to
@@ -497,8 +621,9 @@ def write_capture_columns(
     holds :func:`convert_log` to :func:`write_capture` over
     :func:`~repro.etw.fastparse.parse_fast`.
     """
-    return _write_delta(
-        path, DeltaEncoder().encode_columns(cols), report, source
+    return _finalize_capture(
+        Path(os.fspath(path)), DeltaEncoder().encode_columns(cols), report,
+        source,
     )
 
 
@@ -545,46 +670,34 @@ def convert_log(
 # -- reading ----------------------------------------------------------
 
 
-def load_capture(path: Union[str, os.PathLike]) -> Capture:
-    """Load and validate a capture into columns; its ``events`` are
-    bit-identical to the parse that was converted (same interned
-    frames, same report)."""
-    path = Path(os.fspath(path))
-    json_path = path / JSON_NAME
-    npz_path = path / NPZ_NAME
-    if not json_path.is_file() or not npz_path.is_file():
-        raise CaptureError(
-            f"{path} is not a capture (needs {JSON_NAME} + {NPZ_NAME})"
-        )
+def _read_events(path: Path) -> Delta:
+    """A v2 capture's delta: ``events.lc`` must be exactly one events
+    chunk."""
     try:
-        meta = json.loads(json_path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as error:  # bad JSON, UTF-8 or depth
-        raise CaptureError(f"unparseable {json_path}: {error}") from error
-    if not isinstance(meta, dict):
-        raise CaptureError(f"{json_path} is not a JSON object")
-    schema = meta.get("schema")
-    if schema != SCHEMA:
-        raise CaptureVersionError(
-            f"capture schema {schema!r} is not supported (expected {SCHEMA!r})"
-        )
-    report_doc = meta.get("parse_report")
-    try:
-        report = None if report_doc is None else ParseReport.from_dict(report_doc)
-    except ValueError as error:
-        raise CaptureError(f"bad parse_report in {json_path}: {error}") from error
+        data = path.read_bytes()
+    except OSError as error:
+        raise CaptureError(f"unreadable: {error}") from error
+    if len(data) < CHUNK_HEADER_SIZE:
+        raise CaptureError(f"truncated chunk header ({len(data)} bytes)")
+    kind, body_len = chunk_header(data, CaptureError)
+    if kind != CHUNK_EVENTS:
+        raise CaptureError(f"chunk kind {kind} is not an events chunk")
+    if body_len != len(data) - CHUNK_HEADER_SIZE:
+        raise CaptureError(f"chunk body length {body_len} disagrees with the "
+                           f"file's {len(data) - CHUNK_HEADER_SIZE} body bytes")
+    return events_delta(memoryview(data)[CHUNK_HEADER_SIZE:], CaptureError)
 
+
+def _read_npz(path: Path) -> Delta:
+    """A v1 capture's delta, from its ``arrays.npz`` members."""
     try:
-        data = np.load(npz_path, allow_pickle=False)
+        data = np.load(path, allow_pickle=False)
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise ValueError("not an npz archive")
         with data:
             arrays = {key: data[key] for key in data.files}
-    except Exception as error:
-        # A damaged archive surfaces as BadZipFile, EOFError, ValueError,
-        # NotImplementedError, OSError, a zlib or lzma error, ... — an
-        # open-ended set that all means "unreadable" here.
-        raise CaptureError(f"unreadable {npz_path}: {error}") from error
-
+    except Exception as error:  # BadZipFile, EOFError, zlib.error, ...
+        raise CaptureError(f"unreadable: {error}") from error
     vocabs = {}
     for name in _VOCAB_NAMES:
         raw = arrays.get(f"vocab_{name}")
@@ -593,7 +706,48 @@ def load_capture(path: Union[str, os.PathLike]) -> Capture:
         if raw.ndim or raw.dtype.kind != "U":
             raise CaptureError(f"vocab_{name} must be a string scalar")
         vocabs[name] = _split_vocab(str(raw[()]), name, CaptureError)
-    columns = DeltaDecoder().decode(arrays, vocabs)
+    return Delta(arrays, vocabs)
+
+
+def load_capture(path: Union[str, os.PathLike]) -> Capture:
+    """Load and validate a capture into columns; its ``events`` are
+    bit-identical to the parse that was converted (same interned
+    frames, same report).  The columns of a v2 capture are read-only
+    views of its file's bytes."""
+    path = Path(os.fspath(path))
+    json_path = path / JSON_NAME
+    if not json_path.is_file():
+        raise CaptureError(
+            f"{path} is not a capture (needs {JSON_NAME} + {EVENTS_NAME})"
+        )
+    try:
+        meta = json.loads(json_path.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as error:  # bad JSON, UTF-8 or depth
+        raise CaptureError(f"unparseable {json_path}: {error}") from error
+    if not isinstance(meta, dict):
+        raise CaptureError(f"{json_path} is not a JSON object")
+    schema = meta.get("schema")
+    if schema == SCHEMA:
+        data_path, read = path / EVENTS_NAME, _read_events
+    elif schema == SCHEMA_V1:
+        data_path, read = path / NPZ_NAME, _read_npz
+    else:
+        raise CaptureVersionError(
+            f"capture schema {schema!r} is not supported (expected {SCHEMA!r})"
+        )
+    if not data_path.is_file():
+        raise CaptureError(
+            f"{path} is not a capture (needs {JSON_NAME} + {data_path.name})"
+        )
+    report_doc = meta.get("parse_report")
+    try:
+        report = None if report_doc is None else ParseReport.from_dict(report_doc)
+    except ValueError as error:
+        raise CaptureError(f"bad parse_report in {json_path}: {error}") from error
+    try:
+        columns = DeltaDecoder().decode(*read(data_path))
+    except CaptureError as error:
+        raise CaptureError(f"{data_path}: {error}") from error
     return Capture(columns, report, meta, os.fspath(path))
 
 

@@ -220,6 +220,16 @@ class EventColumns:
             list(by_identity.values()),
         )
 
+    def rows(self, start: int, stop: int) -> "EventColumns":
+        """Events ``start:stop`` as column views over this object's own
+        tables (so they may hold entries no event of the range uses)."""
+        cols = EventColumns.__new__(EventColumns)  # every slot is set below
+        for name in self.__slots__:
+            value = getattr(self, name)
+            setattr(cols, name, value[start:stop] if name in self.COLUMNS else value)
+        cols.n_events = len(cols.eid)
+        return cols
+
     def records(self) -> List[EventRecord]:
         """The events as :class:`EventRecord` objects, in order; each
         record's ``frames`` is the shared walk tuple of its table."""

@@ -199,38 +199,42 @@ class ServeClient:
         the server reassembles chunks across frames)."""
         self._sock.sendall(pack_frame(FRAME_DATA_COLUMNAR, chunk))
 
+    @property
+    def _chunks(self):
+        """The stream's columnar ``ChunkEncoder``, made on first use."""
+        if self._encoder is None:
+            from repro.serve.columnar import ChunkEncoder
+
+            self._encoder = ChunkEncoder()
+        return self._encoder
+
     def send_events(self, events, chunk_events: int = 8192) -> None:
         """Encode parsed events into columnar chunks and ship them.
 
         The encoder is per-connection and stateful: repeated calls keep
         growing the same cumulative vocab/frame/walk tables, so each
         distinct string, frame, and walk crosses the wire once."""
-        from repro.serve.columnar import ChunkEncoder
-
-        if self._encoder is None:
-            self._encoder = ChunkEncoder()
         step = max(1, int(chunk_events))
         for start in range(0, len(events), step):
-            self.send_chunk(
-                self._encoder.encode_events(events[start : start + step])
-            )
+            self.send_chunk(self._chunks.encode_events(events[start : start + step]))
 
     def send_report(self, report) -> None:
         """Ship the client's local :class:`ParseReport` so the terminal
         ``RESULT`` matches a server-side parse of the same text."""
-        from repro.serve.columnar import ChunkEncoder
-
-        if self._encoder is None:
-            self._encoder = ChunkEncoder()
-        self.send_chunk(self._encoder.encode_report(report))
+        self.send_chunk(self._chunks.encode_report(report))
 
     def send_capture(self, path, chunk_events: int = 8192) -> None:
-        """Load a client-local ``.leapscap`` capture and stream it
-        columnar — events in chunks, then its conversion report."""
+        """Load a client-local ``.leapscap`` capture and stream its
+        columns, ``chunk_events`` rows a chunk, then its conversion
+        report; no record is built, and the first chunk carries the
+        capture's whole tables."""
         from repro.etw.capture import load_capture
 
         capture = load_capture(path)
-        self.send_events(capture.events, chunk_events=chunk_events)
+        cols = capture.columns
+        step = max(1, int(chunk_events))
+        for start in range(0, cols.n_events, step):
+            self.send_chunk(self._chunks.encode_columns(cols.rows(start, start + step)))
         if capture.report is not None:
             self.send_report(capture.report)
 

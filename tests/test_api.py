@@ -1,9 +1,11 @@
 """Public API surface: README imports, config validation, tiny pipeline."""
 
+import pickle
+
 import pytest
 
 import repro
-from repro import LeapsConfig, LeapsDetector
+from repro import LeapsConfig, LeapsDetector, WindowDetection
 from repro.core.pipeline import LeapsPipeline, NotTrainedError
 
 
@@ -20,6 +22,42 @@ class TestPublicSurface:
         )
         assert config.stride == 2
         assert config.dims == 30
+
+
+class TestWindowDetection:
+    """A detection is a named tuple of its five fields."""
+
+    FIELDS = ("index", "start_eid", "end_eid", "score", "malicious")
+
+    def test_construction_and_access(self):
+        by_keyword = WindowDetection(
+            index=3, start_eid=10, end_eid=19, score=-0.5, malicious=True
+        )
+        by_position = WindowDetection(3, 10, 19, -0.5, True)
+        assert by_keyword == by_position
+        assert WindowDetection._fields == self.FIELDS
+        assert [getattr(by_keyword, name) for name in self.FIELDS] == [
+            3, 10, 19, -0.5, True
+        ]
+        assert by_keyword != WindowDetection(3, 10, 19, 0.5, False)
+
+    def test_is_a_tuple(self):
+        detection = WindowDetection(3, 10, 19, -0.5, True)
+        assert isinstance(detection, tuple)
+        assert detection == (3, 10, 19, -0.5, True)
+        assert tuple(detection) == (3, 10, 19, -0.5, True)
+
+    def test_immutable_hashable_picklable(self):
+        detection = WindowDetection(3, 10, 19, -0.5, True)
+        with pytest.raises(AttributeError):
+            detection.score = 1.0
+        assert len({detection, WindowDetection(3, 10, 19, -0.5, True)}) == 1
+        clone = pickle.loads(pickle.dumps(detection))
+        assert clone == detection and type(clone) is WindowDetection
+        assert repr(detection) == (
+            "WindowDetection(index=3, start_eid=10, end_eid=19, score=-0.5, "
+            "malicious=True)"
+        )
 
 
 class TestConfigValidation:

@@ -8,13 +8,20 @@ generated catalog row.
 """
 
 import json
+import shutil
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.etw import capture as capture_module
 from repro.etw.capture import (
+    CHUNK_HEADER_SIZE,
+    EVENTS_NAME,
+    NPZ_NAME,
     SCHEMA,
+    SCHEMA_V1,
     Capture,
     CaptureError,
     CaptureVersionError,
@@ -25,6 +32,7 @@ from repro.etw.capture import (
     write_capture,
     write_capture_columns,
 )
+from repro.etw.events import EventColumns
 from repro.etw.fastparse import parse_fast
 from repro.etw.parser import (
     RawLogParser,
@@ -36,7 +44,7 @@ from repro.etw.recovery import ParseReport, ParseWarning
 
 from tests.conftest import TINY_LOG
 from tests.faults import fault_corpus
-from tests.oracles.capture import write_capture_naive
+from tests.oracles.capture import rewrite_as_v1, write_capture_naive
 
 
 def roundtrip(tmp_path, lines, policy="drop", name="log"):
@@ -154,16 +162,30 @@ class TestPathAddressing:
         assert convert_log(src) == tmp_path / "benign.leapscap"
 
 
+def tiny_capture(tmp_path):
+    src = tmp_path / "x.log"
+    src.write_text(TINY_LOG, encoding="utf-8")
+    return convert_log(src)
+
+
 class TestValidation:
     @pytest.fixture
     def capture_path(self, tmp_path):
-        src = tmp_path / "x.log"
-        src.write_text(TINY_LOG, encoding="utf-8")
-        return convert_log(src)
+        return tiny_capture(tmp_path)
 
     def test_missing_files(self, tmp_path):
         with pytest.raises(CaptureError, match="is not a capture"):
             load_capture(tmp_path / "nope.leapscap")
+
+    @pytest.mark.parametrize("schema", [SCHEMA, SCHEMA_V1], ids=["v2", "v1"])
+    def test_missing_events(self, capture_path, schema):
+        if schema == SCHEMA_V1:
+            rewrite_as_v1(capture_path)
+            (capture_path / NPZ_NAME).unlink()
+        else:
+            (capture_path / EVENTS_NAME).unlink()
+        with pytest.raises(CaptureError, match="is not a capture"):
+            load_capture(capture_path)
 
     def test_unknown_schema(self, capture_path):
         meta = json.loads((capture_path / "capture.json").read_text())
@@ -173,41 +195,47 @@ class TestValidation:
             load_capture(capture_path)
         assert issubclass(CaptureVersionError, CaptureError)
 
-    def _rewrite(self, capture_path, **overrides):
-        with np.load(capture_path / "arrays.npz", allow_pickle=False) as data:
+    # The array mutations run on v1 captures, whose arrays.npz members
+    # are the delta's arrays: they still reach the decoder's checks.
+    @pytest.fixture
+    def v1_path(self, tmp_path):
+        return rewrite_as_v1(tiny_capture(tmp_path))
+
+    def _rewrite(self, v1_path, **overrides):
+        with np.load(v1_path / NPZ_NAME, allow_pickle=False) as data:
             arrays = {key: data[key] for key in data.files}
         arrays.update(overrides)
-        np.savez(capture_path / "arrays.npz", **arrays)
+        np.savez(v1_path / NPZ_NAME, **arrays)
 
-    def test_id_out_of_range(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
+    def test_id_out_of_range(self, v1_path):
+        with np.load(v1_path / NPZ_NAME) as data:
             name_id = data["name_id"].copy()
         name_id[0] = 999
-        self._rewrite(capture_path, name_id=name_id)
+        self._rewrite(v1_path, name_id=name_id)
         with pytest.raises(CaptureError, match="name_id out of range"):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
-    def test_broken_offsets(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
+    def test_broken_offsets(self, v1_path):
+        with np.load(v1_path / NPZ_NAME) as data:
             offsets = data["walk_offsets"].copy()
         offsets[-1] = offsets[-1] + 5
-        self._rewrite(capture_path, walk_offsets=offsets)
+        self._rewrite(v1_path, walk_offsets=offsets)
         with pytest.raises(CaptureError, match="walk_offsets"):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
-    def test_missing_array(self, capture_path):
-        with np.load(capture_path / "arrays.npz") as data:
+    def test_missing_array(self, v1_path):
+        with np.load(v1_path / NPZ_NAME) as data:
             arrays = {
                 key: data[key] for key in data.files if key != "timestamp"
             }
-        np.savez(capture_path / "arrays.npz", **arrays)
+        np.savez(v1_path / NPZ_NAME, **arrays)
         with pytest.raises(CaptureError, match="missing array"):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
-    def test_delimiter_in_vocab(self, capture_path):
-        self._rewrite(capture_path, vocab_process=np.array("bad|name\n"))
+    def test_delimiter_in_vocab(self, v1_path):
+        self._rewrite(v1_path, vocab_process=np.array("bad|name\n"))
         with pytest.raises(CaptureError, match="delimiter"):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -249,20 +277,20 @@ class TestValidation:
             ),
         ],
     )
-    def test_malformed_arrays(self, capture_path, mutate):
-        with np.load(capture_path / "arrays.npz") as data:
+    def test_malformed_arrays(self, v1_path, mutate):
+        with np.load(v1_path / NPZ_NAME) as data:
             arrays = {key: data[key] for key in data.files}
-        self._rewrite(capture_path, **mutate(arrays))
+        self._rewrite(v1_path, **mutate(arrays))
         with pytest.raises(CaptureError):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
     @pytest.mark.parametrize("truncate", [False, True], ids=["not-a-zip", "truncated"])
-    def test_unreadable_npz(self, capture_path, truncate):
-        npz = capture_path / "arrays.npz"
+    def test_unreadable_npz(self, v1_path, truncate):
+        npz = v1_path / NPZ_NAME
         raw = npz.read_bytes()
         npz.write_bytes(raw[: len(raw) // 2] if truncate else b"not a zip")
         with pytest.raises(CaptureError, match="unreadable"):
-            load_capture(capture_path)
+            load_capture(v1_path)
 
     def _edit_meta(self, capture_path, edit):
         path = capture_path / "capture.json"
@@ -323,7 +351,166 @@ class TestValidation:
             write_capture(tmp_path / "x.leapscap", [huge])
 
     def test_schema_constant(self):
-        assert SCHEMA == "leaps-capture/v1"
+        assert SCHEMA == "leaps-capture/v2"
+        assert SCHEMA_V1 == "leaps-capture/v1"
+
+
+class TestEventsChunkValidation:
+    """``events.lc`` must be exactly one events chunk: every header or
+    body fault raises ``CaptureError`` naming the file."""
+
+    @pytest.fixture
+    def capture_path(self, tmp_path):
+        return tiny_capture(tmp_path)
+
+    @staticmethod
+    def assert_rejected(capture_path, data, match):
+        events = capture_path / EVENTS_NAME
+        events.write_bytes(data)
+        with pytest.raises(CaptureError, match=match) as caught:
+            load_capture(capture_path)
+        assert str(events) in str(caught.value)
+
+    @staticmethod
+    def chunk(capture_path):
+        return bytearray((capture_path / EVENTS_NAME).read_bytes())
+
+    @pytest.mark.parametrize("size", [0, 1, CHUNK_HEADER_SIZE - 1])
+    def test_truncated_header(self, capture_path, size):
+        data = bytes(self.chunk(capture_path)[:size])
+        self.assert_rejected(capture_path, data, "truncated chunk header")
+
+    @pytest.mark.parametrize(
+        "offset, value, match",
+        [(0, ord("X"), "magic"), (2, 99, "version 99"), (3, 2, "kind 2")],
+        ids=["magic", "version", "kind"],
+    )
+    def test_bad_header_field(self, capture_path, offset, value, match):
+        data = self.chunk(capture_path)
+        data[offset] = value
+        self.assert_rejected(capture_path, bytes(data), match)
+
+    @staticmethod
+    def restate_length(data, delta=0):
+        """``data`` with its header's body length set to the file's
+        body length plus ``delta``."""
+        data = bytearray(data)
+        struct.pack_into(">I", data, 4, len(data) - CHUNK_HEADER_SIZE + delta)
+        return bytes(data)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda data: data + b"\0", id="trailing-bytes"),
+            pytest.param(lambda data: data[:-1], id="truncated-file"),
+            pytest.param(lambda data: data[:CHUNK_HEADER_SIZE], id="no-body"),
+        ],
+    )
+    def test_body_length_disagrees_with_file(self, capture_path, edit):
+        data = edit(bytes(self.chunk(capture_path)))
+        self.assert_rejected(capture_path, data, "disagrees")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_misstated_body_length(self, capture_path, delta):
+        data = self.restate_length(self.chunk(capture_path), delta)
+        self.assert_rejected(capture_path, data, "disagrees")
+
+    def test_body_that_breaks_the_layout(self, capture_path):
+        # a consistent header over a body one byte short of its layout
+        data = self.restate_length(self.chunk(capture_path)[:-1])
+        self.assert_rejected(capture_path, data, "truncated reading")
+
+    def test_id_out_of_range(self, capture_path):
+        data = self.chunk(capture_path)
+        # walk_id is the last int64 column; corrupt its final cell
+        struct.pack_into("<q", data, len(data) - 8, 999)
+        self.assert_rejected(capture_path, bytes(data), "walk_id out of range")
+
+    def test_loaded_columns_are_read_only_views(self, capture_path):
+        columns = load_capture(capture_path).columns
+        for name in EventColumns.COLUMNS:
+            array = getattr(columns, name)
+            assert not array.flags.writeable, name
+            assert array.base is not None, name
+
+    @pytest.mark.parametrize("limit_to", ["body", "count"])
+    def test_u32_limit_raises_capture_error(
+        self, tmp_path, monkeypatch, limit_to
+    ):
+        """A body past the u32 length field (about 59M events) fails at
+        write time with ``CaptureError``, as does any count past a u32
+        (simulated with a lowered limit and a narrowed count field)."""
+        events = list(iter_parse(TINY_LOG.splitlines()))
+        body_len = len(
+            (write_capture(tmp_path / "ok.leapscap", events) / EVENTS_NAME)
+            .read_bytes()
+        ) - CHUNK_HEADER_SIZE
+        if limit_to == "body":
+            monkeypatch.setattr(capture_module, "_U32_MAX", body_len - 1)
+        else:
+            monkeypatch.setattr(capture_module, "_U32", struct.Struct("<B"))
+            events = events * 100  # 300 events: past a u8 count
+        with pytest.raises(CaptureError, match="u32"):
+            write_capture(tmp_path / "x.leapscap", events)
+        assert not (tmp_path / "x.leapscap").exists()
+
+
+def assert_same_columns(got, want):
+    """Every column, and every table, equal (walks frame by frame)."""
+    assert got.n_events == want.n_events
+    for name in EventColumns.COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+    for table in ("process_vocab", "category_vocab", "name_vocab", "walks"):
+        assert getattr(got, table) == getattr(want, table), table
+
+
+class TestV1Compatibility:
+    """Nothing writes v1, but a stored v1 capture may be the only copy
+    of a log: it loads to exactly what its v2 twin loads to."""
+
+    def assert_versions_agree(self, tmp_path, src, name="log"):
+        v2 = convert_log(src, tmp_path / f"{name}.leapscap")
+        v1 = rewrite_as_v1(shutil.copytree(v2, tmp_path / f"{name}-v1.leapscap"))
+        assert sorted(p.name for p in v1.iterdir()) == ["arrays.npz", "capture.json"]
+        new, old = load_capture(v2), load_capture(v1)
+        assert old.meta["schema"] == SCHEMA_V1 and new.meta["schema"] == SCHEMA
+        assert_same_columns(old.columns, new.columns)
+        assert old.events == new.events
+        assert old.report.to_dict() == new.report.to_dict()
+        assert old.meta["source"] == new.meta["source"]
+        assert old.meta["counts"] == new.meta["counts"]
+
+    def test_tiny_log(self, tmp_path):
+        src = tmp_path / "x.log"
+        src.write_text(TINY_LOG, encoding="utf-8")
+        self.assert_versions_agree(tmp_path, src)
+
+    def test_fault_corpus(self, tmp_path):
+        for variant in fault_corpus(TINY_LOG.splitlines(), seed=0):
+            src = tmp_path / f"{variant.name}.log"
+            src.write_bytes(("\n".join(variant.lines) + "\n").encode("utf-8"))
+            self.assert_versions_agree(tmp_path, src, variant.name)
+
+    def test_generated_row(self, tmp_path, generated_row):
+        for stem in GENERATED_LOGS:
+            self.assert_versions_agree(
+                tmp_path, generated_row / f"{stem}.log", stem
+            )
+
+    def test_overwrite_in_place_upgrades(self, tmp_path):
+        v1 = rewrite_as_v1(tiny_capture(tmp_path))
+        want = load_capture(v1)
+        for path in (v1, tmp_path / "fresh.leapscap"):
+            write_capture(
+                path, want.events, report=want.report,
+                source=want.meta["source"],
+            )
+        assert sorted(p.name for p in v1.iterdir()) == [
+            "capture.json", "events.lc"
+        ]
+        assert load_capture(v1).events == want.events
+        assert captures_byte_identical(v1, tmp_path / "fresh.leapscap")
 
 
 class TestWriterEquivalence:
@@ -333,22 +520,13 @@ class TestWriterEquivalence:
 
     @staticmethod
     def assert_captures_identical(a, b):
-        """Byte-compare two capture directories; the npz is compared
-        per member because zip containers embed timestamps."""
-        import zipfile
-
-        assert sorted(p.name for p in a.iterdir()) == sorted(
-            p.name for p in b.iterdir()
-        )
-        assert (a / "capture.json").read_bytes() == (
-            b / "capture.json"
-        ).read_bytes()
-        with zipfile.ZipFile(a / "arrays.npz") as zip_a, zipfile.ZipFile(
-            b / "arrays.npz"
-        ) as zip_b:
-            assert zip_a.namelist() == zip_b.namelist()
-            for member in zip_a.namelist():
-                assert zip_a.read(member) == zip_b.read(member), member
+        """Byte-compare two capture directories, file by file."""
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert names == ["capture.json", "events.lc"]
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert captures_byte_identical(a, b)
 
     def write_both(self, tmp_path, events, **kwargs):
         naive = write_capture_naive(tmp_path / "naive.leapscap", events, **kwargs)

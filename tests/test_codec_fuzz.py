@@ -1,14 +1,16 @@
 """Hypothesis fuzzing of both columnar decoders.
 
-Whatever a capture directory or a chunk stream holds, the only error
-that may escape is the container's documented one: ``CaptureError``
-from :func:`~repro.etw.capture.load_capture`, ``ChunkError`` from
+Whatever a capture directory (``leaps-capture/v2``'s ``events.lc`` or
+v1's ``arrays.npz``) or a chunk stream holds, the only error that may
+escape is the container's documented one: ``CaptureError`` from
+:func:`~repro.etw.capture.load_capture`, ``ChunkError`` from
 :meth:`~repro.serve.columnar.CaptureChunkDecoder.feed`.  Whatever does
 decode must be usable downstream: a decoded parse report merges into
 a stream's report the way a serve shard merges it.
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -17,7 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.etw.capture import CaptureError, convert_log, load_capture
+from repro.etw.capture import (
+    EVENTS_NAME,
+    CaptureError,
+    convert_log,
+    load_capture,
+)
 from repro.etw.fastparse import parse_fast
 from repro.etw.recovery import ParseReport
 from repro.serve.columnar import (
@@ -31,6 +38,7 @@ from repro.serve.columnar import (
 )
 
 from tests.conftest import TINY_LOG
+from tests.oracles.capture import rewrite_as_v1
 from tests.test_api import make_log
 from tests.test_stream_scan import SCAN_SPECS
 
@@ -62,14 +70,23 @@ def assert_usable(report):
 
 
 @pytest.fixture(scope="module")
-def capture(tmp_path_factory):
+def capture_v2(tmp_path_factory):
     src = tmp_path_factory.mktemp("fuzz") / "host.log"
     src.write_text("\n".join(LINES) + "\n", encoding="utf-8")
     path = convert_log(src, policy="drop")
+    meta = json.loads((path / "capture.json").read_text())
+    assert meta["parse_report"]["issues"]
+    return path
+
+
+@pytest.fixture(scope="module")
+def capture(capture_v2, tmp_path_factory):
+    path = rewrite_as_v1(
+        shutil.copytree(capture_v2, tmp_path_factory.mktemp("v1") / "x.leapscap")
+    )
     with np.load(path / "arrays.npz") as data:
         arrays = {key: data[key] for key in data.files}
     meta = json.loads((path / "capture.json").read_text())
-    assert meta["parse_report"]["issues"]
     return arrays, meta, (path / "arrays.npz").read_bytes()
 
 
@@ -154,6 +171,38 @@ def test_load_capture_raises_only_capture_error(capture, data):
         assert_usable(loaded.report)
 
 
+def mutate_bytes(draw, blob):
+    """``blob`` with 1–3 random byte flips, truncations and insertions."""
+    blob = bytearray(blob)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        at = draw(st.integers(0, max(0, len(blob) - 1)))
+        if op == "flip" and blob:
+            blob[at] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del blob[at:]
+        else:
+            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_v2_capture_raises_only_capture_error(capture_v2, data):
+    """Random damage to ``events.lc``: only ``CaptureError`` escapes,
+    and whatever loads carries a usable report."""
+    blob = mutate_bytes(data.draw, (capture_v2 / EVENTS_NAME).read_bytes())
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "x.leapscap"
+        shutil.copytree(capture_v2, path)
+        (path / EVENTS_NAME).write_bytes(blob)
+        try:
+            loaded = load_capture(path)
+        except CaptureError:
+            return
+        assert_usable(loaded.report)
+
+
 # -- wire chunks -------------------------------------------------------
 
 
@@ -185,17 +234,7 @@ def chunk_mutations(draw):
         else:
             doc[key] = draw(JSON)
         return b"".join(chunks[:-1]) + _report_chunk(doc)
-    blob = bytearray(b"".join(chunks))
-    for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(["flip", "truncate", "insert"]))
-        at = draw(st.integers(0, max(0, len(blob) - 1)))
-        if op == "flip" and blob:
-            blob[at] ^= draw(st.integers(1, 255))
-        elif op == "truncate":
-            del blob[at:]
-        else:
-            blob[at:at] = draw(st.binary(min_size=1, max_size=8))
-    return bytes(blob)
+    return mutate_bytes(draw, b"".join(chunks))
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,13 +11,14 @@ of the codec's tamper rejection.
 import struct
 from contextlib import nullcontext
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.streaming import detection_rows
-from repro.etw.fastparse import parse_fast
+from repro.etw.capture import EVENTS_NAME
+from repro.etw.events import EventColumns
+from repro.etw.fastparse import StreamingParser, parse_fast
 from repro.etw.recovery import ParseReport, ParseWarning
 from repro.serve import score_chunks
 from repro.serve.columnar import (
@@ -33,7 +34,11 @@ from repro.serve.columnar import (
 from repro.serve.streams import StreamScanner
 
 from tests.conftest import TINY_LOG
-from tests.oracles.capture import write_capture_naive
+from tests.oracles.capture import (
+    naive_delta,
+    read_chunk_arrays,
+    write_capture_naive,
+)
 from tests.test_api import make_log
 from tests.test_stream_scan import SCAN_SPECS, tiny_detector
 
@@ -106,6 +111,45 @@ class TestCodecRoundTrip:
         # both blocks index the decoder's one set of cumulative tables
         assert blocks[0].walks is blocks[1].walks
 
+    @pytest.mark.parametrize("step", [1, 4, 1000])
+    def test_row_ranges_share_the_tables(self, step):
+        """Row ranges of one set of columns: the first chunk carries
+        the whole tables, the rest only their columns, and the decoded
+        blocks are the records."""
+        events = parse_fast(make_log(SCAN_SPECS))
+        cols = EventColumns.from_records(events)
+        encoder = ChunkEncoder()
+        chunks = [
+            encoder.encode_columns(cols.rows(start, start + step))
+            for start in range(0, cols.n_events, step)
+        ]
+        decoder = CaptureChunkDecoder()
+        first, _ = decoder.feed(chunks[0])
+        assert len(first[0].walks) == len(cols.walks)
+        rest, _ = decoder.feed(b"".join(chunks[1:]))
+        assert records_of(first + rest) == list(events)
+        assert len({len(chunk) for chunk in chunks[1:-1]}) <= 1
+
+    def test_growing_tables_round_trip(self):
+        """Blocks over a streaming parser's cumulative tables, which
+        grow between calls, decode to the blocks' records."""
+        lines = make_log(SCAN_SPECS)
+        parser, encoder = StreamingParser(policy="drop"), ChunkEncoder()
+        blocks, chunks, sizes = [], [], []
+        for start in [*range(0, len(lines), 7), None]:
+            block = (
+                parser.finish() if start is None
+                else parser.feed_lines(lines[start : start + 7])
+            )
+            blocks.append(block)
+            sizes.append(len(block.walks))
+            chunks.append(encoder.encode_columns(block))  # before it grows
+        assert len({id(block.walks) for block in blocks}) == 1
+        assert sizes[0] < sizes[-1]
+        decoded, _ = CaptureChunkDecoder().feed(b"".join(chunks))
+        assert records_of(decoded) == records_of(blocks)
+        assert records_of(blocks) == list(parse_fast(lines))
+
     def test_report_chunk_round_trips(self):
         report = ParseReport()
         lines = TINY_LOG.splitlines()
@@ -120,46 +164,6 @@ class TestCodecRoundTrip:
         assert reports[0].to_dict() == report.to_dict()
 
 
-def chunk_arrays(chunk):
-    """An events chunk read as capture arrays, straight from the layout
-    in the module docstring (independent of the decoder): vocabularies
-    as their newline-joined blobs, walk lengths as CSR offsets."""
-    body = memoryview(chunk)[CHUNK_HEADER_SIZE:]
-    offset = 0
-
-    def take(n):
-        nonlocal offset
-        offset += n
-        return body[offset - n : offset]
-
-    def u32():
-        return struct.unpack("<I", take(4))[0]
-
-    def ints(n, dtype="<i8"):
-        return np.frombuffer(take(8 * n), dtype=dtype).copy()
-
-    n_events = u32()
-    arrays = {}
-    for name in ("process", "category", "name", "module", "function"):
-        u32()  # entry count
-        arrays[f"vocab_{name}"] = bytes(take(u32())).decode("utf-8")
-    n_frames = u32()
-    for column in ("frame_index", "frame_module_id", "frame_function_id"):
-        arrays[column] = ints(n_frames)
-    wide = take(1)[0]
-    arrays["frame_address"] = ints(n_frames, "<u8" if wide else "<i8")
-    n_walks, n_flat = u32(), u32()
-    arrays["walk_frame_ids"] = ints(n_flat)
-    arrays["walk_offsets"] = np.concatenate(
-        [np.zeros(1, np.int64), np.cumsum(ints(n_walks))]
-    )
-    for column in ("eid", "timestamp", "pid", "tid", "opcode", "process_id",
-                   "category_id", "name_id", "walk_id"):
-        arrays[column] = ints(n_events)
-    assert offset == len(body)
-    return arrays
-
-
 def uint64_tiny_lines():
     lines = TINY_LOG.splitlines()
     lines[1] = "STACK|0|0|app.exe|WinMain|0xfffffffffffff012"
@@ -167,9 +171,9 @@ def uint64_tiny_lines():
 
 
 class TestLayoutIdentity:
-    """A capture is the first delta against empty tables: a fresh
-    encoder's first chunk carries exactly the arrays the per-event
-    capture writer stores."""
+    """A capture is the first chunk of a fresh encoder: its
+    ``events.lc`` is that chunk byte for byte, and the chunk carries
+    exactly the arrays the per-event capture writer assembles."""
 
     @pytest.mark.parametrize(
         "lines",
@@ -178,17 +182,21 @@ class TestLayoutIdentity:
     )
     def test_first_chunk_is_the_capture(self, tmp_path, lines):
         events = parse_fast(lines)
-        got = chunk_arrays(ChunkEncoder().encode_events(events))
+        chunk = ChunkEncoder().encode_events(events)
         path = write_capture_naive(tmp_path / "x.leapscap", events)
-        with np.load(path / "arrays.npz") as data:
-            stored = {key: data[key] for key in data.files}
-        assert sorted(got) == sorted(stored)
-        for key, array in stored.items():
-            if key.startswith("vocab_"):
-                assert got[key] == str(array[()]), key
-            else:
-                assert got[key].dtype == array.dtype, key
-                assert got[key].tolist() == array.tolist(), key
+        assert (path / EVENTS_NAME).read_bytes() == chunk
+        got = read_chunk_arrays(chunk)
+        arrays, vocabs = naive_delta(events)
+        assert sorted(got) == sorted(
+            [*arrays, *(f"vocab_{name}" for name in vocabs)]
+        )
+        for name, strings in vocabs.items():
+            assert got[f"vocab_{name}"] == "".join(
+                f"{value}\n" for value in strings
+            ), name
+        for key, array in arrays.items():
+            assert got[key].dtype == array.dtype, key
+            assert got[key].tolist() == array.tolist(), key
 
 
 class TestCodecValidation:

@@ -31,6 +31,7 @@ from repro.datasets.generation import (
 )
 from repro.etw.capture import (
     CAPTURE_SUFFIX,
+    EVENTS_NAME,
     captures_byte_identical,
     load_capture,
 )
@@ -39,6 +40,7 @@ from repro.etw.recovery import ParseReport
 from repro.serve.columnar import encode_event_stream
 
 from tests.conftest import REPO_ROOT, TINY_LOG
+from tests.oracles.capture import read_chunk_arrays
 from tests.oracles.generation import (
     WordClock,
     WordStream,
@@ -74,8 +76,9 @@ def dataset_bytes(root):
 def dataset_digests(root):
     """sha256 of every generated output: each text log, labels.json,
     and per capture its capture.json plus one digest over every array's
-    name, dtype, shape and raw bytes (the ``.npz`` container bytes hold
-    zip timestamps and numpy's header layout, so they are not pinned)."""
+    name, dtype, shape and raw bytes, read from ``events.lc`` with each
+    vocabulary as its newline-joined string scalar (the arrays a
+    ``leaps-capture/v1`` capture stored, so these digests carry over)."""
     out = {}
     for name in LOG_NAMES + ("labels.json",):
         out[name] = hashlib.sha256((root / name).read_bytes()).hexdigest()
@@ -84,14 +87,14 @@ def dataset_digests(root):
         out[f"{capture.name}/capture.json"] = hashlib.sha256(
             (capture / "capture.json").read_bytes()
         ).hexdigest()
+        arrays = read_chunk_arrays((capture / EVENTS_NAME).read_bytes())
         digest = hashlib.sha256()
-        with np.load(capture / "arrays.npz") as arrays:
-            for member in sorted(arrays.files):
-                array = np.ascontiguousarray(arrays[member])
-                digest.update(
-                    f"{member}:{array.dtype.str}:{array.shape}".encode("utf-8")
-                )
-                digest.update(array.tobytes())
+        for member in sorted(arrays):
+            array = np.ascontiguousarray(np.array(arrays[member]))
+            digest.update(
+                f"{member}:{array.dtype.str}:{array.shape}".encode("utf-8")
+            )
+            digest.update(array.tobytes())
         out[f"{capture.name}/arrays"] = digest.hexdigest()
     return out
 

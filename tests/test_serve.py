@@ -11,10 +11,9 @@ import shutil
 import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.etw.capture import write_capture
+from repro.etw.capture import EVENTS_NAME, write_capture
 from repro.etw.parser import ParseError, RawLogParser
 from repro.serve import (
     ModelRegistry,
@@ -313,10 +312,11 @@ class TestRegistryRouting:
         )
         broken = tmp_path / "broken.leapscap"
         shutil.copytree(good, broken)
-        with np.load(broken / "arrays.npz") as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["walk_id"] = arrays["walk_id"].astype(np.float64)
-        np.savez(broken / "arrays.npz", **arrays)
+        chunk = bytearray((broken / EVENTS_NAME).read_bytes())
+        # walk_id is the last int64 column: point its last cell past
+        # the walk table
+        chunk[-8:] = (10**6).to_bytes(8, "little")
+        (broken / EVENTS_NAME).write_bytes(bytes(chunk))
         handle = start_in_thread(registry, n_shards=1, executor="thread")
         try:
             outcomes = {}
@@ -524,6 +524,38 @@ class TestColumnarWire:
             assert outcome.result["report"]["events_yielded"] == len(
                 SCAN_SPECS
             )
+        finally:
+            handle.stop()
+
+    def test_send_capture_builds_no_records(
+        self, detector, registry, tmp_path, monkeypatch
+    ):
+        """``send_capture`` slices the loaded capture's columns into
+        chunks: with record building patched to raise, it still serves
+        the text path's detections."""
+        from repro.etw.capture import convert_log
+        from repro.etw.events import EventColumns
+
+        lines = make_log(SCAN_SPECS)
+        src = tmp_path / "host.log"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capture_path = convert_log(src)
+        want = rows(detector.scan_stream(lines, policy="drop"))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("send_capture built records")
+
+        monkeypatch.setattr(EventColumns, "records", forbidden)
+        monkeypatch.setattr(EventColumns, "from_records", forbidden)
+        handle = start_in_thread(registry, executor="thread")
+        try:
+            for chunk_events in (7, 8192):
+                client = ServeClient(handle.address)
+                client.hello(f"no-records-{chunk_events}")
+                client.send_capture(capture_path, chunk_events=chunk_events)
+                outcome = client.finish()
+                assert outcome.error is None
+                assert outcome.detections == want
         finally:
             handle.stop()
 

@@ -3,7 +3,6 @@ oracle, and bounded memory."""
 
 import time
 import warnings
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -78,7 +77,7 @@ class TestStreamEquivalence:
         assert detector.scan_log(lines) == streamed
         # exact Python scalars, not floats that merely compare equal
         assert {
-            tuple(type(value) for value in astuple(detection))
+            tuple(type(value) for value in tuple(detection))
             for detection in streamed
         } == {(int, int, int, float, bool)}
 
