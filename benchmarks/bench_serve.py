@@ -75,7 +75,7 @@ from repro.serve.protocol import (
     pack_json,
     parse_header,
 )
-from repro.serve.workers import FLUSH_DEADLINE_S, TARGET_BATCH_WINDOWS
+from repro.serve.workers import TARGET_BATCH_WINDOWS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -832,7 +832,6 @@ def main(argv=None) -> int:
             "variants": len(variants),
             "fd_limit": fd_limit,
             "skipped_ramp_steps": clamped,
-            "flush_deadline_s": FLUSH_DEADLINE_S,
             "target_batch_windows": TARGET_BATCH_WINDOWS,
             "columnar_chunk_events": COLUMNAR_CHUNK_EVENTS,
         },

@@ -12,15 +12,15 @@ Each worker runs :func:`shard_worker_loop` over an input queue:
 
 * control messages: ``open`` / ``data`` / ``end`` / ``abort`` /
   ``stats`` / ``stop``;
-* after handling a message it opportunistically drains the queue, so
+* after handling a message it drains the queue without blocking, so
   under load many streams' payloads land between scoring calls and
   their ready chunks coalesce into one micro-batch
   (:func:`repro.core.streaming.score_chunks`);
-* scoring is **adaptively batched**: ready chunks wait up to
-  :data:`FLUSH_DEADLINE_S` for batch-mates from other streams (or until
-  :data:`TARGET_BATCH_WINDOWS` are ready, whichever first) before the
-  kernel call fires — bigger batches per call under load, bounded
-  added latency when idle, and bit-identical scores either way;
+* scoring is **batched by the drain**: once the queue is empty (or
+  :data:`TARGET_BATCH_WINDOWS` are ready, which bounds one drain) every
+  ready chunk is scored in one kernel call — big batches when the
+  shard is saturated, no added wait when it is not, and bit-identical
+  scores either way;
 * a stream that fails (strict ``ParseError``, ``ChunkError``,
   ``StackPartitionError``, an unreadable path) gets an error frame, and
   the shard goes on serving its other streams;
@@ -69,9 +69,7 @@ WINDOW_HIGH_WATER = 2048
 WINDOW_LOW_WATER = 512
 #: per-shard bound on retained window→detection latency samples
 LATENCY_SAMPLES = 200_000
-#: longest a score-ready chunk waits for batch-mates from other streams
-FLUSH_DEADLINE_S = 0.05
-#: ready windows at which a shard scores without waiting for the deadline
+#: ready windows at which a shard stops draining its queue and scores
 TARGET_BATCH_WINDOWS = 1024
 #: what ends one stream without ending the shard
 _STREAM_ERRORS = (ParseError, ChunkError, StackPartitionError)
@@ -90,9 +88,6 @@ class _ShardState:
         self.closing: Dict[str, StreamScanner] = {}
         self.paused: set = set()
         self.ready_windows = 0
-        #: when the oldest currently-ready chunk became ready (None
-        #: while nothing is ready) — the flush-deadline anchor
-        self.oldest_ready_at: Optional[float] = None
         self.events_total = 0
         self.windows_scored = 0
         self.detections_total = 0
@@ -114,11 +109,7 @@ class _ShardState:
         self.flushed_chunks = 0
 
     def note_ready(self, scanner: StreamScanner, ready_before: int) -> None:
-        delta = scanner.ready_window_count - ready_before
-        if delta:
-            if self.ready_windows == 0:
-                self.oldest_ready_at = time.monotonic()
-            self.ready_windows += delta
+        self.ready_windows += scanner.ready_window_count - ready_before
 
     def retire(self, scanner: StreamScanner) -> None:
         """Fold a finished/failed scanner's stage counters into the
@@ -141,37 +132,17 @@ def shard_worker_loop(
     put = out_queue.put
     stop = False
     while not stop:
-        if state.ready_windows and state.oldest_ready_at is not None:
-            # something is score-ready: wait for batch-mates only until
-            # the oldest chunk's flush deadline
-            remaining = FLUSH_DEADLINE_S - (
-                time.monotonic() - state.oldest_ready_at
-            )
-            if remaining <= 0 or state.ready_windows >= TARGET_BATCH_WINDOWS:
-                _flush(state, put)
-                _finalize(state, put)
-                continue
-            try:
-                message = in_queue.get(timeout=remaining)
-            except queue.Empty:
-                _flush(state, put)
-                _finalize(state, put)
-                continue
-        else:
-            message = in_queue.get()
-        stop = _handle(state, put, message)
-        # opportunistic drain: whatever arrived while we were busy gets
-        # parsed now, so one flush scores it all in one batch
+        stop = _handle(state, put, in_queue.get())
+        # drain whatever arrived while we were busy, so one flush scores
+        # it all in one batch; the bound keeps one drain finite
         while not stop and state.ready_windows < TARGET_BATCH_WINDOWS:
             try:
                 message = in_queue.get_nowait()
             except queue.Empty:
                 break
             stop = _handle(state, put, message)
-        if stop or state.ready_windows >= TARGET_BATCH_WINDOWS:
+        if state.ready_windows or stop:
             _flush(state, put)
-        # streams whose chunks are all scored finalize immediately —
-        # only streams with unflushed windows wait on the deadline
         _finalize(state, put)
 
 
@@ -309,7 +280,6 @@ def _flush(state: _ShardState, put) -> None:
     for scanner in state.closing.values():
         chunks.extend(scanner.take_ready())
     state.ready_windows = 0
-    state.oldest_ready_at = None
     if chunks:
         score_start = time.monotonic()
         results = score_chunks(chunks)
@@ -338,8 +308,8 @@ def _flush(state: _ShardState, put) -> None:
 
 def _finalize(state: _ShardState, put) -> None:
     """Emit final results for closing streams whose chunks are all
-    scored — split from :func:`_flush` so a stream that ends with
-    nothing left to score never waits on the flush deadline."""
+    scored — run on every pass, flush or not, so a stream that ends
+    with nothing left to score gets its result at once."""
     for stream_id in list(state.closing):
         scanner = state.closing[stream_id]
         if scanner.unscored_windows:

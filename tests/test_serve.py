@@ -7,9 +7,11 @@ behave as documented in DESIGN.md §12.
 """
 
 import json
+import queue
 import shutil
 import threading
 import time
+from collections import deque
 
 import pytest
 
@@ -696,6 +698,119 @@ class TestBackpressure:
             assert handle.server.counters["resumes"] > 0
         finally:
             handle.stop()
+
+
+class ScriptedQueue:
+    """A shard's input queue run by the test, in phases.  ``get`` and
+    ``get_nowait`` hand out the current phase's messages in order; once
+    they run out, ``get_nowait`` raises ``queue.Empty`` and a blocking
+    ``get()`` records the kinds of the messages the out-queue holds,
+    then starts the next phase — ``("stop",)`` after the last one.  A
+    timed ``get`` is recorded the same way and raises ``queue.Empty``."""
+
+    def __init__(self, out_queue, *phases):
+        self.out_queue = out_queue
+        self.phases = deque(deque(phase) for phase in phases)
+        #: the out-queue's message kinds at each wait, in order
+        self.waits = []
+        self.timed_gets = 0
+
+    def get(self, block=True, timeout=None):
+        if not self.phases[0]:
+            self.waits.append([message[0] for message in self.out_queue.queue])
+            if timeout is not None:
+                self.timed_gets += 1
+                raise queue.Empty
+            self.phases.popleft()
+            if not self.phases:
+                return ("stop",)
+        return self.phases[0].popleft()
+
+    def get_nowait(self):
+        if self.phases and self.phases[0]:
+            return self.phases[0].popleft()
+        raise queue.Empty
+
+
+class TestShardLoop:
+    """:func:`shard_worker_loop` run in the test thread on a scripted
+    queue: a ready chunk is scored as soon as the shard has drained its
+    queue, and one drain stays bounded by ``TARGET_BATCH_WINDOWS``."""
+
+    @pytest.fixture(scope="class")
+    def small_chunks(self, tmp_path_factory):
+        detector = tiny_detector(stream_chunk_windows=8)
+        bundle = tmp_path_factory.mktemp("loop") / "bundle"
+        detector.save(bundle)
+        registry = ModelRegistry()
+        registry.register("app", "v1", bundle)
+        return detector, registry.spec()
+
+    @staticmethod
+    def payloads(lines, events_per_message):
+        """``lines`` cut into ``data`` payloads of whole events."""
+        step = 5 * events_per_message  # one EVENT and four STACK lines
+        return [
+            ("\n".join(lines[start : start + step]) + "\n").encode("utf-8")
+            for start in range(0, len(lines), step)
+        ]
+
+    @staticmethod
+    def run(spec, *phases):
+        from repro.serve.workers import shard_worker_loop
+
+        out_queue = queue.Queue()
+        in_queue = ScriptedQueue(out_queue, *phases)
+        shard_worker_loop(0, in_queue, out_queue, spec)
+        return in_queue, list(out_queue.queue)
+
+    @staticmethod
+    def detections(out):
+        return [
+            row for message in out if message[0] == "detections"
+            for row in message[2]
+        ]
+
+    def test_ready_chunks_scored_before_the_shard_waits(self, small_chunks):
+        detector, spec = small_chunks
+        lines = make_log(SCAN_SPECS + SCAN_SPECS[:4])  # 20 events
+        (payload,) = self.payloads(lines, 20)
+        in_queue, out = self.run(
+            spec,
+            [("open", "s", {"app": "app"}), ("data", "s", payload)],
+            [("end", "s")],
+        )
+        assert in_queue.timed_gets == 0
+        # two full 8-window chunks are ready after the data
+        first, second = in_queue.waits
+        assert first == ["ack", "detections", "detections"]
+        # END closes the partial third chunk: scored, then the result
+        assert second == first + ["detections", "result"]
+        assert self.detections(out) == rows(detector.scan_stream(lines))
+
+    def test_one_drain_is_bounded_by_the_target(self, small_chunks):
+        from repro.serve.workers import TARGET_BATCH_WINDOWS
+
+        detector, spec = small_chunks
+        lines = make_log(SCAN_SPECS * 80)  # 1280 events
+        messages = [("data", "s", payload) for payload in self.payloads(lines, 128)]
+        in_queue, out = self.run(
+            spec, [("open", "s", {"app": "app"}), *messages, ("end", "s")]
+        )
+        kinds = [message[0] for message in out]
+        # eight 128-event messages leave 1016 windows ready and nine
+        # 1144: the shard scores those before it handles the tenth
+        first_flush = kinds.index("detections")
+        assert kinds[:first_flush] == ["ack"] * 9
+        flushed = 0
+        for message in out[first_flush:]:
+            if message[0] != "detections":
+                break
+            flushed += len(message[2])
+        assert TARGET_BATCH_WINDOWS <= flushed < TARGET_BATCH_WINDOWS + 128
+        assert kinds[-1] == "result"
+        assert "pause" not in kinds
+        assert self.detections(out) == rows(detector.scan_stream(lines))
 
 
 class TestDisconnect:
