@@ -833,6 +833,7 @@ def main(argv=None) -> int:
             "fd_limit": fd_limit,
             "skipped_ramp_steps": clamped,
             "target_batch_windows": TARGET_BATCH_WINDOWS,
+            "stream_chunk_windows": detector.config.stream_chunk_windows,
             "columnar_chunk_events": COLUMNAR_CHUNK_EVENTS,
         },
         "ramp": steps,

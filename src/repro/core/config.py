@@ -36,9 +36,11 @@ class LeapsConfig:
     #: line; "warn"/"drop" classify, record in a ParseReport, and
     #: resynchronize at the next well-formed EVENT line (DESIGN.md §8)
     parse_policy: str = "strict"
-    #: windows buffered per scoring batch in score_stream/scan_stream —
-    #: the streaming-scan memory bound alongside the event deque
-    stream_chunk_windows: int = 256
+    #: the scoring tile: consecutive windows of one stream that one
+    #: fixed-shape kernel evaluation scores.  Its shape fixes every
+    #: score bit, and every path (scan_log, scan_stream, serve) scores
+    #: the same tiles, so any value scores them all identically
+    stream_chunk_windows: int = 16
 
     # -- weighting
     #: use CFG-guided per-sample weights (False = plain-SVM baseline)

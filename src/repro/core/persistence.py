@@ -243,7 +243,9 @@ def _restore_pipeline(doc: dict, npz_path: Path):
     )
     featurizer.fitted = True
 
-    with np.load(npz_path) as arrays:
+    # an open handle of our own: np.load leaks a file it opened itself
+    # when zipfile rejects the archive
+    with open(npz_path, "rb") as handle, np.load(handle) as arrays:
         sv_X = arrays["sv_X"]
         sv_coef = arrays["sv_coef"]
         sv_alpha = arrays["sv_alpha"]

@@ -36,10 +36,11 @@ Two paths, bit-identical to each other:
 * incremental — :meth:`LeapsPipeline.score_stream` over a raw line
   iterator, draining the :mod:`repro.core.streaming` scanner that the
   serve shards also run: block parse, block featurize, block coalesce,
-  chunked scoring.  Memory stays bounded by one feed of lines, the
-  parser's held stack block (at most ``StreamingParser.BACKLOG_LIMIT``
-  lines), ``window_events`` coalescer rows and one scoring chunk, so
-  whole-machine logs never need to fit in RAM.
+  tiled scoring.  Memory stays bounded by one feed of lines and its
+  windows, the parser's held stack block (at most
+  ``StreamingParser.BACKLOG_LIMIT`` lines), ``window_events`` coalescer
+  rows and one open scoring tile, so whole-machine logs never need to
+  fit in RAM.
 """
 
 from __future__ import annotations
@@ -334,21 +335,15 @@ class LeapsPipeline:
 
         :meth:`~EventFeaturizer.transform_columns` featurizes, one
         gather coalesces every window, standardization runs once, and
-        the kernel scores ``stream_chunk_windows``-sized slices.  The
-        slices match :meth:`score_stream`'s chunks, so the decision
+        one kernel call scores the log in ``stream_chunk_windows``-row
+        tiles.  The tiles match :meth:`score_stream`'s, so the decision
         values are bit-identical to the streaming path.
         """
         self._check_trained()
         rows = self.featurizer.transform_columns(events)
         windows = self.coalescer.coalesce_arrays(rows, events.eid)
         X = self.standardizer.transform(windows.matrix)
-        chunk = self.config.stream_chunk_windows
-        scores = np.empty(len(X))
-        for start in range(0, len(X), chunk):
-            scores[start : start + chunk] = self.model.decision_function(
-                X[start : start + chunk]
-            )
-        return windows, scores
+        return windows, self.model.decision_tiles(X, self.config.stream_chunk_windows)
 
     def score_stream(
         self,

@@ -4,20 +4,23 @@ A :class:`StreamScanner` holds one live scan's state between feeds: the
 byte fragment of a line split across reads, the block parser
 (:class:`~repro.etw.fastparse.StreamingParser`), the per-stream
 featurization tables (:class:`~repro.preprocessing.features.StreamFeatures`),
-the push-mode window coalescer and the open scoring chunk.  It is the
+the push-mode window coalescer and the open scoring tile.  It is the
 only incremental scan path — :meth:`LeapsPipeline.score_stream` drains
 one with :func:`scan_lines`, and every serve shard keeps one per stream
 (``repro.serve.StreamScanner`` adds the columnar wire) — and any
 chunking of its input gives the same windows and scores: the block
 parser equals the scalar ``ParseMachine`` event for event, each block
 of :class:`~repro.etw.events.EventColumns` is featurized and coalesced
-whole (``PushCoalescer.push_block``), and chunk k always holds windows
-``[k·chunk, (k+1)·chunk)`` of the stream, the chunks ``score_events``
-scores a whole log in.  No per-event record and no per-window object is
-built between bytes and scores.
+whole (``PushCoalescer.push_block``), and tile k always holds windows
+``[k·tile, (k+1)·tile)`` of the stream (``tile`` is
+``stream_chunk_windows``), the tiles ``score_events`` scores a whole log
+in.  Each feed hands out every whole tile it completed as one ready
+chunk; a short tile appears only at :meth:`StreamScanner.finish`.  No
+per-event record and no per-window object is built between bytes and
+scores.
 
-:func:`score_chunks` scores chunks of one stream or many in one fused
-kernel call per model, each chunk's scores bit-identical to scoring it
+:func:`score_chunks` scores chunks of one stream or many in one stacked
+kernel call per model, each tile's scores bit-identical to scoring it
 alone (DESIGN.md §12).
 
 A strict ``ParseError`` or a ``StackPartitionError`` (an app frame
@@ -50,8 +53,9 @@ FEED_LINES = 256
 
 @dataclass
 class ScoreChunk:
-    """One stream's scoring unit: up to ``stream_chunk_windows``
-    consecutive windows (the final chunk of a stream may be partial)."""
+    """Consecutive windows of one stream ready to score: the whole tiles
+    of ``stream_chunk_windows`` windows one feed completed, or the
+    stream's short final tile."""
 
     stream_id: str
     pipeline: object
@@ -67,22 +71,29 @@ def score_chunks(chunks: Sequence[ScoreChunk]) -> List[np.ndarray]:
 
     Returns one decision-value array per chunk, in input order, each
     bit-identical to the model's decision values of that chunk's
-    standardized windows scored alone.
+    standardized windows scored tile by tile.  Per model and tile shape,
+    the chunks of every stream share one
+    :meth:`~repro.learning.svm.KernelSVM.decision_tiles` call: the
+    whole-tile chunks in one, and the short final tiles of each length
+    in one more, as tiles of that length.
     """
     results: List = [None] * len(chunks)
-    by_model: dict = {}
+    by_shape: dict = {}
     for position, chunk in enumerate(chunks):
-        by_model.setdefault(id(chunk.pipeline), []).append(position)
-    for positions in by_model.values():
-        pipeline = chunks[positions[0]].pipeline
-        matrices = [chunks[position].windows.matrix for position in positions]
+        tile = chunk.pipeline.config.stream_chunk_windows
+        size = len(chunk.times) % tile or tile
+        by_shape.setdefault((id(chunk.pipeline), size), []).append(position)
+    for (_, size), group in by_shape.items():
+        pipeline = chunks[group[0]].pipeline
+        matrices = [chunks[position].windows.matrix for position in group]
         matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
-        matrix = pipeline.standardizer.transform(matrix)
-        ends = np.cumsum([len(block) for block in matrices]).tolist()
-        bounds = list(zip([0] + ends[:-1], ends))
-        scores = pipeline.model.decision_function_blocked(matrix, bounds)
-        for position, (start, stop) in zip(positions, bounds):
-            results[position] = scores[start:stop]
+        scores = pipeline.model.decision_tiles(
+            pipeline.standardizer.transform(matrix), size
+        )
+        start = 0
+        for position, block in zip(group, matrices):
+            results[position] = scores[start : start + len(block)]
+            start += len(block)
     return results
 
 
@@ -246,8 +257,9 @@ class StreamScanner:
             self._pending.append(windows)
             self._pending_times.append(np.full(made, now))
             self._pending_count += made
-        while self._pending_count >= self.chunk_windows:
-            self._close_chunk(self.chunk_windows)
+        whole = self._pending_count - self._pending_count % self.chunk_windows
+        if whole:
+            self._close_chunk(whole)
         self.events_seen += len(rows)
         self.featurize_s += time.perf_counter() - start
         if error is not None:
@@ -255,8 +267,8 @@ class StreamScanner:
             raise error
 
     def _close_chunk(self, stop: int) -> None:
-        """Move the open chunk's first ``stop`` windows to a ready chunk;
-        its blocks are joined here, once per chunk."""
+        """Move the open tile's first ``stop`` windows to a ready chunk;
+        the pending blocks are joined here, once per feed."""
         if len(self._pending) > 1:
             self._pending = [WindowArrays(*map(np.concatenate, zip(*self._pending)))]
             self._pending_times = [np.concatenate(self._pending_times)]

@@ -691,11 +691,14 @@ def _read_events(path: Path) -> Delta:
 def _read_npz(path: Path) -> Delta:
     """A v1 capture's delta, from its ``arrays.npz`` members."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise ValueError("not an npz archive")
-        with data:
-            arrays = {key: data[key] for key in data.files}
+        # the handle is ours: np.load leaks a file it opened itself
+        # when zipfile rejects the archive
+        with open(path, "rb") as handle:
+            data = np.load(handle, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an npz archive")
+            with data:
+                arrays = {key: data[key] for key in data.files}
     except Exception as error:  # BadZipFile, EOFError, zlib.error, ...
         raise CaptureError(f"unreadable: {error}") from error
     vocabs = {}

@@ -56,43 +56,6 @@ def gaussian_kernel(sigma2: float) -> Kernel:
     return kernel
 
 
-def gaussian_cross_kernel(
-    X: np.ndarray,
-    Y: np.ndarray,
-    y_norms: np.ndarray,
-    sigma2: float,
-    bounds,
-) -> np.ndarray:
-    """``gaussian_kernel(sigma2)(X, Y)`` with ``Σ yᵢ²`` precomputed,
-    every row block of ``X`` bit-identical to the uncached kernel run
-    on that block alone.
-
-    ``bounds`` is a sequence of ``(start, stop)`` row spans partitioning
-    ``X``: ``((0, len(X)),)`` for one matrix, and in the serving
-    micro-batcher one span per stream scoring chunk.  The
-    ‖x‖²+‖y‖²−2x·y expansion is evaluated in exactly the operation
-    order of :func:`squared_distances`, and the row norms of ``Y`` (the
-    support vectors, fixed after training) are not recomputed per call.
-    dgemm rounds shape-dependently (a row's product can change in the
-    last ulp when the matrix grows), so the BLAS product is evaluated
-    *per block* at exactly the shapes the serial path would use; every
-    elementwise stage (row norms, the expansion, the exp) is
-    elementwise-deterministic and runs fused across the whole matrix.
-    That recovers most of the batching win — the exp dominates the
-    kernel cost — without perturbing a single score bit.
-    """
-    X = np.asarray(X, dtype=float)
-    products = np.empty((X.shape[0], Y.shape[0]))
-    for start, stop in bounds:
-        np.dot(X[start:stop], Y.T, out=products[start:stop])
-    x_norms = np.sum(X * X, axis=1)
-    squared = x_norms[:, None] + y_norms[None, :] - 2.0 * products
-    np.maximum(squared, 0.0, out=squared)
-    squared /= 2.0 * sigma2
-    np.negative(squared, out=squared)
-    return np.exp(squared, out=squared)
-
-
 class PrecomputedKernel:
     """Distance cache shared by every (λ, σ²) × fold cell of a search.
 

@@ -3,10 +3,11 @@
 Streams are **consistently hashed to shards** (:func:`shard_for`, a
 CRC32 — the builtin ``hash`` is salted per process and would scatter a
 stream across restarts), so a stream's scanner state — parser machine,
-coalescer deque, open chunk — lives in exactly one worker for its whole
-life and never migrates.  Detections are therefore independent of the
-shard count: each stream is scored by one worker with the serial chunk
-discipline, and only *which* streams share a kernel call changes.
+coalescer deque, open scoring tile — lives in exactly one worker for
+its whole life and never migrates.  Detections are therefore
+independent of the shard count: each stream's windows are scored in the
+same fixed-shape tiles as ``scan_stream``'s, and only *which* streams
+share a kernel call changes.
 
 Each worker runs :func:`shard_worker_loop` over an input queue:
 
@@ -18,17 +19,17 @@ Each worker runs :func:`shard_worker_loop` over an input queue:
   (:func:`repro.core.streaming.score_chunks`);
 * scoring is **batched by the drain**: once the queue is empty (or
   :data:`TARGET_BATCH_WINDOWS` are ready, which bounds one drain) every
-  ready chunk is scored in one kernel call — big batches when the
-  shard is saturated, no added wait when it is not, and bit-identical
-  scores either way;
+  whole tile the drain's payloads completed is scored in one kernel
+  call and each stream gets one ``detections`` message — big batches
+  when the shard is saturated, no added wait when it is not, and
+  bit-identical scores either way;
 * a stream that fails (strict ``ParseError``, ``ChunkError``,
   ``StackPartitionError``, an unreadable path) gets an error frame, and
   the shard goes on serving its other streams;
 * backpressure: every ``data`` payload is acknowledged after parsing
   (the server bounds per-stream unacked bytes), and a stream whose
-  unscored-window queue crosses :data:`WINDOW_HIGH_WATER` gets an
-  explicit ``pause`` until scoring drains it under
-  :data:`WINDOW_LOW_WATER`.
+  ready (scoreable) windows cross :data:`WINDOW_HIGH_WATER` gets an
+  explicit ``pause`` until the flush that scores them.
 
 Bundles load once per worker through a :class:`ModelRegistry` built
 from the server's picklable spec, with
@@ -63,10 +64,8 @@ from repro.serve.columnar import ChunkError
 from repro.serve.registry import ModelRegistry, UnknownModelError
 from repro.serve.streams import StreamScanner
 
-#: unscored windows per stream that trigger an explicit pause
+#: ready windows per stream that trigger an explicit pause
 WINDOW_HIGH_WATER = 2048
-#: unscored windows per stream under which a paused stream resumes
-WINDOW_LOW_WATER = 512
 #: per-shard bound on retained window→detection latency samples
 LATENCY_SAMPLES = 200_000
 #: ready windows at which a shard stops draining its queue and scores
@@ -164,7 +163,7 @@ def _handle(state: _ShardState, put, message) -> bool:
                 state.note_ready(scanner, ready_before)
                 if (
                     stream_id not in state.paused
-                    and scanner.unscored_windows > WINDOW_HIGH_WATER
+                    and scanner.ready_window_count > WINDOW_HIGH_WATER
                 ):
                     state.paused.add(stream_id)
                     put(("pause", stream_id))
@@ -273,7 +272,8 @@ def _fail_stream(
 
 def _flush(state: _ShardState, put) -> None:
     """Score every ready chunk across every stream in one micro-batched
-    call, emit detections, resume drained streams."""
+    call, emit one ``detections`` message per stream, resume paused
+    streams."""
     chunks: List[ScoreChunk] = []
     for scanner in state.scanners.values():
         chunks.extend(scanner.take_ready())
@@ -290,20 +290,22 @@ def _flush(state: _ShardState, put) -> None:
         )
         state.flushed_chunks += len(chunks)
         state.batches += 1
+        by_stream: Dict[str, list] = {}
         for chunk, scores in zip(chunks, results):
-            rows = list(detection_rows(chunk.windows, scores))
+            by_stream.setdefault(chunk.stream_id, []).extend(
+                detection_rows(chunk.windows, scores)
+            )
+            state.latencies.extend((now - chunk.times).tolist())
+        for stream_id, rows in by_stream.items():
             state.windows_scored += len(rows)
             state.batch_windows += len(rows)
             state.detections_total += len(rows)
             state.flagged_total += sum(1 for row in rows if row[4])
-            state.latencies.extend((now - chunk.times).tolist())
-            put(("detections", chunk.stream_id, rows))
-    # resume streams whose unscored backlog drained
+            put(("detections", stream_id, rows))
+    # a paused stream's ready windows were all just scored
     for stream_id in sorted(state.paused):
-        scanner = state.scanners.get(stream_id)
-        if scanner is None or scanner.unscored_windows < WINDOW_LOW_WATER:
-            state.paused.discard(stream_id)
-            put(("resume", stream_id))
+        put(("resume", stream_id))
+    state.paused.clear()
 
 
 def _finalize(state: _ShardState, put) -> None:

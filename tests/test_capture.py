@@ -7,6 +7,7 @@ here on synthetic logs, the fault-injection corpus, and the logs of a
 generated catalog row.
 """
 
+import gc
 import json
 import shutil
 import struct
@@ -291,6 +292,16 @@ class TestValidation:
         npz.write_bytes(raw[: len(raw) // 2] if truncate else b"not a zip")
         with pytest.raises(CaptureError, match="unreadable"):
             load_capture(v1_path)
+
+    def test_truncated_npz_closes_its_file(self, v1_path):
+        npz = v1_path / NPZ_NAME
+        npz.write_bytes(npz.read_bytes()[:-64])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(CaptureError, match="unreadable"):
+                load_capture(v1_path)
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
     def _edit_meta(self, capture_path, edit):
         path = capture_path / "capture.json"

@@ -2,7 +2,9 @@
 older bundle schemas still load, and every malformed bundle fails with
 :class:`BundleError`."""
 
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +216,16 @@ class TestMalformedBundles:
         (bundle / NPZ_NAME).write_bytes(payload)
         with pytest.raises(BundleError):
             LeapsDetector.load(bundle)
+
+    def test_truncated_npz_closes_its_file(self, bundle):
+        npz = bundle / NPZ_NAME
+        npz.write_bytes(npz.read_bytes()[:-64])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(BundleError):
+                LeapsDetector.load(bundle)
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
 
     def test_non_utf8_json(self, bundle):
         (bundle / JSON_NAME).write_bytes(b"\xff\xfe{}")

@@ -674,9 +674,7 @@ class TestBackpressure:
             time.sleep(0.02)
             return real_score(chunks)
 
-        # small chunks + low watermarks so the test saturates quickly;
-        # LOW > chunk keeps the invariant that a flush always drains a
-        # paused stream below the resume mark
+        # small tiles + a low watermark so the test saturates quickly
         detector = tiny_detector(stream_chunk_windows=8)
         bundle = tmp_path / "bundle"
         detector.save(bundle)
@@ -684,7 +682,6 @@ class TestBackpressure:
         registry.register("app", "v1", bundle)
         monkeypatch.setattr(workers_mod, "score_chunks", slow_score)
         monkeypatch.setattr(workers_mod, "WINDOW_HIGH_WATER", 16)
-        monkeypatch.setattr(workers_mod, "WINDOW_LOW_WATER", 12)
         lines = make_log(SCAN_SPECS * 8)
         want = rows(detector.scan_stream(lines))
         handle = start_in_thread(
@@ -696,6 +693,31 @@ class TestBackpressure:
             assert outcome.detections == want  # paused, never dropped
             assert handle.server.counters["pauses"] > 0
             assert handle.server.counters["resumes"] > 0
+        finally:
+            handle.stop()
+
+    def test_a_tile_past_the_watermark_cannot_stall_a_stream(self, tmp_path):
+        """A paused stream resumes after the flush that scores its ready
+        windows, whatever the tile: at 1024 windows, one payload of
+        2607 windows leaves 559 in the open tile."""
+        detector = tiny_detector(stream_chunk_windows=1024)
+        bundle = tmp_path / "bundle"
+        detector.save(bundle)
+        registry = ModelRegistry()
+        registry.register("app", "v1", bundle)
+        head = make_log(SCAN_SPECS * 163)  # 2608 events, 2607 windows
+        tail = make_log(SCAN_SPECS, start_eid=len(SCAN_SPECS) * 163)
+        want = rows(detector.scan_stream(head + tail))
+        handle = start_in_thread(registry, executor="thread")
+        try:
+            client = ServeClient(handle.address, timeout=15.0)
+            client.hello("long-tile")
+            client.send_lines(head)
+            time.sleep(0.5)
+            client.send_lines(tail)
+            outcome = client.finish(timeout=15.0)
+            assert outcome.error is None
+            assert outcome.detections == want
         finally:
             handle.stop()
 
@@ -781,12 +803,34 @@ class TestShardLoop:
             [("end", "s")],
         )
         assert in_queue.timed_gets == 0
-        # two full 8-window chunks are ready after the data
+        # two whole 8-window tiles are ready after the data: one
+        # message holds both
         first, second = in_queue.waits
-        assert first == ["ack", "detections", "detections"]
-        # END closes the partial third chunk: scored, then the result
+        assert first == ["ack", "detections"]
+        # END closes the short third tile: scored, then the result
         assert second == first + ["detections", "result"]
         assert self.detections(out) == rows(detector.scan_stream(lines))
+
+    def test_a_slice_is_scored_on_the_drain_that_parses_it(
+        self, detector, registry
+    ):
+        """At the default tile, every whole tile of one 250-event
+        payload is scored before the shard waits for more input."""
+        lines = make_log((SCAN_SPECS * 16)[:250])
+        (payload,) = self.payloads(lines, 250)
+        in_queue, out = self.run(
+            registry.spec(),
+            [("open", "s", {"app": "app"}), ("data", "s", payload)],
+            [("end", "s")],
+        )
+        want = rows(detector.scan_stream(lines))
+        whole = len(want) - len(want) % detector.config.stream_chunk_windows
+        assert whole
+        first, second = in_queue.waits
+        assert first == ["ack", "detections"]
+        assert self.detections(out[: len(first)]) == want[:whole]
+        assert second == first + ["detections", "result"]
+        assert self.detections(out) == want
 
     def test_one_drain_is_bounded_by_the_target(self, small_chunks):
         from repro.serve.workers import TARGET_BATCH_WINDOWS
@@ -857,6 +901,7 @@ class TestProtocolEdges:
             second.hello("twin")
             assert second._done.wait(10.0)
             assert second._outcome.error["kind"] == "DuplicateStream"
+            second.close()
             first.send_lines(lines)
             outcome = first.finish()
             assert outcome.error is None

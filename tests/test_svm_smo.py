@@ -182,6 +182,69 @@ class TestGaussianScoringFastPath:
         assert np.array_equal(model.decision_function(probe), reference)
 
 
+def _fitted_gaussian_models():
+    """Gaussian models on 30-dim samples (the window width) whose SV
+    counts run from the whole fit down to one: leading slices of each
+    fit's support vectors, restored the way a loaded bundle is."""
+    rng = np.random.default_rng(11)
+    models = []
+    for sigma2 in (0.5, 30.0):
+        X = rng.normal(size=(160, 30))
+        y = np.where(rng.random(160) < 0.5, 1.0, -1.0)
+        fit = WeightedSVM(kernel=gaussian_kernel(sigma2), lam=10.0).fit(X, y)
+        for n_sv in sorted({len(fit.support_), 37, 16, 2, 1}):
+            model = KernelSVM(kernel=fit.kernel)
+            model.alpha, model.b = fit.alpha, fit.b
+            model.support_ = fit.support_[:n_sv]
+            model._sv_X = fit._sv_X[:n_sv]
+            model._sv_coef = fit._sv_coef[:n_sv]
+            model._refresh_scoring_cache()
+            models.append(model)
+    return models
+
+
+class TestTiledScoring:
+    """``decision_tiles``: each tile scores bit for bit as the kernel
+    call on that tile alone, whatever else the matrix holds."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return _fitted_gaussian_models()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_tile_equals_the_kernel_on_it_alone(self, models, data):
+        model = data.draw(st.sampled_from(models))
+        tile = data.draw(st.sampled_from([1, 2, 3, 16, 256]))
+        n_rows = tile * data.draw(st.integers(0, 1200 // tile)) + data.draw(
+            st.integers(0, tile - 1)
+        )
+        seed = data.draw(st.integers(0, 2**16))
+        X = np.random.default_rng(seed).normal(size=(n_rows, 30))
+        scores = model.decision_tiles(X, tile)
+        assert scores.shape == (n_rows,)
+        for start in range(0, n_rows, tile):
+            rows = X[start : start + tile]
+            reference = model.kernel(rows, model._sv_X) @ model._sv_coef + model.b
+            assert np.array_equal(scores[start : start + tile], reference)
+            assert np.array_equal(
+                model.decision_tiles(rows, tile), model.decision_function(rows)
+            )
+            assert np.array_equal(model.decision_function(rows), reference)
+
+    def test_non_gaussian_kernel_scores_tile_by_tile(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(20, 3))
+        y = np.where(X.sum(axis=1) > 0, 1.0, -1.0)
+        model = KernelSVM(kernel=linear_kernel, C=1.0).fit(X, y)
+        probe = rng.normal(size=(11, 3))
+        want = np.concatenate([
+            model.decision_function(probe[start : start + 4])
+            for start in range(0, 11, 4)
+        ])
+        assert np.array_equal(model.decision_tiles(probe, 4), want)
+
+
 class TestValidation:
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     Y = np.array([1.0, 1.0, -1.0, -1.0])
