@@ -42,7 +42,7 @@ from repro.core.persistence import (
     save_bundle,
 )
 from repro.core.pipeline import LeapsPipeline, TrainingReport
-from repro.core.streaming import detection_rows
+from repro.core.streaming import StreamScanner, detection_rows, scored
 from repro.etw.capture import is_capture_path, load_capture
 from repro.etw.events import EventColumns
 from repro.etw.fastparse import parse_columns
@@ -190,8 +190,8 @@ class LeapsDetector:
 
     # -- scanning ------------------------------------------------------
     def scan_log(self, lines: Union[bytes, Iterable[str]]) -> List[WindowDetection]:
-        """Scan a complete log — its raw text, bytes or lines — on the
-        batch fast path.
+        """Scan a complete log — its raw text, bytes or lines — parsed
+        whole, as one block of :meth:`scan_stream`'s scanner.
 
         Bit-identical to draining :meth:`scan_stream`, which remains the
         bounded-memory alternative for logs too large to materialize.
@@ -206,9 +206,11 @@ class LeapsDetector:
         with_reports: bool,
     ) -> ScanResult:
         """Scan one log (a path when ``lines`` is None, else the given
-        text) through the batch fast path, from columns: a capture
-        path's, or the text's, parsed by
-        :func:`~repro.etw.fastparse.parse_columns`."""
+        text) from columns — a capture path's, or the text's, parsed by
+        :func:`~repro.etw.fastparse.parse_columns` — fed to a
+        :class:`~repro.core.streaming.StreamScanner` as one block."""
+        pipeline = self.pipeline
+        pipeline.check_trained()
         report = ParseReport() if with_reports else None
         if lines is None and is_capture_path(source):
             capture = load_capture(source)
@@ -220,11 +222,15 @@ class LeapsDetector:
         else:
             events = parse_columns(
                 self._log_lines(source) if lines is None else lines,
-                policy=policy or self.pipeline.parser.policy,
+                policy=policy or pipeline.parser.policy,
                 report=report,
             )
-        windows, scores = self.pipeline.score_events(events)
-        detections = list(map(WindowDetection._make, detection_rows(windows, scores)))
+        scanner = StreamScanner(source or "", pipeline)
+        scanner.feed_events(events)
+        scanner.finish()
+        detections: List[WindowDetection] = []
+        for windows, scores in scored(scanner.take_ready()):
+            detections += map(WindowDetection._make, detection_rows(windows, scores))
         return ScanResult(source=source, detections=detections, report=report)
 
     def scan_logs(
@@ -249,11 +255,8 @@ class LeapsDetector:
         """
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if self.pipeline.model is None:
-            # Fail before touching any log, matching scan_log's contract.
-            from repro.core.pipeline import NotTrainedError
-
-            raise NotTrainedError("pipeline has not been trained")
+        # fail before touching any log, as scan_log does
+        self.pipeline.check_trained()
 
         jobs: List[_ScanJob] = []
         for index, item in enumerate(logs):

@@ -27,20 +27,15 @@ time is recorded in ``TrainingReport.stage_seconds``.
 
 Scanning:  featurize a production log with the *training* vocabularies
 and score each window; negative decision values are malicious windows.
-Two paths, bit-identical to each other:
-
-* batch — :meth:`LeapsPipeline.score_events` over a log's columns
-  (the detector's ``scan_log``/``scan_logs``): one array core
-  featurizes, coalesces, standardizes and scores, and builds no
-  per-event or per-window object;
-* incremental — :meth:`LeapsPipeline.score_stream` over a raw line
-  iterator, draining the :mod:`repro.core.streaming` scanner that the
-  serve shards also run: block parse, block featurize, block coalesce,
-  tiled scoring.  Memory stays bounded by one feed of lines and its
-  windows, the parser's held stack block (at most
-  ``StreamingParser.BACKLOG_LIMIT`` lines), ``window_events`` coalescer
-  rows and one open scoring tile, so whole-machine logs never need to
-  fit in RAM.
+Every scan drains the :mod:`repro.core.streaming` scanner that the serve
+shards also run: block featurize, block coalesce, tiled scoring.  The
+detector's ``scan_log``/``scan_logs`` feed it a whole log's columns as
+one block; :meth:`LeapsPipeline.score_stream` feeds it a raw line
+iterator, block-parsed, with bounded memory: one feed of lines and its
+windows, the parser's held stack block (at most
+``StreamingParser.BACKLOG_LIMIT`` lines), ``window_events`` coalescer
+rows and one open scoring tile, so whole-machine logs never need to fit
+in RAM.
 """
 
 from __future__ import annotations
@@ -325,25 +320,10 @@ class LeapsPipeline:
         return self.report
 
     # -- testing phase -------------------------------------------------
-    def _check_trained(self) -> None:
+    def check_trained(self) -> None:
+        """Raise :class:`NotTrainedError` unless the pipeline can scan."""
         if self.model is None or self.featurizer is None or self.standardizer is None:
             raise NotTrainedError("pipeline has not been trained")
-
-    def score_events(self, events: EventColumns) -> Tuple[WindowArrays, np.ndarray]:
-        """Score a parsed log's columns on the batch scan path: every
-        window and its decision value.
-
-        :meth:`~EventFeaturizer.transform_columns` featurizes, one
-        gather coalesces every window, standardization runs once, and
-        one kernel call scores the log in ``stream_chunk_windows``-row
-        tiles.  The tiles match :meth:`score_stream`'s, so the decision
-        values are bit-identical to the streaming path.
-        """
-        self._check_trained()
-        rows = self.featurizer.transform_columns(events)
-        windows = self.coalescer.coalesce_arrays(rows, events.eid)
-        X = self.standardizer.transform(windows.matrix)
-        return windows, self.model.decision_tiles(X, self.config.stream_chunk_windows)
 
     def score_stream(
         self,
@@ -361,6 +341,6 @@ class LeapsPipeline:
         config's ``parse_policy``.  An untrained pipeline or an unknown
         policy raises here, before any line is read.
         """
-        self._check_trained()
+        self.check_trained()
         scanner = StreamScanner("", self, policy=policy, report=report)
         return scan_lines(scanner, lines)

@@ -5,7 +5,8 @@ byte fragment of a line split across reads, the block parser
 (:class:`~repro.etw.fastparse.StreamingParser`), the per-stream
 featurization tables (:class:`~repro.preprocessing.features.StreamFeatures`),
 the push-mode window coalescer and the open scoring tile.  It is the
-only incremental scan path — :meth:`LeapsPipeline.score_stream` drains
+one scan path — ``LeapsDetector.scan_log``/``scan_logs`` feed it a whole
+log's columns as one block, :meth:`LeapsPipeline.score_stream` drains
 one with :func:`scan_lines`, and every serve shard keeps one per stream
 (``repro.serve.StreamScanner`` adds the columnar wire) — and any
 chunking of its input gives the same windows and scores: the block
@@ -13,11 +14,10 @@ parser equals the scalar ``ParseMachine`` event for event, each block
 of :class:`~repro.etw.events.EventColumns` is featurized and coalesced
 whole (``PushCoalescer.push_block``), and tile k always holds windows
 ``[k·tile, (k+1)·tile)`` of the stream (``tile`` is
-``stream_chunk_windows``), the tiles ``score_events`` scores a whole log
-in.  Each feed hands out every whole tile it completed as one ready
-chunk; a short tile appears only at :meth:`StreamScanner.finish`.  No
-per-event record and no per-window object is built between bytes and
-scores.
+``stream_chunk_windows``).  Each feed hands out every whole tile it
+completed as one ready chunk; a short tile appears only at
+:meth:`StreamScanner.finish`.  No per-event record and no per-window
+object is built between bytes and scores.
 
 :func:`score_chunks` scores chunks of one stream or many in one stacked
 kernel call per model, each tile's scores bit-identical to scoring it
@@ -47,8 +47,9 @@ from repro.preprocessing.features import StreamFeatures
 from repro.preprocessing.windows import WindowArrays
 
 #: raw lines per scanner feed in :func:`scan_lines`; the detections are
-#: the same at any value
-FEED_LINES = 256
+#: the same at any value, and each feed's block pays the featurizer's
+#: fixed grouping cost once (DESIGN.md §8)
+FEED_LINES = 1024
 
 
 @dataclass
@@ -71,19 +72,26 @@ def score_chunks(chunks: Sequence[ScoreChunk]) -> List[np.ndarray]:
 
     Returns one decision-value array per chunk, in input order, each
     bit-identical to the model's decision values of that chunk's
-    standardized windows scored tile by tile.  Per model and tile shape,
-    the chunks of every stream share one
+    standardized windows scored tile by tile.  Per model, the chunks of
+    every stream share one
     :meth:`~repro.learning.svm.KernelSVM.decision_tiles` call: the
-    whole-tile chunks in one, and the short final tiles of each length
-    in one more, as tiles of that length.
+    whole-tile chunks, with one short final tile riding at their end,
+    which a tiled call scores as that tile alone; the other short final
+    tiles of each length share one more, as tiles of that length.
     """
     results: List = [None] * len(chunks)
-    by_shape: dict = {}
+    calls: dict = {}
+    riders: dict = {}  # model → (whole-tile call, its short tail)
     for position, chunk in enumerate(chunks):
         tile = chunk.pipeline.config.stream_chunk_windows
-        size = len(chunk.times) % tile or tile
-        by_shape.setdefault((id(chunk.pipeline), size), []).append(position)
-    for (_, size), group in by_shape.items():
+        model, size = id(chunk.pipeline), len(chunk.times) % tile
+        if size and model not in riders:
+            riders[model] = ((model, tile), position)
+        else:
+            calls.setdefault((model, size or tile), []).append(position)
+    for call, position in riders.values():
+        calls.setdefault(call, []).append(position)
+    for (_, size), group in calls.items():
         pipeline = chunks[group[0]].pipeline
         matrices = [chunks[position].windows.matrix for position in group]
         matrix = matrices[0] if len(matrices) == 1 else np.concatenate(matrices)
@@ -196,7 +204,8 @@ class StreamScanner:
             # exactly as in a batch read of the whole file
             tail, self._fragment = split_log_bytes(self._fragment), b""
             self._parse(self.parser.feed_lines, tail)
-        self._parse(self.parser.finish)
+        if self.lines_seen or self.bytes_seen:  # text may have been fed
+            self._parse(self.parser.finish)
         if disconnected and not self.report.truncated_tail:
             self.report.truncated_tail = True
             self.report.record(
@@ -312,16 +321,15 @@ def scan_lines(
                     for line in batch
                 ]
             scanner.feed_lines(batch)
-            yield from _scored(scanner.take_ready())
+            yield from scored(scanner.take_ready())
         scanner.finish()
     except (ParseError, StackPartitionError):
-        yield from _scored(scanner.take_ready())
+        yield from scored(scanner.take_ready())
         raise
-    yield from _scored(scanner.take_ready())
+    yield from scored(scanner.take_ready())
 
 
-def _scored(
-    chunks: List[ScoreChunk],
-) -> Iterator[Tuple[WindowArrays, np.ndarray]]:
+def scored(chunks: List[ScoreChunk]) -> Iterator[Tuple[WindowArrays, np.ndarray]]:
+    """``(windows, scores)`` per chunk, from one :func:`score_chunks` call."""
     for chunk, scores in zip(chunks, score_chunks(chunks)):
         yield chunk.windows, scores

@@ -125,10 +125,10 @@ class EventColumns:
     """Events as columns: what the text parsers
     (:func:`~repro.etw.fastparse.parse_columns` and the streaming
     parser), the columnar codec and the generation fast path (DESIGN.md
-    §13) produce, and what training, the batch and stream scans
-    (:meth:`~repro.preprocessing.features.EventFeaturizer.transform_columns`,
-    :class:`~repro.preprocessing.features.StreamFeatures`) and the
-    capture encoder consume — none of them builds an
+    §13) produce, and what training
+    (:meth:`~repro.preprocessing.features.EventFeaturizer.attribute_table`),
+    the scans (:class:`~repro.preprocessing.features.StreamFeatures`)
+    and the capture encoder consume — none of them builds an
     :class:`EventRecord`.  :meth:`from_records` is the one conversion
     from records.  Invariants (producers guarantee them, the encoder
     and the featurizer rely on them):

@@ -20,14 +20,14 @@ rather than identical — attributes to one id; that refinement is not
 built, see ROADMAP item 2.)
 
 Fast paths: logs are highly repetitive — thousands of events collapse
-to a few dozen distinct walks and event types — and every scan works on
-:class:`~repro.etw.events.EventColumns`.  :meth:`attribute_table`
-partitions each used walk once, :meth:`fit` adds one key per distinct
-event type and per used walk, and :meth:`transform_columns` looks each
-up once and fills the rows with ``np.take``; :meth:`transform` over
-records converts them to columns first.  A stream's blocks go through
-:class:`StreamFeatures`, which keeps those lookups for the stream's
-life.  All give the uncached per-event lookups' values bit for bit.
+to a few dozen distinct walks and event types — and every path works on
+:class:`~repro.etw.events.EventColumns`, grouping events by event type
+through one packed key (:func:`etype_keys`).  Scans featurize through
+:class:`StreamFeatures`, which resolves each walk and event type once
+per stream and gathers the rows; training builds one
+:class:`AttributeTable` per log (each used walk partitioned once), which
+:meth:`EventFeaturizer.fit` and :meth:`EventFeaturizer.transform_columns`
+read.  Both give the uncached per-event lookups' values bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ from repro.etw.stack_partition import StackPartitionError, StackPartitioner
 
 #: Reserved id for attribute values never seen during training.
 UNKNOWN_ID = 0
-
-#: One event's attribute triple: (etype, app signature, system signature).
-AttributeTriple = Tuple[Hashable, Hashable, Hashable]
 
 
 class Vocabulary:
@@ -107,6 +104,26 @@ def _first_appearance(codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
+def etype_keys(cols: EventColumns) -> np.ndarray:
+    """One int64 key per event, equal for two events exactly when their
+    (category, opcode, name) codes are equal: the codes packed into one
+    integer when the table sizes times the opcode span fit int64, else
+    (say, an object opcode column of values past int64) each column's
+    dense ranks, combined pairwise and re-ranked so no product passes
+    n²."""
+    category, opcode, name = cols.category_id, cols.opcode, cols.name_id
+    categories, names = len(cols.category_vocab), len(cols.name_vocab)
+    if len(opcode) and opcode.dtype != object:
+        low = int(opcode.min())
+        if (int(opcode.max()) - low + 1) * categories * names < 2**63:
+            return ((opcode - low) * categories + category) * names + name
+    keys = np.zeros(len(opcode), dtype=np.int64)
+    for column in (opcode, category, name):
+        ranks = np.unique(column, return_inverse=True)[1]
+        keys = np.unique(keys * len(keys) + ranks, return_inverse=True)[1]
+    return keys
+
+
 class EventFeaturizer:
     """Fit attribute vocabularies on training logs, then map any event
     stream to an ``(n, 3)`` feature matrix."""
@@ -121,11 +138,6 @@ class EventFeaturizer:
         self.fitted = False
 
     # -- attribute extraction -----------------------------------------
-    def attributes(self, event: EventRecord) -> AttributeTriple:
-        """One partition pass per event (the pre-fast-path version
-        partitioned twice, once per stack half)."""
-        return (event.etype, *self._signatures(event.frames))
-
     def _signatures(self, frames: Sequence[StackFrame]) -> Tuple[tuple, tuple]:
         """A walk's app and system signatures."""
         split = self.partitioner.split_index(frames)
@@ -147,13 +159,7 @@ class EventFeaturizer:
             apps.append(app)
             systems.append(system)
 
-        # Group events by event type through dense codes: each product
-        # below is of two codes smaller than n, so it cannot overflow.
-        _, etype_of = np.unique(cols.category_id, return_inverse=True)
-        for column in (cols.opcode, cols.name_id):
-            values, codes = np.unique(column, return_inverse=True)
-            etype_of = etype_of * len(values) + codes
-        first_etype, etype_of = _first_appearance(etype_of)
+        first_etype, etype_of = _first_appearance(etype_keys(cols))
         categories, names = cols.category_vocab, cols.name_vocab
         etypes = [
             (categories[category], opcode, names[name])
@@ -174,8 +180,11 @@ class EventFeaturizer:
         :meth:`~repro.etw.events.EventColumns.from_records`).  Each
         vocabulary sees its keys in first-appearance order over the
         events, one key per distinct event type and per used walk."""
-        for log in logs:
-            table = self._table(log)
+        for table in logs:
+            if not isinstance(table, AttributeTable):
+                if not isinstance(table, EventColumns):
+                    table = EventColumns.from_records(table)
+                table = self.attribute_table(table)
             for key in table.etypes:
                 self.etype_vocab.add(key)
             for app, system in zip(table.apps, table.systems):
@@ -187,27 +196,19 @@ class EventFeaturizer:
         self.fitted = True
         return self
 
-    def _table(self, log) -> AttributeTable:
-        if isinstance(log, AttributeTable):
-            return log
-        if not isinstance(log, EventColumns):
-            log = EventColumns.from_records(log)
-        return self.attribute_table(log)
-
     def transform(self, events: Sequence[EventRecord]) -> np.ndarray:
-        """:meth:`transform_columns` of a record list."""
-        return self.transform_columns(EventColumns.from_records(events))
+        """:meth:`transform_columns` of a record list's table."""
+        return self.transform_columns(
+            self.attribute_table(EventColumns.from_records(events))
+        )
 
-    def transform_columns(
-        self, log: Union[AttributeTable, EventColumns]
-    ) -> np.ndarray:
-        """The ``(n, 3)`` feature rows of a log: one lookup per distinct
-        event type and per used walk of its :class:`AttributeTable`
-        (built here from columns), then the rows are gathered from those
-        ids — the per-event lookups' values, bit for bit."""
+    def transform_columns(self, table: AttributeTable) -> np.ndarray:
+        """The ``(n, 3)`` feature rows of a log's :class:`AttributeTable`:
+        one lookup per distinct event type and per used walk, then the
+        rows are gathered from those ids — the per-event lookups'
+        values, bit for bit."""
         if not self.fitted:
             raise RuntimeError("EventFeaturizer.transform before fit")
-        table = self._table(log)
         lookup = self.etype_vocab.lookup
         etype_ids = np.array([lookup(key) for key in table.etypes], dtype=float)
         signature_ids = np.array(
@@ -222,17 +223,14 @@ class EventFeaturizer:
         out[:, 1:] = signature_ids.take(table.walk_of, axis=0)
         return out
 
-    def fit_transform(self, events: Sequence[EventRecord]) -> np.ndarray:
-        self.fit(events)
-        return self.transform(events)
-
 
 class StreamFeatures:
-    """One stream's :meth:`EventFeaturizer.transform_columns`.  The
+    """The scans' featurizer: one stream's rows, block by block.  The
     stream's blocks share cumulative tables (its parser's or chunk
-    decoder's), so walk id → (app id, system id) and event-type codes →
-    etype id are kept for the stream's life and only entries new to it
-    are resolved; a block over other tables rebinds them."""
+    decoder's, or one log's), so walk id → (app id, system id) and
+    (category, opcode, name) codes → etype id are kept for the stream's
+    life and only entries new to it are resolved; a block over other
+    tables rebinds them."""
 
     def __init__(self, featurizer: EventFeaturizer):
         self.featurizer = featurizer
@@ -249,43 +247,44 @@ class StreamFeatures:
             self._bound, self._etype_ids = tables, {}
             self._walk_rows = np.zeros((0, 2))  # NaN until resolved
         stop, error = self._resolve_walks(cols.walks, cols.walk_id)
+        block = cols if stop == cols.n_events else cols.rows(0, stop)
+        distinct, etype_of = np.unique(etype_keys(block), return_inverse=True)
+        member = np.empty(len(distinct), dtype=np.intp)  # an event of each
+        member[etype_of] = np.arange(stop)
         codes = (cols.category_id, cols.opcode, cols.name_id)
-        keys = list(zip(*(column[:stop].tolist() for column in codes)))
+        keys = list(zip(*(column[member].tolist() for column in codes)))
         memo, lookup = self._etype_ids, self.featurizer.etype_vocab.lookup
-        for key in set(keys) - memo.keys():
-            category, opcode, name = key
-            memo[key] = lookup(
+        for category, opcode, name in set(keys) - memo.keys():
+            memo[category, opcode, name] = lookup(
                 (cols.category_vocab[category], opcode, cols.name_vocab[name])
             )
-        etypes = list(map(memo.__getitem__, keys))
         out = np.empty((stop, EventFeaturizer.DIMS))
-        out[:, 0] = etypes
+        out[:, 0] = np.take(list(map(memo.__getitem__, keys)), etype_of)
         out[:, 1:] = self._walk_rows.take(cols.walk_id[:stop], axis=0)
         return out, error
 
     def _resolve_walks(
         self, walks: list, walk_id: np.ndarray
     ) -> Tuple[int, Optional[StackPartitionError]]:
-        """Resolve the walks new to the stream in first-appearance order,
-        in bulk (lists, then one array store); ``(stop, error)`` as in
-        :meth:`transform`."""
+        """Resolve the walks new to the stream, in bulk (lists, then one
+        array store); ``(stop, error)`` as in :meth:`transform`."""
         grow = len(walks) - len(self._walk_rows)
         if grow > 0:  # geometrically, so growth costs O(1) per walk
             more = np.full((max(grow, len(self._walk_rows)), 2), np.nan)
             self._walk_rows = np.concatenate((self._walk_rows, more))
-        fresh = np.flatnonzero(np.isnan(self._walk_rows[walk_id, 0]))
-        if not len(fresh):
+        fresh = np.isnan(self._walk_rows[walk_id, 0])
+        if not fresh.any():
             return len(walk_id), None
-        first = fresh[_first_appearance(walk_id[fresh])[0]]
-        new = walk_id[first]
-        featurizer, ids, error = self.featurizer, [], None
+        new = np.flatnonzero(np.bincount(walk_id[fresh], minlength=len(walks)))
+        featurizer, ids, failed = self.featurizer, [], {}
         apps, systems = featurizer.app_vocab, featurizer.system_vocab
         for walk in new.tolist():
             try:
                 app, system = featurizer._signatures(walks[walk])
-            except StackPartitionError as caught:
-                error = caught
-                break
-            ids.append((apps.lookup(app), systems.lookup(system)))
-        self._walk_rows[new[: len(ids)]] = np.reshape(ids, (-1, 2))
-        return (len(walk_id) if error is None else int(first[len(ids)])), error
+                ids.append((apps.lookup(app), systems.lookup(system)))
+            except StackPartitionError as error:  # stop at its first event
+                failed[int(np.argmax(walk_id == walk))] = error
+                ids.append((np.nan, np.nan))
+        self._walk_rows[new] = np.reshape(ids, (-1, 2))
+        stop = min(failed, default=len(walk_id))
+        return stop, failed.get(stop)

@@ -18,7 +18,7 @@ from repro.etw.events import EventColumns
 from repro.learning.scaling import Standardizer
 from repro.preprocessing.features import EventFeaturizer
 
-from tests.oracles.features import transform_naive
+from tests.oracles.features import attributes, transform_naive
 
 
 def fit_records(featurizer, *event_streams):
@@ -26,7 +26,7 @@ def fit_records(featurizer, *event_streams):
     vocabs = (featurizer.etype_vocab, featurizer.app_vocab, featurizer.system_vocab)
     for events in event_streams:
         for event in events:
-            for vocab, key in zip(vocabs, featurizer.attributes(event)):
+            for vocab, key in zip(vocabs, attributes(featurizer, event)):
                 vocab.add(key)
     for vocab in vocabs:
         vocab.freeze()

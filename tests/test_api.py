@@ -174,8 +174,14 @@ class TestTinyPipeline:
 
 class TestPipelineErrors:
     def test_scan_before_train(self):
+        """An untrained detector raises before it reads the log."""
+
+        def unread():
+            raise AssertionError("the log was read")
+            yield
+
         with pytest.raises(NotTrainedError):
-            LeapsPipeline().score_events([])
+            LeapsDetector().scan_log(unread())
 
     def test_empty_training_logs_rejected(self):
         with pytest.raises(ValueError):

@@ -30,15 +30,19 @@ def events(tiny_log_lines):
     return RawLogParser().parse_lines(tiny_log_lines)
 
 
+def fit_transform(events):
+    return EventFeaturizer().fit(events).transform(events)
+
+
 class TestEventFeaturizer:
     def test_shape_and_determinism(self, events):
-        feats = EventFeaturizer().fit_transform(events)
+        feats = fit_transform(events)
         assert feats.shape == (3, 3)
-        again = EventFeaturizer().fit_transform(events)
+        again = fit_transform(events)
         assert np.array_equal(feats, again)
 
     def test_ids_assigned_in_order(self, events):
-        feats = EventFeaturizer().fit_transform(events)
+        feats = fit_transform(events)
         # three distinct etypes / app sigs / system sigs, in appearance order
         assert feats[:, 0].tolist() == [1.0, 2.0, 3.0]
         assert feats[:, 1].tolist() == [1.0, 2.0, 3.0]

@@ -2,10 +2,11 @@
 
 The fast path must be invisible in the results: ``transform`` over a
 whole log equals the rows of each event featurized alone
-(``tests/oracles/features.py``) bit for bit, ``transform_columns`` over
-columns equals those rows of their records, ``scan_log`` equals the
-streaming scan, and ``scan_logs`` returns the same detections for any
-worker count and for either storage form of a log.
+(``tests/oracles/features.py``) bit for bit, and so do the scan
+featurizer ``StreamFeatures`` over columns, whole or in blocks, and
+``transform_columns`` over their attribute table; ``scan_log`` equals
+the streaming scan, and ``scan_logs`` returns the same detections for
+any worker count and for either storage form of a log.
 """
 
 from pathlib import Path
@@ -16,18 +17,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import LeapsDetector, ScanResult
+from repro.core import streaming
 from repro.core.pipeline import NotTrainedError
 from repro.etw.capture import load_capture
 from repro.etw.events import EventColumns
 from repro.etw.fastparse import parse_columns
 from repro.etw.parser import RawLogParser, iter_parse
 from repro.etw.stack_partition import StackPartitionError
-from repro.preprocessing.features import EventFeaturizer
+from repro.preprocessing.features import EventFeaturizer, StreamFeatures
 
 from tests.conftest import TINY_LOG
 from tests.oracles.features import transform_naive
+from tests.oracles.stream_scan import score_stream_naive
 from tests.test_api import APP, NET, PAYLOAD, SYS, make_log
-from tests.test_stream_scan import SCAN_SPECS, tiny_detector
+from tests.test_stream_scan import SCAN_SPECS, oracle_outcome, tiny_detector
 
 #: the logs of the session's generated catalog row
 GENERATED_LOGS = ("benign", "mixed", "malicious")
@@ -37,7 +40,10 @@ GENERATED_LOGS = ("benign", "mixed", "malicious")
 _TINY_WALKS = [event.frames for event in iter_parse(TINY_LOG.splitlines())]
 WALKS = _TINY_WALKS + [walk[::-1] for walk in _TINY_WALKS[:2]]
 INT64_MAX = 2**63 - 1
-OPCODES = st.sampled_from([0, 3, 7, INT64_MAX, -INT64_MAX, -INT64_MAX - 1])
+#: opcodes at the int64 limits, and past them (an object column)
+OPCODES = st.sampled_from(
+    [0, 3, 7, INT64_MAX, -INT64_MAX, -INT64_MAX - 1, 2**64 + 5, -(2**70)]
+)
 #: one event as (category id, opcode, name id, walk id)
 EVENTS = st.tuples(
     st.integers(0, 2),
@@ -58,9 +64,13 @@ def event_columns(events):
     cols.tid = np.full(n, 4, dtype=np.int64)
     cols.process_id = np.zeros(n, dtype=np.int64)
     fields = list(zip(*events)) or [()] * 4
-    cols.category_id, cols.opcode, cols.name_id, cols.walk_id = (
-        np.array(field, dtype=np.int64) for field in fields
+    cols.category_id, cols.name_id, cols.walk_id = (
+        np.array(fields[column], dtype=np.int64) for column in (0, 2, 3)
     )
+    try:
+        cols.opcode = np.array(fields[1], dtype=np.int64)
+    except OverflowError:  # as the text parsers store such a column
+        cols.opcode = np.array(fields[1], dtype=object)
     cols.process_vocab = ["app.exe"]
     cols.category_vocab = ["FILE_IO_READ", "TCP_SEND", "UI_MESSAGE"]
     cols.name_vocab = ["read_config", "send_data", "ui_get_message"]
@@ -105,46 +115,83 @@ class TestVectorizedTransform:
             EventFeaturizer().transform([])
 
     def test_unfitted_transform_columns_raises(self):
+        featurizer = EventFeaturizer()
+        table = featurizer.attribute_table(EventColumns())
         with pytest.raises(RuntimeError, match="before fit"):
-            EventFeaturizer().transform_columns(EventColumns())
+            featurizer.transform_columns(table)
 
     @settings(max_examples=150, deadline=None)
-    @given(events=st.lists(EVENTS, max_size=40), n_fit=st.integers(0, 40))
+    @given(
+        events=st.lists(EVENTS, max_size=40),
+        n_fit=st.integers(0, 40),
+        cuts=st.lists(st.integers(0, 40), max_size=4),
+    )
     # extreme opcodes, both failing walks in the table but unused
     @example(
         events=[(0, INT64_MAX, 0, 0), (1, -INT64_MAX, 1, 1), (1, 7, 1, 1)],
         n_fit=2,
+        cuts=[],
     )
     # used failing walks: the second event's fails first
-    @example(events=[(0, 3, 0, 0), (1, 3, 1, 4), (2, 3, 2, 3)], n_fit=1)
-    @example(events=[], n_fit=0)
-    def test_columns_match_records(self, events, n_fit):
-        """``transform_columns`` equals the per-event rows of the records,
-        or raises the same ``StackPartitionError`` with the same
-        message.  The featurizer is fitted on a prefix of the events'
-        partitionable records, so some attributes are unknown."""
+    @example(events=[(0, 3, 0, 0), (1, 3, 1, 4), (2, 3, 2, 3)], n_fit=1, cuts=[2])
+    # each block's one event type packs to the same block-relative key,
+    # but only the first is known
+    @example(events=[(0, 3, 0, 0), (0, 7, 0, 0)], n_fit=1, cuts=[1])
+    # an object opcode column in the second block only
+    @example(events=[(0, 3, 0, 0), (0, 2**64 + 5, 0, 0)], n_fit=1, cuts=[1])
+    @example(events=[], n_fit=0, cuts=[])
+    def test_columns_match_records(self, events, n_fit, cuts):
+        """``StreamFeatures`` over the columns — whole, and cut into
+        blocks that share the tables — equals the per-event rows of the
+        records; when a walk does not partition, it returns the rows
+        before the first such event and the per-event path's
+        ``StackPartitionError``, with the same message.
+        ``transform_columns`` of the columns' attribute table equals
+        the rows, or raises that error.  The featurizer is fitted on a
+        prefix of the events' partitionable records, so some attributes
+        are unknown."""
         cols = event_columns(events)
         records = cols.records()
         featurizer = EventFeaturizer().fit(
             [r for r in records[:n_fit] if r.frames in _TINY_WALKS]
         )
-        try:
-            want = transform_naive(featurizer, records)
-        except StackPartitionError as error:
+        stop = next(
+            (n for n, r in enumerate(records) if r.frames not in _TINY_WALKS),
+            len(records),
+        )
+        want = transform_naive(featurizer, records[:stop])
+        error = None
+        if stop < len(records):
             with pytest.raises(StackPartitionError) as raised:
-                featurizer.transform_columns(cols)
-            assert str(raised.value) == str(error)
-            return
-        got = featurizer.transform_columns(cols)
-        assert got.shape == (len(events), 3) and got.dtype == float
-        assert np.array_equal(got, want)
+                transform_naive(featurizer, records)
+            error = str(raised.value)
+            with pytest.raises(StackPartitionError) as raised:
+                featurizer.transform_columns(featurizer.attribute_table(cols))
+            assert str(raised.value) == error
+        else:
+            got = featurizer.transform_columns(featurizer.attribute_table(cols))
+            assert got.shape == (len(events), 3) and got.dtype == float
+            assert np.array_equal(got, want)
+
+        bounds = [0, *sorted(min(cut, len(events)) for cut in cuts), len(events)]
+        for blocks in ([cols], [cols.rows(*pair) for pair in zip(bounds, bounds[1:])]):
+            stream, rows, failed = StreamFeatures(featurizer), [], None
+            for block in blocks:
+                got, failed = stream.transform(block)
+                assert got.dtype == float and got.shape[1] == 3
+                rows.append(got)
+                if failed is not None:
+                    break
+            assert np.array_equal(np.concatenate(rows), want)
+            assert (failed and str(failed)) == error
 
 
 @pytest.mark.parametrize("stem", GENERATED_LOGS)
 def test_transform_matches_event_rows_on_golden_heads(generated_row, stem):
-    """Property over every generated log: the vectorized batch path
-    and per-event transforms produce bit-identical rows, and so does
-    the log's capture through its columns."""
+    """Property over every generated log: the per-event transform, the
+    record path's attribute table, and the scan featurizer over the
+    log's capture columns — whole, and in blocks that share its tables
+    — produce bit-identical rows."""
     events = RawLogParser().parse_lines(
         (generated_row / f"{stem}.log").read_text().splitlines()
     )
@@ -153,8 +200,16 @@ def test_transform_matches_event_rows_on_golden_heads(generated_row, stem):
     batch = featurizer.transform(events)
     rows = TestVectorizedTransform.event_rows(featurizer, events)
     assert np.array_equal(batch, rows), stem
-    capture = load_capture(generated_row / f"{stem}.leapscap")
-    assert np.array_equal(featurizer.transform_columns(capture.columns), batch)
+    columns = load_capture(generated_row / f"{stem}.leapscap").columns
+    whole, error = StreamFeatures(featurizer).transform(columns)
+    assert error is None and np.array_equal(whole, batch)
+    stream = StreamFeatures(featurizer)
+    blocks = [
+        stream.transform(columns.rows(start, start + 250))
+        for start in range(0, columns.n_events, 250)
+    ]
+    assert all(error is None for _, error in blocks)
+    assert np.array_equal(np.concatenate([got for got, _ in blocks]), batch)
 
 
 class TestScanLogFastPath:
@@ -175,15 +230,59 @@ class TestScanLogFastPath:
         lines = make_log(SCAN_SPECS)
         assert detector.scan_log(iter(lines)) == detector.scan_log(lines)
 
-    def test_score_events_chunking_is_invisible(self):
-        """Chunked scoring (tiny chunks) and one-chunk scoring agree to
-        float64 noise, and identical chunk sizes are bit-identical."""
+    def test_scan_log_chunking_is_invisible(self):
+        """Chunked scoring (tiny tiles) and one-tile scoring agree to
+        float64 noise over the same windows, and at either tile
+        ``scan_log`` equals ``scan_stream`` bit for bit."""
+        lines = make_log(SCAN_SPECS)
         small = tiny_detector(stream_chunk_windows=3)
         big = tiny_detector(stream_chunk_windows=1 << 20)
-        events = parse_columns(make_log(SCAN_SPECS))
-        _, chunked = small.pipeline.score_events(events)
-        _, whole = big.pipeline.score_events(events)
-        np.testing.assert_allclose(chunked, whole, rtol=0, atol=1e-12)
+        chunked, whole = small.scan_log(lines), big.scan_log(lines)
+        assert len(chunked) == len(SCAN_SPECS) - 1
+        assert [d[:3] for d in chunked] == [d[:3] for d in whole]
+        np.testing.assert_allclose(
+            [d.score for d in chunked], [d.score for d in whole], rtol=0, atol=1e-12
+        )
+        for detector, detections in ((small, chunked), (big, whole)):
+            assert detections == list(detector.scan_stream(lines))
+
+    def test_one_kernel_call_per_log(self, monkeypatch):
+        """A log's whole tiles and its short final tile share one
+        ``decision_tiles`` call."""
+        detector = tiny_detector(stream_chunk_windows=4)
+        model = detector.pipeline.model
+        calls = []
+
+        def counting(X, tile):
+            calls.append((len(X), tile))
+            return type(model).decision_tiles(model, X, tile)
+
+        monkeypatch.setattr(model, "decision_tiles", counting)
+        detections = detector.scan_log(make_log(SCAN_SPECS))
+        assert len(detections) % 4 and calls == [(len(detections), 4)]
+
+    @pytest.mark.parametrize("feed", [7, streaming.FEED_LINES])
+    def test_opcodes_past_int64_scan_as_in_the_stream(self, monkeypatch, feed):
+        """A text log whose opcodes lie outside int64 parses to an object
+        opcode column; ``scan_log``, ``scan_stream`` (whose blocks mix
+        int64 and object columns) and the per-event oracle agree."""
+        monkeypatch.setattr(streaming, "FEED_LINES", feed)
+        opcodes = iter([1, 2**64 + 1, 1, -(2**70), 2**64 + 1, 1, 1, 1] * 4)
+        lines = [
+            line.replace("|SYSCALL_ENTER|1|", f"|SYSCALL_ENTER|{next(opcodes)}|")
+            if line.startswith("EVENT|") else line
+            for line in make_log(SCAN_SPECS * 2)
+        ]
+        assert parse_columns(lines).opcode.dtype == object
+        detector = tiny_detector()
+        detections = detector.scan_log(lines)
+        assert detections == list(detector.scan_stream(lines))
+        want, error = oracle_outcome(score_stream_naive, detector.pipeline, lines)
+        assert error is None
+        assert [tuple(d[:4]) for d in detections] == [
+            pair[:3] + pair[4:] for pair in want
+        ]
+        assert len({d.score for d in detections}) > 2
 
 
 class TestFleetScan:

@@ -151,6 +151,15 @@ class TestStreamIngestion:
         with pytest.raises(ValueError, match="unknown parse policy"):
             tiny_detector().scan_stream([], policy="lenient")
 
+    def test_one_unterminated_line_is_parsed_at_finish(self):
+        """Bytes with no newline at all reach the parser only at
+        ``finish``, whose end of input then emits the held event."""
+        line = make_log(SCAN_SPECS[:1])[0]
+        scanner = streaming.StreamScanner("s", tiny_detector().pipeline)
+        scanner.feed_bytes(line.encode())
+        scanner.finish()
+        assert scanner.events_seen == scanner.report.events_yielded == 1
+
     def test_text_parse_counts_as_decode(self, monkeypatch):
         """``decode_s`` is bytes → events in the text wire mode too: the
         parser's time is in it."""
@@ -269,7 +278,7 @@ class TestOracleEquivalence:
             )
         assert report.to_dict() == oracle_report.to_dict()
 
-    @pytest.mark.parametrize("feed", [1, 7, streaming.FEED_LINES])
+    @pytest.mark.parametrize("feed", [1, 7, 256, streaming.FEED_LINES])
     @pytest.mark.parametrize("policy", ["strict", "warn", "drop"])
     def test_corrupt_line_anywhere(self, pipelines, monkeypatch, feed, policy):
         monkeypatch.setattr(streaming, "FEED_LINES", feed)
@@ -281,7 +290,7 @@ class TestOracleEquivalence:
                     lines = base[:position] + [corrupt] + base[position:]
                     self.check(pipeline, lines, policy)
 
-    @pytest.mark.parametrize("feed", [1, 7, streaming.FEED_LINES])
+    @pytest.mark.parametrize("feed", [1, 7, 256, streaming.FEED_LINES])
     def test_unpartitionable_walk(self, pipelines, monkeypatch, feed):
         monkeypatch.setattr(streaming, "FEED_LINES", feed)
         for chunk, pipeline in pipelines.items():
